@@ -1,8 +1,8 @@
 package repro
 
 import (
-	"math/rand"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -454,8 +454,9 @@ func churnChannel(b *testing.B, n int) TaskSet {
 // from scratch the way reshape used to. The "incremental" cycles run
 // the in-place exclusive patch path (Thawed + AddTasks/DropTasks — what
 // the online manager executes per reconfiguration, steady-state
-// allocation-free); "immutable" keeps the copy-on-write
-// WithTask/WithoutTask clone path that what-if queries use. The guest's
+// allocation-free); "immutable" runs the one-task WithTasks/WithoutTasks
+// what-ifs that queries use: the same patch on a clone that borrows the
+// receiver's rows, frozen afterwards. The guest's
 // period selects its deadline count within the fixed 120-unit
 // hyperperiod (T=60 → 2 points, T=12 → 10, T=5 → 24, all on the
 // channel's own deadline grid): the incremental cycle never rebuilds the
@@ -494,11 +495,11 @@ func BenchmarkAdmitRemoveChurn(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			grown, err := pf.WithTask(guest)
+			grown, err := pf.WithTasks([]Task{guest})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := grown.WithoutTask(guest); err != nil {
+			if _, err := grown.WithoutTasks([]Task{guest}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -581,7 +582,7 @@ func BenchmarkAdmitRemoveChurn(b *testing.B) {
 // merge, one envelope re-prune for the group) and swaps the
 // configuration once, where the sequential path pays the per-event cost
 // 8 times. The profile sub-benchmarks isolate the analysis-layer share
-// of the win (WithTasks versus the WithTask fold).
+// of the win (WithTasks versus the fold of one-task WithTasks).
 func BenchmarkBatchAdmission(b *testing.B) {
 	const channelTasks = 20
 	ch := churnChannel(b, channelTasks)
@@ -670,12 +671,12 @@ func BenchmarkBatchAdmission(b *testing.B) {
 			grown := pf
 			var err error
 			for _, g := range guests {
-				if grown, err = grown.WithTask(g); err != nil {
+				if grown, err = grown.WithTasks([]Task{g}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			for _, g := range guests {
-				if grown, err = grown.WithoutTask(g); err != nil {
+				if grown, err = grown.WithoutTasks([]Task{g}); err != nil {
 					b.Fatal(err)
 				}
 			}

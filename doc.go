@@ -35,17 +35,18 @@
 //     (analysis.Profile) — the P-independent half of Eq. (15) — so
 //     repeated LHS evaluations run allocation-free; every search below
 //     uses this compiled path, with the naive methods kept as the
-//     reference oracle. Profiles update incrementally: WithTask and
-//     WithoutTask (on both analysis.Profile and core.CompiledProblem)
-//     patch one task's deadline stream in or out through a cloned
-//     envelope.Index snapshot (what-if clones share the immutable
-//     parent index), staying bit-identical to a fresh compile, so
-//     "what if this task joined channel i" costs the newcomer's own
-//     deadlines plus the affected envelope span rather than a channel
-//     recompilation; the batched WithTasks/WithoutTasks patch a whole
-//     group with one stream merge and one index update, and a
-//     hyperperiod change falls back to a full recompile (counted by
-//     Profile.Fallbacks and reported as a trace event);
+//     reference oracle. Profiles update incrementally through one
+//     patch algorithm, analysis.Profile.AddTasks/DropTasks: it merges
+//     a batch's deadline streams into the profile's envelope.Index (or
+//     walks them out), touches only the prefix rows the batch changes,
+//     and stays bit-identical to a fresh compile, so "what if these
+//     tasks joined channel i" costs the newcomers' own deadlines plus
+//     the affected envelope span rather than a channel recompilation.
+//     The what-ifs WithTasks/WithoutTasks (on both analysis.Profile and
+//     core.CompiledProblem) run that patch on a clone of the receiver
+//     and freeze the result; a hyperperiod change falls back to a full
+//     recompile (counted by Profile.Fallbacks and reported as a trace
+//     event);
 //   - internal/region, internal/design: Figure 4 exploration and the
 //     two design goals of Table 2;
 //   - internal/partition, internal/workload: automatic channel
@@ -61,8 +62,7 @@
 //     consolidation policy bounding long-run memory under churn
 //     (ratio-triggered by default: Profile.MemStats reports the
 //     retained/live cell ratio and SetConsolidateRatio rebuilds a
-//     channel when pinned ancestor rows outweigh the live ones;
-//     SetConsolidateEvery remains as the legacy patch-count shim). It is
+//     channel when its row storage outweighs the live rows). It is
 //     also overload-resilient: AdmitBatchPartial sheds the
 //     lowest-value members of an overflowing batch under a Policy
 //     (greedy-maximal, one profile patch per shed), Revoke/Restore
@@ -127,19 +127,25 @@
 // # Memory model of the hot path
 //
 // The admission and replay loops are allocation-light by construction,
-// and the ownership rules are load-bearing:
+// and the ownership rules are load-bearing. One patch algorithm
+// (AddTasks/DropTasks, in place) serves two kinds of profile, frozen
+// and exclusive, and the loops around it reuse per-owner scratch:
 //
-//   - Shared, immutable: compiled profiles and their envelope.Index
-//     snapshots. What-if clones (WithTask/WithTasks and friends) share
-//     untouched columnar slabs copy-on-write; a shared row or slab is
-//     never written in place, so an ancestor snapshot and its patched
-//     descendants can be read concurrently forever.
+//   - Frozen, shared: compiled profiles (Compile, Problem.Compile) and
+//     what-if results (WithTasks/WithoutTasks) with their
+//     envelope.Index snapshots. A frozen profile is never written
+//     again, so an ancestor and its descendants can be read
+//     concurrently forever. A what-if is a clone, the patch and a
+//     freeze: the clone takes the index copy-on-write and borrows the
+//     receiver's prefix rows, and the result is sized exactly.
 //   - Exclusive, single-owner: Profile.Thawed and
-//     CompiledProblem.CompileMutable produce profiles whose
-//     AddTasks/DropTasks patch rows in place inside a private
-//     double-buffered arena, making a steady-state admit+remove cycle
-//     allocation-free. The online manager thaws each touched channel's
-//     profile on first patch; consolidation rebuilds into an
+//     analysis.CompileMutable produce profiles that AddTasks/DropTasks
+//     patch in place inside a private double-buffered arena, making a
+//     steady-state admit+remove cycle allocation-free. Rows borrowed
+//     from a frozen lender are never written in place; a patch that
+//     must rewrite one moves it into the arena. The online manager
+//     thaws each touched channel's profile on first patch, borrowing
+//     from the shared CompiledProblem; consolidation rebuilds into an
 //     exactly-compact arena so the memory-ratio trigger converges.
 //   - Scratch, per-owner, reused: the manager's touched-channel slice;
 //     the sim engine's epoch buffers (service windows, fault and

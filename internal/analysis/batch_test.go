@@ -9,9 +9,9 @@ import (
 
 // TestWithTasksMatchesSequentialFold is the core exactness property of
 // the batched constructors: WithTasks(batch) must be bit-identical —
-// retained streams included — to folding WithTask over the batch in
-// order, and both to a fresh Compile of the final set (the independent
-// oracle). Batches are drawn randomly from the churn pool, so they mix
+// retained streams included — to folding one-task WithTasks over the
+// batch in order, and both to a fresh Compile of the final set (the
+// independent oracle). Batches are drawn randomly from the churn pool, so they mix
 // on-grid merges, brand-new points and hyperperiod-stretching fallbacks.
 func TestWithTasksMatchesSequentialFold(t *testing.T) {
 	pool := churnPool()
@@ -39,8 +39,8 @@ func TestWithTasksMatchesSequentialFold(t *testing.T) {
 				}
 				seq := pf
 				for _, tk := range batch {
-					if seq, err = seq.WithTask(tk); err != nil {
-						t.Fatalf("trial %d: WithTask(%s): %v", trial, tk.Name, err)
+					if seq, err = seq.WithTasks([]task.Task{tk}); err != nil {
+						t.Fatalf("trial %d: WithTasks(%s): %v", trial, tk.Name, err)
 					}
 				}
 				assertProfileIdentical(t, "batched vs sequential", batched, seq)
@@ -55,8 +55,8 @@ func TestWithTasksMatchesSequentialFold(t *testing.T) {
 }
 
 // TestWithoutTasksMatchesSequentialFold is the removal-side property:
-// WithoutTasks(batch) equals the WithoutTask fold and the full-compile
-// oracle, for random victim subsets in random orders.
+// WithoutTasks(batch) equals the one-task WithoutTasks fold and the
+// full-compile oracle, for random victim subsets in random orders.
 func TestWithoutTasksMatchesSequentialFold(t *testing.T) {
 	pool := churnPool()
 	for _, alg := range []Alg{EDF, RM, DM} {
@@ -81,8 +81,8 @@ func TestWithoutTasksMatchesSequentialFold(t *testing.T) {
 				}
 				seq := pf
 				for _, tk := range victims {
-					if seq, err = seq.WithoutTask(tk); err != nil {
-						t.Fatalf("trial %d: WithoutTask(%s): %v", trial, tk.Name, err)
+					if seq, err = seq.WithoutTasks([]task.Task{tk}); err != nil {
+						t.Fatalf("trial %d: WithoutTasks(%s): %v", trial, tk.Name, err)
 					}
 				}
 				assertProfileIdentical(t, "batched vs sequential", batched, seq)
@@ -165,7 +165,8 @@ func TestBatchedChurnRoundTrips(t *testing.T) {
 
 // TestBatchedEdgeCases pins the contract details: empty batches return
 // the receiver, invalid or absent tasks error without touching it, and
-// a single-element batch equals the singular constructor.
+// a single-element batch repeated off the same receiver (which lends
+// its rows to both results) gives the same profile.
 func TestBatchedEdgeCases(t *testing.T) {
 	s := task.PaperTaskSet().ByMode(task.FT)
 	for _, alg := range []Alg{EDF, RM} {
@@ -194,7 +195,7 @@ func TestBatchedEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := pf.WithTask(guest)
+		single, err := pf.WithTasks([]task.Task{guest})
 		if err != nil {
 			t.Fatal(err)
 		}

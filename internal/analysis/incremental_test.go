@@ -10,7 +10,7 @@ import (
 // assertProfileIdentical checks the full exactness guarantee of the
 // incremental layer: not just the pruned envelopes (Profile.Equal) but
 // the retained streams too, so that a patched profile keeps answering
-// future WithTask/WithoutTask calls exactly like a fresh Compile would.
+// future WithTasks/WithoutTasks calls exactly like a fresh Compile would.
 func assertProfileIdentical(t *testing.T, stage string, got, want *Profile) {
 	t.Helper()
 	if !got.Equal(want) {
@@ -82,10 +82,11 @@ func churnPool() task.Set {
 	}
 }
 
-// TestIncrementalChurnBitIdentical drives randomized WithTask/WithoutTask
-// sequences — including remove-then-readmit round trips — and asserts
-// after every step that the incremental profile is bit-identical to a
-// fresh Compile of the surviving set, retained streams included.
+// TestIncrementalChurnBitIdentical drives randomized one-task
+// WithTasks/WithoutTasks sequences — including remove-then-readmit
+// round trips — and asserts after every step that the incremental
+// profile is bit-identical to a fresh Compile of the surviving set,
+// retained streams included.
 func TestIncrementalChurnBitIdentical(t *testing.T) {
 	pool := churnPool()
 	for _, alg := range []Alg{EDF, RM, DM} {
@@ -108,14 +109,14 @@ func TestIncrementalChurnBitIdentical(t *testing.T) {
 				var stage string
 				if idx < 0 {
 					stage = "admit " + tk.Name
-					pf, err = pf.WithTask(tk)
+					pf, err = pf.WithTasks([]task.Task{tk})
 					if err != nil {
 						t.Fatalf("step %d (%s): %v", step, stage, err)
 					}
 					live = append(live, tk)
 				} else {
 					stage = "remove " + tk.Name
-					pf, err = pf.WithoutTask(tk)
+					pf, err = pf.WithoutTasks([]task.Task{tk})
 					if err != nil {
 						t.Fatalf("step %d (%s): %v", step, stage, err)
 					}
@@ -147,8 +148,8 @@ func TestWithTaskMatchesCompile(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, tk := range ch {
-					if pf, err = pf.WithTask(tk); err != nil {
-						t.Fatalf("%s: WithTask(%s): %v", alg, tk.Name, err)
+					if pf, err = pf.WithTasks([]task.Task{tk}); err != nil {
+						t.Fatalf("%s: WithTasks(%s): %v", alg, tk.Name, err)
 					}
 					fresh, err := Compile(ch[:i+1], alg)
 					if err != nil {
@@ -174,9 +175,9 @@ func TestWithoutTaskMatchesCompile(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, tk := range ch {
-					got, err := pf.WithoutTask(tk)
+					got, err := pf.WithoutTasks([]task.Task{tk})
 					if err != nil {
-						t.Fatalf("%s: WithoutTask(%s): %v", alg, tk.Name, err)
+						t.Fatalf("%s: WithoutTasks(%s): %v", alg, tk.Name, err)
 					}
 					surv := append(append(task.Set(nil), ch[:i]...), ch[i+1:]...)
 					fresh, err := Compile(surv, alg)
@@ -203,7 +204,7 @@ func TestIncrementalHyperperiodFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := pf.WithTask(stretch)
+	grown, err := pf.WithTasks([]task.Task{stretch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestIncrementalHyperperiodFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertProfileIdentical(t, "stretch admit", grown, fresh)
-	back, err := grown.WithoutTask(stretch)
+	back, err := grown.WithoutTasks([]task.Task{stretch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestIncrementalHyperperiodFallback(t *testing.T) {
 }
 
 // TestIncrementalErrors covers the failure modes: invalid tasks are
-// rejected by WithTask, absent tasks by WithoutTask, and neither touches
+// rejected by WithTasks, absent tasks by WithoutTasks, and neither touches
 // the receiver.
 func TestIncrementalErrors(t *testing.T) {
 	s := task.PaperTaskSet().ByMode(task.FT)
@@ -233,11 +234,11 @@ func TestIncrementalErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pf.WithTask(task.Task{Name: "bad", C: -1, T: 5, D: 5}); err == nil {
-			t.Errorf("%s: WithTask with invalid task: want error", alg)
+		if _, err := pf.WithTasks([]task.Task{{Name: "bad", C: -1, T: 5, D: 5}}); err == nil {
+			t.Errorf("%s: WithTasks with invalid task: want error", alg)
 		}
-		if _, err := pf.WithoutTask(task.Task{Name: "ghost", C: 1, T: 5, D: 5}); err == nil {
-			t.Errorf("%s: WithoutTask with absent task: want error", alg)
+		if _, err := pf.WithoutTasks([]task.Task{{Name: "ghost", C: 1, T: 5, D: 5}}); err == nil {
+			t.Errorf("%s: WithoutTasks with absent task: want error", alg)
 		}
 		fresh, err := Compile(s, alg)
 		if err != nil {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/envelope"
@@ -10,39 +11,40 @@ import (
 	"repro/internal/timeu"
 )
 
-// This file implements the exclusive (mutable) profile mode, the
-// allocation-elimination counterpart of incremental.go. The immutable
-// constructors there are the right shape for what-if probes — many
-// readers share one snapshot — but the online manager's serving loop
-// has exactly one live profile per channel, mutated under that
-// channel's lock, and paying a full clone of the index and row matrix
-// per admission event is pure overhead. An exclusive profile instead
-// owns its state outright and is patched in place:
+// This file implements the in-place patch (AddTasks/DropTasks, the one
+// incremental algorithm described in incremental.go) and the two
+// ownership modes it runs under:
 //
-//   - the prefix-row matrix lives in one arena (preb) at a uniform
-//     stride, with a spare buffer (prebAlt) that width-changing
-//     relayouts swap with, so steady-state admit+remove cycles reuse
-//     two flat buffers and never allocate;
-//   - the envelope index is mutated directly (no Clone) — the index's
-//     own copy-on-write machinery privatizes anything still shared
-//     with the ancestor the profile was thawed from;
-//   - rejection rollback is the inverse patch: AddTasks followed by
-//     DropTasks of the same tasks restores the profile bit-exactly,
-//     because both directions perform the identical float64 term
-//     accumulation a fresh Compile performs (the same argument that
-//     makes the immutable paths bit-identical to their oracle).
+//   - Frozen: Compile results and what-if results (WithTasks,
+//     WithoutTasks). Immutable and safe for concurrent reads; a frozen
+//     profile's index and rows are never written again, so clones may
+//     share them.
+//   - Exclusive: Thawed and CompileMutable results, owned by a single
+//     goroutine (the online manager holds each under its channel lock)
+//     and patched in place. Exclusivity is a single-owner contract, not
+//     a lock.
 //
-// Exclusivity is a single-owner contract, not a lock: an exclusive
-// profile must only be reached from one goroutine at a time (the
-// manager guarantees this with its channel locks). The immutable
-// WithTasks/WithoutTasks remain callable on an exclusive profile —
-// they deep-copy the index instead of CoW-cloning it and latch
-// prebShared so the next in-place patch abandons the shared arena —
-// but the hot path never needs them.
+// An exclusive profile's own prefix rows live in one arena (preb) at a
+// uniform stride, with a spare buffer (prebAlt) that width-changing
+// relayouts swap with, so steady-state admit+remove cycles reuse two
+// flat buffers and never allocate. A profile thawed from a frozen one
+// borrows its leading rows instead of copying them: rows with an index
+// below the borrowed count live in the lender's storage and are never
+// written in place. A patch that must rewrite a borrowed row — a
+// relayout, or a drop at or before that row's index — moves it into the
+// own arena, which that patch rewrites anyway. The index is cloned
+// copy-on-write from a frozen receiver, so its own machinery privatizes
+// whatever the patch touches. An exclusive receiver keeps mutating, so
+// its clones get a deep index copy and a copy of its own rows.
+//
+// Rejection rollback is the inverse patch: AddTasks followed by
+// DropTasks of the same tasks restores the profile bit-exactly, because
+// both directions perform the identical float64 term accumulation a
+// fresh Compile performs.
 
-// patchScratch holds the per-operation scratch buffers of the mutable
-// patch path. Pooled at package level: profiles are patched under
-// their channel lock, but distinct channels patch concurrently.
+// patchScratch holds the per-operation scratch buffers of the patch.
+// Pooled at package level: profiles are patched under their channel
+// lock, but distinct channels patch concurrently.
 type patchScratch struct {
 	scaled []int64
 	union  []float64
@@ -58,90 +60,83 @@ var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
 // patched in place with AddTasks/DropTasks.
 func (pf *Profile) Exclusive() bool { return pf.exclusive }
 
-// Thawed returns an exclusive deep copy of the profile: same compiled
-// state, but owning its arena and free to be patched in place. The
-// receiver is unchanged and remains valid. The copy must only be used
-// by one goroutine at a time.
-func (pf *Profile) Thawed() *Profile {
+// Thawed returns an exclusive copy of the profile: same compiled state,
+// free to be patched in place. The receiver is unchanged and remains
+// valid; a frozen receiver lends its prefix rows to the copy. The copy
+// must only be used by one goroutine at a time.
+func (pf *Profile) Thawed() *Profile { return pf.thaw(4, true) }
+
+// thaw is Thawed with room for extra more tasks in the task, period and
+// row-header slices; slack selects growth headroom in the buffers later
+// patches allocate (off for what-if clones, which freeze exactly sized).
+func (pf *Profile) thaw(extra int, slack bool) *Profile {
+	n := len(pf.tasks)
 	c := &Profile{
 		alg: pf.alg, horizon: pf.horizon, horizonInt: pf.horizonInt,
-		fallbacks: pf.fallbacks, exclusive: true,
+		fallbacks: pf.fallbacks, exclusive: true, slack: slack,
+		borrowed: pf.borrowed, lent: pf.lent,
 	}
-	c.tasks = append(make(task.Set, 0, len(pf.tasks)+4), pf.tasks...)
+	c.tasks = append(make(task.Set, 0, n+extra), pf.tasks...)
 	if pf.scaled != nil {
-		c.scaled = append(make([]int64, 0, len(pf.scaled)+4), pf.scaled...)
+		c.scaled = append(make([]int64, 0, n+extra), pf.scaled...)
 	}
 	switch {
 	case pf.idx != nil:
-		c.idx = pf.idxSnapshot()
-		n, N := len(pf.pre), pf.idx.Len()
-		c.preb = make([]float64, n*N, n*N+2*N)
-		for r, row := range pf.pre {
-			copy(c.preb[r*N:(r+1)*N], row)
+		c.pre = append(make([][]float64, 0, n+extra), pf.pre...)
+		var own []float64
+		if pf.exclusive {
+			c.idx, own = pf.idx.DeepClone(), pf.preb
+		} else {
+			c.idx = pf.idx.Clone()
+			c.borrowed, c.lent = n, pf.pinned()
 		}
-		c.setRows(n, N)
+		// Slack lineages start with two spare rows, so small admissions
+		// patch without allocating.
+		size := len(own)
+		if slack {
+			size += 2 * c.idx.Len()
+		}
+		c.preb = append(make([]float64, 0, size), own...)
+		c.setRows(n, c.idx.Len())
 		c.edf = c.idx.Kept()
-		c.pinned = cap(c.preb)
 	case pf.fp != nil:
-		// FP rows are immutable once built; sharing them is safe even
-		// across later in-place patches (those replace row pointers,
-		// never row contents).
-		c.fp = append(make([][]envelope.Pair, 0, len(pf.fp)+4), pf.fp...)
+		// FP rows are immutable once built; sharing them is safe (patches
+		// replace row pointers, never row contents).
+		c.fp = append(make([][]envelope.Pair, 0, n+extra), pf.fp...)
 	}
 	return c
 }
 
+// freeze ends a what-if clone's exclusive life: the spare buffer is
+// dropped and the profile becomes immutable, free to lend its rows.
+func (pf *Profile) freeze() *Profile {
+	pf.exclusive = false
+	pf.prebAlt = nil
+	return pf
+}
+
 // CompileMutable compiles s and returns the profile already in
 // exclusive mode — the starting point for a lineage that will be
-// patched in place rather than cloned.
+// patched in place rather than cloned. Compile's row arena is exactly
+// compact, so a consolidation that rebuilds through CompileMutable
+// reports Ratio 1.0 and the ratio trigger converges; the first
+// width-changing patch afterwards re-establishes the double-buffer
+// slack.
 func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
 	pf, err := Compile(s, alg)
 	if err != nil {
 		return nil, err
 	}
-	pf.bless()
+	pf.exclusive, pf.slack = true, true
 	return pf, nil
-}
-
-// bless converts a freshly compiled, unshared profile to exclusive
-// mode by re-homing its rows into a private arena. It must only be
-// called on a profile nothing else references. The arena is exactly
-// compact — no growth slack — so a consolidation that rebuilds through
-// CompileMutable reports Ratio 1.0 and the ratio trigger converges;
-// the first width-changing patch afterwards re-establishes the
-// double-buffer slack.
-func (pf *Profile) bless() {
-	pf.exclusive = true
-	if pf.idx == nil {
-		return
-	}
-	n, N := len(pf.pre), pf.idx.Len()
-	pf.preb = make([]float64, n*N)
-	for r, row := range pf.pre {
-		copy(pf.preb[r*N:(r+1)*N], row)
-	}
-	pf.setRows(n, N)
-	pf.pinned = cap(pf.preb)
-}
-
-// idxSnapshot is the index snapshot an immutable constructor takes of
-// this profile. Published profiles never mutate again, so the cheap
-// copy-on-write Clone is safe; an exclusive profile keeps mutating in
-// place, which would corrupt a CoW child, so it pays for a deep copy.
-func (pf *Profile) idxSnapshot() *envelope.Index {
-	if pf.exclusive {
-		return pf.idx.DeepClone()
-	}
-	return pf.idx.Clone()
 }
 
 // AddTasks patches the profile in place, adding every task in add in
 // order — after it returns, the profile is bit-identical (retained
-// streams included) to a fresh Compile of the extended set, exactly as
-// WithTasks would produce, but mutating the receiver instead of
-// allocating a sibling. The profile must be exclusive. On error the
-// profile is unchanged, except for internal-invariant bails which
-// rebuild it from scratch (still to the correct extended state).
+// streams included) to a fresh Compile of the extended set. The profile
+// must be exclusive. On error the profile is unchanged, except for
+// internal-invariant bails which rebuild it from scratch (still to the
+// correct extended state).
 func (pf *Profile) AddTasks(add []task.Task) error {
 	if !pf.exclusive {
 		return fmt.Errorf("analysis: AddTasks: profile is not exclusive (use Thawed or CompileMutable)")
@@ -158,7 +153,8 @@ func (pf *Profile) AddTasks(add []task.Task) error {
 	case EDF:
 		return pf.addTasksEDF(add)
 	case RM, DM:
-		return pf.addTasksFP(add)
+		pf.addTasksFP(add)
+		return nil
 	}
 	return fmt.Errorf("analysis: AddTasks: unknown algorithm %s", pf.alg)
 }
@@ -186,17 +182,25 @@ func (pf *Profile) DropTasks(rem []task.Task) error {
 	return fmt.Errorf("analysis: DropTasks: unknown algorithm %s", pf.alg)
 }
 
-// setRows rebuilds the pre row headers over the arena: n rows of the
-// given width, full-slice-capped so an append through a header can
-// never clobber the next row.
+// setRows rebuilds the headers of the own rows, borrowed..n-1, over the
+// arena at the given stride, full-slice-capped so an append through a
+// header can never clobber the next row. Borrowed headers are kept.
 func (pf *Profile) setRows(n, width int) {
+	b := pf.borrowed
 	if cap(pf.pre) < n {
-		pf.pre = make([][]float64, 0, n+4)
+		grow := n
+		if pf.slack {
+			grow += 4
+		}
+		hdr := make([][]float64, b, grow)
+		copy(hdr, pf.pre)
+		pf.pre = hdr
 	} else {
-		pf.pre = pf.pre[:0]
+		pf.pre = pf.pre[:b]
 	}
-	for r := 0; r < n; r++ {
-		pf.pre = append(pf.pre, pf.preb[r*width:(r+1)*width:(r+1)*width])
+	for r := b; r < n; r++ {
+		o := (r - b) * width
+		pf.pre = append(pf.pre, pf.preb[o:o+width:o+width])
 	}
 }
 
@@ -206,81 +210,61 @@ func (pf *Profile) setRows(n, width int) {
 func (pf *Profile) spareBuf(need, width int) []float64 {
 	buf := pf.prebAlt[:0]
 	if cap(buf) < need {
-		buf = make([]float64, 0, need+2*width)
+		size := need
+		if pf.slack {
+			size += 2 * width
+		}
+		buf = make([]float64, 0, size)
 	}
 	return buf[:need]
 }
 
 // swapArena installs buf (obtained from spareBuf) as the row arena and
-// retires the old one to prebAlt for the next relayout — unless the
-// old arena was shared into an immutable child, in which case it is
-// abandoned to that child.
+// retires the old one to prebAlt for the next relayout.
 func (pf *Profile) swapArena(buf []float64) {
-	old := pf.preb
-	pf.preb = buf
-	if pf.prebShared {
-		pf.prebAlt = nil
-		pf.prebShared = false
-	} else {
-		pf.prebAlt = old[:0]
-	}
+	pf.preb, pf.prebAlt = buf, pf.preb[:0]
 }
 
-// adoptCompiled is the mutable paths' bail-out, mirroring recompile:
-// rebuild from scratch, then adopt the fresh state into the receiver —
-// re-homed into the receiver's buffers where possible — keeping it
-// exclusive and carrying the fallback count.
+// adoptCompiled is the patch's bail-out: rebuild s from scratch and
+// adopt the fresh profile — its exactly compact row arena included —
+// keeping the receiver exclusive with its growth policy, and carrying
+// the fallback count (bumped for a genuine fallback rather than a
+// trivial case such as an empty profile). The larger old buffer stays
+// on as the spare and the old header slice takes the fresh rows, so
+// the next patch can grow without allocating.
 func (pf *Profile) adoptCompiled(s task.Set, bump bool) error {
 	fresh, err := Compile(s, pf.alg)
 	if err != nil {
 		return err
 	}
-	fb := pf.fallbacks
+	fresh.fallbacks = pf.fallbacks
 	if bump {
-		fb++
+		fresh.fallbacks++
 	}
-	preb, alt, hdrs := pf.preb, pf.prebAlt, pf.pre[:0]
-	if pf.prebShared {
-		preb = nil
+	fresh.exclusive, fresh.slack = true, pf.slack
+	fresh.prebAlt = pf.prebAlt[:0]
+	if cap(pf.preb) > cap(pf.prebAlt) {
+		fresh.prebAlt = pf.preb[:0]
 	}
-	rows := fresh.pre
+	if cap(pf.pre) >= len(fresh.pre) {
+		fresh.pre = append(pf.pre[:0], fresh.pre...)
+	}
 	*pf = *fresh
-	pf.fallbacks = fb
-	pf.exclusive = true
-	if pf.idx != nil {
-		n, N := len(rows), pf.idx.Len()
-		need := n * N
-		a, b := preb[:0], alt[:0]
-		if cap(a) < need && cap(b) >= need {
-			a, b = b, a
-		}
-		if cap(a) < need {
-			a = make([]float64, 0, need+2*N)
-		}
-		pf.preb, pf.prebAlt = a[:need], b
-		for r, row := range rows {
-			copy(pf.preb[r*N:(r+1)*N], row)
-		}
-		pf.pre = hdrs
-		pf.setRows(n, N)
-		pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
-	} else {
-		// Keep the buffers around: an empty profile may grow again.
-		pf.preb, pf.prebAlt = preb, alt
-		pf.pre = hdrs
-	}
 	return nil
 }
 
 func (pf *Profile) addTasksEDF(add []task.Task) error {
 	if len(pf.tasks) == 0 {
+		// Compile a copy, so that add does not escape.
 		return pf.adoptCompiled(append(make(task.Set, 0, len(add)), add...), false)
 	}
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
 	// Fold the hyperperiod; the fold is monotone from the current
 	// horizon, so the first divergence is permanent and means every
-	// stream re-ranges — bail to a rebuild immediately.
+	// stream re-ranges — bail to a rebuild immediately. (Integer LCM is
+	// order-independent, so the folded hyperperiod matches a fresh
+	// Compile of the whole candidate.)
 	scaledAdd := sc.scaled[:0]
 	hInt := pf.horizonInt
 	for _, t := range add {
@@ -292,38 +276,38 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		scaledAdd = append(scaledAdd, p)
 		if hInt = timeu.LCM(hInt, p); hInt != pf.horizonInt {
 			sc.scaled = scaledAdd
-			cand := append(append(make(task.Set, 0, len(pf.tasks)+len(add)), pf.tasks...), add...)
-			return pf.adoptCompiled(cand, true)
+			return pf.adoptCompiled(append(pf.tasks, add...), true)
 		}
 	}
 	sc.scaled = scaledAdd
 	n, k := len(pf.tasks), len(add)
-	// Union of the newcomers' deadline streams, built on pooled
-	// buffers (same values the immutable path's MergeUnique fold
-	// produces).
+	// Union of the newcomers' deadline streams, built on pooled buffers:
+	// the single merge input.
 	union := points.AppendTaskDeadlines(sc.union[:0], add[0], pf.horizon)
 	for _, t := range add[1:] {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		union, sc.tmp = points.MergeUniqueInto(union, sc.dls, sc.tmp[:0]), union
 	}
 	sc.union = union
+	// Merge splices the brand-new scheduling points in as zero-demand,
+	// zero-owner placeholders and reports their positions.
 	inserted := pf.idx.Merge(union)
 	N := pf.idx.Len()
 	if len(inserted) == 0 {
-		// Widths unchanged: extend the arena by k rows in place (or
-		// privatize it first if an immutable child shares it).
-		need := (n + k) * N
-		if pf.prebShared || cap(pf.preb) < need {
+		// Widths unchanged: every existing row keeps its cells, borrowed
+		// ones included; the arena grows by the k new rows.
+		need := (n + k - pf.borrowed) * N
+		if cap(pf.preb) < need {
 			buf := pf.spareBuf(need, N)
-			copy(buf, pf.preb[:n*N])
+			copy(buf, pf.preb)
 			pf.swapArena(buf)
 		} else {
 			pf.preb = pf.preb[:need]
 		}
 	} else {
-		// The stream widened: relayout rows 0..n-1 into the spare
-		// arena with gap columns at the inserted positions (the same
-		// block copies the immutable path performs).
+		// The stream widened: relayout every row into the spare arena —
+		// borrowed rows move in here — with gap columns at the inserted
+		// positions; runs of retained points get block copies per row.
 		buf := pf.spareBuf((n+k)*N, N)
 		for r := 0; r < n; r++ {
 			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
@@ -336,6 +320,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 			copy(dst[at:], src[from:])
 		}
 		pf.swapArena(buf)
+		pf.borrowed = 0
 	}
 	pf.setRows(n+k, N)
 	if len(inserted) > 0 {
@@ -351,19 +336,21 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 			}
 		}
 	}
+	// Bump owner counts for each newcomer's own stream; every inserted
+	// placeholder belongs to at least one newcomer, so no zero-owner
+	// point survives.
 	for _, t := range add {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		if err := pf.idx.AddOwners(sc.dls); err != nil {
 			// Impossible unless the compiled state is corrupted;
 			// degrade to a rebuild rather than panic.
-			cand := append(append(make(task.Set, 0, n+k), pf.tasks...), add...)
-			return pf.adoptCompiled(cand, true)
+			return pf.adoptCompiled(append(pf.tasks, add...), true)
 		}
 	}
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
 	// Append the k new prefix rows, each the left-fold continuation of
-	// the one before.
+	// the one before — the exact partial sums a sequential fold builds.
 	ts := pf.idx.Ts()
 	base := pf.pre[n-1]
 	for j := 0; j < k; j++ {
@@ -374,11 +361,12 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		}
 		base = row
 	}
+	// Hand the patched demand row to the index: it re-ranks exactly the
+	// points whose demand changed bitwise and maintains the envelope.
 	if err := pf.idx.SetDemand(pf.pre[n+k-1]); err != nil {
 		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.edf = pf.idx.Kept()
-	pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
 	return nil
 }
 
@@ -386,31 +374,11 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	n0 := len(pf.tasks)
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
+	minIdx, err := pf.mark(rem, sc)
+	if err != nil {
+		return err
+	}
 	used := sc.used
-	if cap(used) < n0 {
-		used = make([]bool, n0)
-	} else {
-		used = used[:n0]
-		clear(used)
-	}
-	sc.used = used
-	minIdx := n0
-	for _, t := range rem {
-		found := -1
-		for i := range pf.tasks {
-			if !used[i] && pf.tasks[i] == t {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("analysis: DropTasks: task %q not in profile", t.Name)
-		}
-		used[found] = true
-		if found < minIdx {
-			minIdx = found
-		}
-	}
 	if len(rem) == n0 {
 		return pf.adoptCompiled(nil, false)
 	}
@@ -425,15 +393,6 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 			}
 		}
 	}
-	if hInt != pf.horizonInt {
-		surv := make(task.Set, 0, n0-len(rem))
-		for i, tk := range pf.tasks {
-			if !used[i] {
-				surv = append(surv, tk)
-			}
-		}
-		return pf.adoptCompiled(surv, true)
-	}
 	// Compact tasks and scaled in place.
 	w := 0
 	for i := 0; i < n0; i++ {
@@ -445,7 +404,17 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	}
 	pf.tasks = pf.tasks[:w]
 	pf.scaled = pf.scaled[:w]
+	if hInt != pf.horizonInt {
+		// A departing task carried the hyperperiod; the whole stream
+		// re-ranges, so patching has no advantage.
+		return pf.adoptCompiled(pf.tasks, true)
+	}
 	n := w
+	// Walk owner counts down once per departing stream, then compact:
+	// points owned solely by the departing tasks drop out of the stream,
+	// and Compact reports their pre-compaction positions. A violated
+	// invariant (a deadline not in the stream — impossible unless the
+	// compiled state is corrupted) degrades to a rebuild.
 	for _, t := range rem {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		if err := pf.idx.RemoveOwners(sc.dls); err != nil {
@@ -454,23 +423,23 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	}
 	dropped := pf.idx.Compact()
 	N := pf.idx.Len()
-	keep := minIdx
-	if keep > n {
-		keep = n
-	}
+	keep := min(minIdx, n)
 	if len(dropped) == 0 {
 		// Widths unchanged: rows above the first removed position keep
-		// their values in place; the arena just sheds rows.
-		if pf.prebShared {
-			buf := pf.spareBuf(n*N, N)
-			copy(buf[:keep*N], pf.preb[:keep*N])
-			pf.swapArena(buf)
-		} else {
-			pf.preb = pf.preb[:n*N]
+		// their cells in place. Borrowed rows at or below it move into
+		// the own arena, where the suffix re-accumulation below rewrites
+		// them — so when the arena must grow, nothing carries over.
+		b := min(pf.borrowed, keep)
+		need := (n - b) * N
+		if cap(pf.preb) < need {
+			pf.swapArena(pf.spareBuf(need, N))
 		}
+		pf.preb = pf.preb[:need]
+		pf.borrowed = b
 	} else {
 		// The stream narrowed: relayout the kept rows into the spare
-		// arena, skipping the dropped columns.
+		// arena — borrowed rows move in here — skipping the dropped
+		// columns.
 		buf := pf.spareBuf(n*N, N)
 		for r := 0; r < keep; r++ {
 			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
@@ -483,6 +452,7 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 			copy(dst[at:], src[from:])
 		}
 		pf.swapArena(buf)
+		pf.borrowed = 0
 	}
 	pf.setRows(n, N)
 	// Re-accumulate the suffix rows in place; each reads the (already
@@ -506,27 +476,96 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.edf = pf.idx.Kept()
-	pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
 	return nil
 }
 
-// addTasksFP / dropTasksFP reuse the immutable suffix-rebuild paths:
-// FP rows are immutable once built, so adopting the result's fields
-// into the receiver shares state only in the always-safe direction.
-func (pf *Profile) addTasksFP(add []task.Task) error {
-	next, err := pf.withTasksFP(add)
-	if err != nil {
-		return err
+// mark flags in sc.used the entry of every task in rem — a value listed
+// twice must match two distinct (identical-valued) entries — and
+// returns the first flagged position. It leaves the profile unchanged.
+func (pf *Profile) mark(rem []task.Task, sc *patchScratch) (int, error) {
+	n := len(pf.tasks)
+	used := sc.used
+	if cap(used) < n {
+		used = make([]bool, n)
+	} else {
+		used = used[:n]
+		clear(used)
 	}
-	pf.tasks, pf.fp, pf.fallbacks = next.tasks, next.fp, next.fallbacks
-	return nil
+	sc.used = used
+	first := n
+	for _, t := range rem {
+		found := -1
+		for i := range pf.tasks {
+			if !used[i] && pf.tasks[i] == t {
+				found = i
+				break
+			}
+		}
+		if found < 0 {
+			return 0, fmt.Errorf("analysis: task %q not in profile", t.Name)
+		}
+		used[found] = true
+		first = min(first, found)
+	}
+	return first, nil
+}
+
+// addTasksFP merges the newcomers into the priority-ordered set and
+// rebuilds the priority suffix below the highest-priority newcomer:
+// levels above it keep their higher-priority sets, so their rows stay.
+func (pf *Profile) addTasksFP(add []task.Task) {
+	// Sort the newcomers by priority (stable, so equal-priority newcomers
+	// keep their batch order, matching sequential single-task inserts),
+	// then merge with existing tasks first on exact ties — the position
+	// sequence a fold of single-task inserts produces. The merge runs
+	// backwards so it fills the grown slice in place.
+	sorted := append(make(task.Set, 0, len(add)), add...)
+	sort.SliceStable(sorted, func(i, j int) bool { return pf.alg.priorityLess(sorted[i], sorted[j]) })
+	i := len(pf.tasks) - 1
+	pf.tasks = append(pf.tasks, sorted...)
+	first := 0
+	for j, w := len(sorted)-1, len(pf.tasks)-1; j >= 0; w-- {
+		if i >= 0 && pf.alg.priorityLess(sorted[j], pf.tasks[i]) {
+			pf.tasks[w] = pf.tasks[i]
+			i--
+		} else {
+			pf.tasks[w] = sorted[j]
+			j--
+			first = w
+		}
+	}
+	pf.rebuildFP(first)
 }
 
 func (pf *Profile) dropTasksFP(rem []task.Task) error {
-	next, err := pf.withoutTasksFP(rem)
+	sc := patchPool.Get().(*patchScratch)
+	defer patchPool.Put(sc)
+	first, err := pf.mark(rem, sc)
 	if err != nil {
 		return err
 	}
-	pf.tasks, pf.fp, pf.fallbacks = next.tasks, next.fp, next.fallbacks
+	w := first
+	for i := first; i < len(pf.tasks); i++ {
+		if !sc.used[i] {
+			pf.tasks[w] = pf.tasks[i]
+			w++
+		}
+	}
+	pf.tasks = pf.tasks[:w]
+	pf.rebuildFP(first)
 	return nil
+}
+
+// rebuildFP rebuilds the fixed-priority rows from priority level first
+// down, the levels whose higher-priority sets a patch changed.
+func (pf *Profile) rebuildFP(first int) {
+	n0 := len(pf.fp)
+	pf.fp = pf.fp[:first]
+	for r := first; r < len(pf.tasks); r++ {
+		pf.fp = append(pf.fp, compileFPRow(pf.tasks[:r], pf.tasks[r]))
+	}
+	if n0 > len(pf.fp) {
+		// Release the departed levels' rows.
+		clear(pf.fp[len(pf.fp):n0])
+	}
 }

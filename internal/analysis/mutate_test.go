@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/task"
@@ -133,103 +135,189 @@ func TestMutableErrors(t *testing.T) {
 	assertProfileIdentical(t, "after failed add", mu, pf)
 }
 
-// TestCloneAliasingProperty is the copy-on-write isolation property:
-// randomized interleaved churn across an ancestor's immutable lineage,
-// copy-on-write forks of it, and in-place mutable (thawed) lineages —
-// including immutable forks taken from live mutable profiles — with
-// every lineage compared to an independent fresh Compile after every
-// step. Any state leaking between lineages (shared slabs written in
-// place, arena rows observed across a fork) shows up as a bitwise
-// divergence from the lineage's own oracle.
-func TestCloneAliasingProperty(t *testing.T) {
+// Lineage op codes of FuzzProfileLineages. Every op starts with a
+// lineage byte (which lineage it acts on) and an op byte; all but
+// lineageThaw then read a batch-size byte (1–3 tasks) and one
+// churnPool-index byte per task.
+const (
+	lineageThaw = iota // fork an exclusive copy (Thawed)
+	lineageFork        // fork a frozen sibling (WithTasks of "-fork" tasks)
+	lineageAdd         // admit the batch's absent tasks
+	lineageDrop        // remove the batch's present tasks
+	lineageOps
+)
+
+// maxLineages bounds how many lineages one input may fork.
+const maxLineages = 6
+
+// lineageSeed encodes, in FuzzProfileLineages' op format, the 120-step
+// churn that a math/rand source seeded with seed drives: each step
+// picks a lineage, then thaw-forks it (1 in 10), frozen-forks it with
+// one task (1 in 10) or toggles one pool task in it, forks falling back
+// to a toggle once maxLineages lineages exist.
+func lineageSeed(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	pool := churnPool()
+	var lins [][]string // live task names per lineage
+	lins = append(lins, []string{pool[0].Name, pool[2].Name})
+	var out []byte
+	for step := 0; step < 120; step++ {
+		li := rng.Intn(len(lins))
+		switch op := rng.Intn(10); {
+		case op == 0 && len(lins) < maxLineages:
+			out = append(out, byte(li), lineageThaw)
+			lins = append(lins, append([]string(nil), lins[li]...))
+		case op == 1 && len(lins) < maxLineages:
+			k := rng.Intn(len(pool))
+			out = append(out, byte(li), lineageFork, 0, byte(k))
+			lins = append(lins, append(append([]string(nil), lins[li]...), pool[k].Name+"-fork"))
+		default:
+			k := rng.Intn(len(pool))
+			at := slices.Index(lins[li], pool[k].Name)
+			if at < 0 {
+				out = append(out, byte(li), lineageAdd, 0, byte(k))
+				lins[li] = append(lins[li], pool[k].Name)
+			} else {
+				out = append(out, byte(li), lineageDrop, 0, byte(k))
+				lins[li] = slices.Delete(lins[li], at, at+1)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzProfileLineages is the copy-on-write isolation property: the input
+// drives interleaved churn across lineages of one root profile — frozen
+// lineages patched through WithTasks/WithoutTasks, exclusive (thawed)
+// lineages patched in place by AddTasks/DropTasks, and thaw or frozen
+// forks taken from either kind — under EDF, RM and DM, with every
+// lineage compared to an independent fresh Compile after every step.
+// Any state leaking between lineages (a lent row or shared slab written
+// in place, arena rows observed across a fork) shows up as a bitwise
+// divergence from that lineage's own oracle. `go test` replays the seed
+// corpus; `go test -fuzz=FuzzProfileLineages` explores mutations.
+func FuzzProfileLineages(f *testing.F) {
+	// The two randomized schedules the property has always run.
+	f.Add(lineageSeed(int64(EDF) + 97))
+	f.Add(lineageSeed(int64(DM) + 97))
+	// Three-task batches: a relayout admit on the root, a frozen fork of
+	// three, a thaw of that fork, then drops on both.
+	f.Add([]byte{
+		0, lineageAdd, 2, 4, 6, 7,
+		0, lineageFork, 2, 1, 3, 8,
+		1, lineageThaw,
+		1, lineageDrop, 2, 0, 4, 6,
+		2, lineageDrop, 2, 2, 7, 8,
+		0, lineageDrop, 2, 0, 2, 4,
+	})
+	f.Fuzz(runLineages)
+}
+
+// runLineages is FuzzProfileLineages' property over one input.
+func runLineages(t *testing.T, data []byte) {
+	if len(data) > 1024 {
+		data = data[:1024]
+	}
 	pool := churnPool()
 	type lineage struct {
 		pf   *Profile
 		live task.Set
 	}
-	for _, alg := range []Alg{EDF, DM} {
-		t.Run(alg.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(alg) + 97))
-			root, err := Compile(task.Set{pool[0], pool[2]}, alg)
-			if err != nil {
-				t.Fatal(err)
+	for _, alg := range []Alg{EDF, RM, DM} {
+		root, err := Compile(task.Set{pool[0], pool[2]}, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lins := []*lineage{{pf: root, live: task.Set{pool[0], pool[2]}}}
+		i := 0
+		next := func() int {
+			if i >= len(data) {
+				return 0
 			}
-			lins := []*lineage{{pf: root, live: task.Set{pool[0], pool[2]}}}
-			verify := func(step int, why string) {
-				t.Helper()
-				for li, l := range lins {
-					fresh, err := Compile(l.live, alg)
-					if err != nil {
-						t.Fatalf("step %d (%s): lineage %d oracle: %v", step, why, li, err)
-					}
-					assertProfileIdentical(t, why, l.pf, fresh)
-				}
+			i++
+			return int(data[i-1])
+		}
+		batch := func() task.Set {
+			k := 1 + next()%3
+			out := make(task.Set, k)
+			for j := range out {
+				out[j] = pool[next()%len(pool)]
 			}
-			for step := 0; step < 120; step++ {
-				l := lins[rng.Intn(len(lins))]
-				switch op := rng.Intn(10); {
-				case op == 0 && len(lins) < 6:
-					// Fork a mutable copy; subsequent in-place churn on it
-					// must stay invisible to every other lineage.
-					lins = append(lins, &lineage{
-						pf:   l.pf.Thawed(),
-						live: append(task.Set(nil), l.live...),
-					})
-				case op == 1 && len(lins) < 6:
-					// Fork an immutable (copy-on-write) sibling via a no-op
-					// batch boundary: admit one task through the immutable
-					// path, even when the source lineage is mutable.
-					tk := pool[rng.Intn(len(pool))]
-					tk.Name = tk.Name + "-fork"
-					child, err := l.pf.WithTasks([]task.Task{tk})
-					if err != nil {
-						t.Fatalf("step %d: fork: %v", step, err)
-					}
-					lins = append(lins, &lineage{
-						pf:   child,
-						live: append(append(task.Set(nil), l.live...), tk),
-					})
-				default:
-					tk := pool[rng.Intn(len(pool))]
-					idx := -1
-					for i := range l.live {
-						if l.live[i].Name == tk.Name {
-							idx = i
-							break
-						}
-					}
-					if idx < 0 {
-						if l.pf.Exclusive() {
-							err = l.pf.AddTasks([]task.Task{tk})
-						} else {
-							l.pf, err = l.pf.WithTasks([]task.Task{tk})
-						}
-						if err != nil {
-							t.Fatalf("step %d: admit %s: %v", step, tk.Name, err)
-						}
-						l.live = append(l.live, tk)
-					} else {
-						if l.pf.Exclusive() {
-							err = l.pf.DropTasks([]task.Task{tk})
-						} else {
-							l.pf, err = l.pf.WithoutTasks([]task.Task{tk})
-						}
-						if err != nil {
-							t.Fatalf("step %d: remove %s: %v", step, tk.Name, err)
-						}
-						l.live = append(append(task.Set(nil), l.live[:idx]...), l.live[idx+1:]...)
-					}
-				}
-				verify(step, "after step")
-			}
-			for li, l := range lins {
-				if len(l.live) == 0 {
+			return out
+		}
+		for step := 0; i < len(data); step++ {
+			l := lins[next()%len(lins)]
+			var why string
+			switch op := next() % lineageOps; op {
+			case lineageThaw:
+				if len(lins) == maxLineages {
 					continue
 				}
-				if err := l.pf.Check(); err != nil {
-					t.Fatalf("final check, lineage %d: %v", li, err)
+				why = "thaw fork"
+				lins = append(lins, &lineage{pf: l.pf.Thawed(), live: slices.Clone(l.live)})
+			case lineageFork:
+				fork := batch()
+				if len(lins) == maxLineages {
+					continue
+				}
+				for j := range fork {
+					fork[j].Name += "-fork"
+				}
+				why = "frozen fork"
+				child, err := l.pf.WithTasks(fork)
+				if err != nil {
+					t.Fatalf("%s step %d: fork: %v", alg, step, err)
+				}
+				lins = append(lins, &lineage{pf: child, live: append(slices.Clone(l.live), fork...)})
+			case lineageAdd, lineageDrop:
+				// Keep the batch's distinct tasks that the op applies
+				// to: absent ones for an admit, present ones for a
+				// removal.
+				var b task.Set
+				for _, tk := range batch() {
+					if slices.Contains(l.live, tk) == (op == lineageDrop) && !slices.Contains(b, tk) {
+						b = append(b, tk)
+					}
+				}
+				if len(b) == 0 {
+					continue
+				}
+				if op == lineageAdd {
+					why = "admit"
+					if l.pf.Exclusive() {
+						err = l.pf.AddTasks(b)
+					} else {
+						l.pf, err = l.pf.WithTasks(b)
+					}
+					l.live = append(l.live, b...)
+				} else {
+					why = "remove"
+					if l.pf.Exclusive() {
+						err = l.pf.DropTasks(b)
+					} else {
+						l.pf, err = l.pf.WithoutTasks(b)
+					}
+					l.live = slices.DeleteFunc(l.live, func(tk task.Task) bool { return slices.Contains(b, tk) })
+				}
+				if err != nil {
+					t.Fatalf("%s step %d: %s %v: %v", alg, step, why, b.Names(), err)
 				}
 			}
-		})
+			for li, l := range lins {
+				fresh, err := Compile(l.live, alg)
+				if err != nil {
+					t.Fatalf("%s step %d (%s): lineage %d oracle: %v", alg, step, why, li, err)
+				}
+				assertProfileIdentical(t, fmt.Sprintf("%s step %d (%s), lineage %d", alg, step, why, li), l.pf, fresh)
+			}
+		}
+		for li, l := range lins {
+			if len(l.live) == 0 {
+				continue
+			}
+			if err := l.pf.Check(); err != nil {
+				t.Fatalf("%s final check, lineage %d: %v", alg, li, err)
+			}
+		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 // internal/envelope, together with the machinery that maintains the
 // surviving set under churn. The profile holds an envelope.Index over
 // its pre-pruning EDF demand stream: Compile builds it once, and the
-// incremental constructors (incremental.go) patch it in place of the
-// full re-prune they used to perform, so the envelope cost of an
+// incremental patch (incremental.go) updates it in place of the full
+// re-prune it would otherwise perform, so the envelope cost of an
 // admission event tracks the touched points, not the stream. Dominance
 // is applied with a relative margin (envelope.PruneMargin) far above
 // float64 noise, so the pruned scan returns bit-identical results to
@@ -35,10 +35,12 @@ import (
 
 // Profile is a task set's demand structure compiled for one scheduling
 // algorithm: everything minQ needs that does not depend on the period P.
-// A Profile is immutable after Compile and safe for concurrent use; the
-// incremental constructors WithTask(s) and WithoutTask(s)
-// (incremental.go) return new profiles and share unchanged state with
-// the receiver.
+// A Profile is frozen — immutable and safe for concurrent use — unless
+// it came from Thawed or CompileMutable, which return exclusive
+// profiles that AddTasks/DropTasks patch in place (mutate.go). The
+// what-if constructors WithTasks and WithoutTasks (incremental.go)
+// return new frozen profiles that borrow unchanged rows from the
+// receiver.
 type Profile struct {
 	alg Alg
 	// edf holds the surviving (t, W(t)) pairs of Eq. (11), ascending in
@@ -52,10 +54,9 @@ type Profile struct {
 	// idx is the incremental envelope index over the pre-pruning EDF
 	// deadline stream: the stream itself, per-point owner counts, the
 	// demand row W(t) and the maintained dominance envelope. nil for
-	// FP and empty profiles. The index is treated as immutable once the
-	// profile is published; incremental updates Clone it first, so
-	// what-if probes (core's compiled clones, online's trial admits)
-	// share one snapshot.
+	// FP and empty profiles. A frozen profile's index is an immutable
+	// snapshot; thawing clones it copy-on-write, so what-if probes
+	// (core's compiled clones, online's first-touch thaw) share it.
 	idx *envelope.Index
 
 	// The fields below are the incremental-update state: the prefix
@@ -83,24 +84,21 @@ type Profile struct {
 	// violated stream invariant); carried across updates so online
 	// managers can report the incremental path's hit rate.
 	fallbacks uint64
-	// pinned counts the prefix-row cells reachable through this
-	// profile's row backings — including cells that only a shared
-	// ancestor still addresses. The ratio pinned/live drives
-	// consolidation (see MemStats).
-	pinned int
 
-	// Exclusive-mode state (mutate.go). An exclusive profile is owned by
-	// a single goroutine (the online manager holds it under a channel
-	// lock) and is patched in place by AddTasks/DropTasks instead of
-	// cloned: preb is the arena backing every pre row at a uniform
-	// stride, prebAlt the spare buffer width-changing relayouts swap
-	// with, and prebShared latches that an immutable WithTasks/
-	// WithoutTasks shared rows of preb into a child, forcing the next
-	// in-place relayout to abandon it.
-	exclusive  bool
-	preb       []float64
-	prebAlt    []float64
-	prebShared bool
+	// Row storage and ownership (mutate.go). preb is the arena holding
+	// the profile's own prefix rows, borrowed..len(pre)-1, at a uniform
+	// stride; prebAlt is the spare buffer width-changing relayouts swap
+	// with. Rows below borrowed are lent by the frozen profile this one
+	// was thawed from and are never written in place; lent is the cell
+	// count that lender pinned (see MemStats). slack selects growth
+	// headroom in the buffers a patch allocates: on for lineages that
+	// keep patching, off for what-if clones that freeze exactly sized.
+	exclusive bool
+	slack     bool
+	preb      []float64
+	prebAlt   []float64
+	borrowed  int
+	lent      int
 }
 
 // Compile builds the profile of s under alg. It performs all the
@@ -146,7 +144,8 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 				i++
 			}
 		}
-		pf.pre = prefixRows(len(s), len(dls))
+		pf.preb = make([]float64, len(s)*len(dls))
+		pf.setRows(len(s), len(dls))
 		for k, x := range dls {
 			w := 0.0
 			for r, tk := range s {
@@ -159,7 +158,6 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 			return nil, err
 		}
 		pf.edf = pf.idx.Kept()
-		pf.pinned = len(s) * len(dls)
 	case RM, DM:
 		ordered := alg.sorted(s)
 		pf.tasks = ordered
@@ -171,16 +169,6 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		return nil, fmt.Errorf("analysis: Compile: unknown algorithm %s", alg)
 	}
 	return pf, nil
-}
-
-// prefixRows allocates n rows of width m over one backing array.
-func prefixRows(n, m int) [][]float64 {
-	backing := make([]float64, n*m)
-	rows := make([][]float64, n)
-	for r := range rows {
-		rows[r] = backing[r*m : (r+1)*m : (r+1)*m]
-	}
-	return rows
 }
 
 // demandTerm is task tk's contribution to the EDF demand bound at x —
@@ -223,8 +211,8 @@ func (pf *Profile) Pairs() int {
 // Fallbacks returns how many times this profile's incremental lineage
 // fell back to a full recompile instead of patching (a hyperperiod
 // change on admit or release, or a violated stream invariant). A fresh
-// Compile starts at zero; WithTask(s)/WithoutTask(s) carry the count
-// forward and increment it on each bail.
+// Compile starts at zero; the patch (and so WithTasks/WithoutTasks)
+// carries the count forward and increments it on each bail.
 func (pf *Profile) Fallbacks() uint64 { return pf.fallbacks }
 
 // MemStats describes the memory retained by a profile's incremental
@@ -241,8 +229,8 @@ type MemStats struct {
 	// fixed-priority pair cells (RM/DM) the profile actually reads.
 	LiveCells int
 	// PinnedCells is the number of cells kept reachable through the
-	// profile's slice backings — LiveCells plus whatever shared
-	// ancestors' backings the row headers still pin.
+	// profile's row storage — its own arena and spare buffer, plus
+	// whatever a lender's storage pinned while rows are borrowed from it.
 	PinnedCells int
 }
 
@@ -266,7 +254,7 @@ func (pf *Profile) MemStats() MemStats {
 		m.RetainedPoints = pf.idx.Len()
 		m.OwnerTable = pf.idx.Len()
 		m.LiveCells = len(pf.pre) * pf.idx.Len()
-		m.PinnedCells = pf.pinned
+		m.PinnedCells = pf.pinned()
 		return m
 	}
 	for _, row := range pf.fp {
@@ -274,6 +262,17 @@ func (pf *Profile) MemStats() MemStats {
 		m.PinnedCells += cap(row)
 	}
 	return m
+}
+
+// pinned counts the prefix-row cells reachable through the profile's
+// row storage: its own arena and spare buffer, plus, while it still
+// borrows rows, everything its lender pinned.
+func (pf *Profile) pinned() int {
+	n := cap(pf.preb) + cap(pf.prebAlt)
+	if pf.borrowed > 0 {
+		n += pf.lent
+	}
+	return n
 }
 
 // Check audits the profile against the full-compile oracle: the

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -193,11 +194,11 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 	guest := task.Task{Name: "guest", C: 0.05, T: s[0].T, D: s[0].T}
 	cur := pf
 	for i := 0; i < 4; i++ {
-		grown, err := cur.WithTask(guest)
+		grown, err := cur.WithTasks([]task.Task{guest})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cur, err = grown.WithoutTask(guest); err != nil {
+		if cur, err = grown.WithoutTasks([]task.Task{guest}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,11 +221,11 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 	// An off-grid guest stretches the hyperperiod: both directions bail
 	// to the oracle and say so.
 	stretch := task.Task{Name: "stretch", C: 0.01, T: 7, D: 7}
-	grown, err := cur.WithTask(stretch)
+	grown, err := cur.WithTasks([]task.Task{stretch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := grown.WithoutTask(stretch)
+	back, err := grown.WithoutTasks([]task.Task{stretch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,5 +234,55 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 	}
 	if err := back.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWithTasksLendsRows pins what a what-if clone borrows and what it
+// allocates: a WithTasks of k tasks whose deadlines are all existing
+// stream points lends every receiver row to the result and sizes the
+// result's own arena exactly, so the result pins exactly k·N more cells
+// than its receiver (N = RetainedPoints); dropping those tasks again
+// borrows every surviving row and pins nothing new. Each round starts
+// from the previous round's drop, a receiver that pins more cells than
+// it reads, which a clone copying its rows would not reproduce.
+func TestWithTasksLendsRows(t *testing.T) {
+	s := task.PaperTaskSet().ByMode(task.FT)
+	cur, err := Compile(s, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	N := cur.MemStats().RetainedPoints
+	for k := 1; k <= 3; k++ {
+		// Exact (T, D) twins of s[0]: their deadlines are s[0]'s.
+		batch := make([]task.Task, k)
+		for j := range batch {
+			batch[j] = s[0]
+			batch[j].Name = fmt.Sprintf("twin%d.%d", k, j)
+		}
+		next, err := cur.WithTasks(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, base := next.MemStats(), cur.MemStats()
+		if got.RetainedPoints != N {
+			t.Fatalf("k=%d: twins changed the stream: %d points, want %d", k, got.RetainedPoints, N)
+		}
+		if want := base.PinnedCells + k*N; got.PinnedCells != want {
+			t.Fatalf("k=%d: WithTasks pins %d cells, want receiver's %d + k·N = %d",
+				k, got.PinnedCells, base.PinnedCells, want)
+		}
+		back, err := next.WithoutTasks(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := back.MemStats().PinnedCells, got.PinnedCells; got != want {
+			t.Fatalf("k=%d: dropping the twins pins %d cells, want the receiver's %d", k, got, want)
+		}
+		for _, pf := range []*Profile{next, back} {
+			if err := pf.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur = back
 	}
 }

@@ -112,75 +112,17 @@ func (cp *CompiledProblem) ConfigFor(p float64) (Config, error) {
 	return cfg, nil
 }
 
-// WithTask returns a compiled problem for the problem's task set plus t
-// (normalised), updating only the profile of the channel t joins — the
-// other channels' profiles are shared with the receiver, and the touched
-// one is patched incrementally (analysis.Profile.WithTask, which clones
-// the channel's envelope index and shares its immutable ancestor
-// snapshot). Together with MinQuanta this answers "what if this task
-// joined channel i" without recompiling anything: cp.WithTask(t) costs
-// the newcomer's own deadline stream plus the affected envelope span,
-// and the receiver is unchanged, so rejected what-ifs are free to
-// discard.
-func (cp *CompiledProblem) WithTask(t task.Task) (*CompiledProblem, error) {
-	t = t.Normalized()
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("core: WithTask: %w", err)
-	}
-	// Mirror the admission controller's name guards: WithoutTask
-	// addresses tasks by name, so an anonymous task could never be
-	// removed again and a second task under an existing name would make
-	// the original silently unaddressable.
-	if t.Name == "" {
-		return nil, fmt.Errorf("core: WithTask: task must have a name (WithoutTask removes by name)")
-	}
-	if _, exists := cp.pr.Tasks.Find(t.Name); exists {
-		return nil, fmt.Errorf("core: WithTask: task %q already present", t.Name)
-	}
-	prof, err := cp.profiles[t.Mode][t.Channel].WithTask(t)
-	if err != nil {
-		return nil, fmt.Errorf("core: WithTask: %w", err)
-	}
-	next := cp.shallowClone()
-	next.pr.Tasks = append(next.pr.Tasks, t)
-	next.profiles[t.Mode][t.Channel] = prof
-	return next, nil
-}
-
-// WithoutTask returns a compiled problem for the problem's task set
-// minus the named task, updating only that task's channel profile.
-func (cp *CompiledProblem) WithoutTask(name string) (*CompiledProblem, error) {
-	idx := -1
-	for i, tk := range cp.pr.Tasks {
-		if name != "" && tk.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("core: WithoutTask: no task %q", name)
-	}
-	t := cp.pr.Tasks[idx]
-	prof, err := cp.profiles[t.Mode][t.Channel].WithoutTask(t)
-	if err != nil {
-		return nil, fmt.Errorf("core: WithoutTask: %w", err)
-	}
-	next := cp.shallowClone()
-	next.pr.Tasks = append(next.pr.Tasks[:idx], next.pr.Tasks[idx+1:]...)
-	next.profiles[t.Mode][t.Channel] = prof
-	return next, nil
-}
-
 // WithTasks returns a compiled problem for the problem's task set plus
-// every task in add (normalised, in order). It is the batched WithTask:
-// the batch is grouped by (mode, channel) and each touched channel's
-// profile is patched once with analysis.Profile.WithTasks — one stream
-// merge and one envelope-index update per channel instead of one per
-// task —
-// while untouched channels share their profiles with the receiver. The
-// whole batch is validated up front (names present, unique within the
-// batch, absent from the problem), so the result is all-or-nothing and
-// the receiver is never modified.
+// every task in add (normalised, in order). It answers "what if these
+// tasks joined" without recompiling anything: the batch is grouped by
+// (mode, channel) and each touched channel's profile is patched once
+// with analysis.Profile.WithTasks — one stream merge and one
+// envelope-index update per channel, on a clone that borrows the
+// receiver's unchanged rows — while untouched channels share their
+// profiles with the receiver. The whole batch is validated up front
+// (names present, unique within the batch, absent from the problem), so
+// the result is all-or-nothing; the receiver is never modified, so
+// rejected what-ifs are free to discard.
 func (cp *CompiledProblem) WithTasks(add []task.Task) (*CompiledProblem, error) {
 	if len(add) == 0 {
 		return cp, nil

@@ -126,11 +126,11 @@ func TestCompiledWithTaskMatchesRecompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	guest := task.Task{Name: "guest", C: 0.2, T: 10, Mode: task.NF, Channel: 3}
-	grown, err := cp.WithTask(guest)
+	grown, err := cp.WithTasks([]task.Task{guest})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WithTask normalises the newcomer; the oracle must see the same task.
+	// WithTasks normalises the newcomer; the oracle must see the same task.
 	grownPr := Problem{
 		Tasks: append(append(task.Set(nil), pr.Tasks...), guest.Normalized()),
 		Alg:   pr.Alg, O: pr.O,
@@ -155,10 +155,10 @@ func TestCompiledWithTaskMatchesRecompile(t *testing.T) {
 		t.Fatal("grown problem should carry the guest")
 	}
 	if len(cp.Problem().Tasks) != len(pr.Tasks) {
-		t.Fatal("WithTask mutated the receiver's task set")
+		t.Fatal("WithTasks mutated the receiver's task set")
 	}
 	// And back out again.
-	back, err := grown.WithoutTask("guest")
+	back, err := grown.WithoutTasks([]string{"guest"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +183,20 @@ func TestCompiledWithTaskErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.WithTask(task.Task{Name: "bad", C: -1, T: 5}); err == nil {
+	if _, err := cp.WithTasks([]task.Task{{Name: "bad", C: -1, T: 5}}); err == nil {
 		t.Error("invalid task should be rejected")
 	}
-	if _, err := cp.WithoutTask("ghost"); err == nil {
+	if _, err := cp.WithoutTasks([]string{"ghost"}); err == nil {
 		t.Error("unknown name should be rejected")
 	}
-	if _, err := cp.WithoutTask(""); err == nil {
+	if _, err := cp.WithoutTasks([]string{""}); err == nil {
 		t.Error("empty name should be rejected")
 	}
 }
 
 // TestCompiledWithTasksMatchesSequential checks the batched what-if
 // API: WithTasks/WithoutTasks must produce per-channel profiles
-// bit-identical to folding the singular WithTask/WithoutTask over the
+// bit-identical to folding one-task WithTasks/WithoutTasks over the
 // batch (and hence to a fresh compile), leave the receiver untouched,
 // and round-trip back to the original problem.
 func TestCompiledWithTasksMatchesSequential(t *testing.T) {
@@ -218,8 +218,8 @@ func TestCompiledWithTasksMatchesSequential(t *testing.T) {
 		}
 		seq := cp
 		for _, tk := range batch {
-			if seq, err = seq.WithTask(tk); err != nil {
-				t.Fatalf("%s: WithTask(%s): %v", alg, tk.Name, err)
+			if seq, err = seq.WithTasks([]task.Task{tk}); err != nil {
+				t.Fatalf("%s: WithTasks(%s): %v", alg, tk.Name, err)
 			}
 		}
 		for _, m := range task.Modes() {

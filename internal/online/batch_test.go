@@ -12,6 +12,7 @@ import (
 	"repro/internal/design"
 	"repro/internal/region"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // checkProfilesFresh asserts every cached channel profile is
@@ -240,13 +241,13 @@ func TestManagerLeavesCompiledProblemUntouched(t *testing.T) {
 }
 
 // TestConsolidationPreservesState checks both consolidation triggers:
-// the explicit Consolidate rebuild and the automatic every-n-patches
+// the explicit Consolidate rebuild and the automatic memory-ratio
 // policy must leave configurations, slack and admission behaviour
 // unchanged (the rebuild is bit-identical), while resetting the patch
 // counters.
 func TestConsolidationPreservesState(t *testing.T) {
 	m := maxFlexManager(t)
-	m.SetConsolidateEvery(0) // manual first
+	m.SetConsolidateRatio(0) // manual first
 	guest := task.Task{Name: "c1", C: 0.1, T: 10, Mode: task.NF, Channel: 3}
 	for i := 0; i < 6; i++ {
 		if err := m.Admit(guest); err != nil {
@@ -276,21 +277,39 @@ func TestConsolidationPreservesState(t *testing.T) {
 	if err := m.Remove(guest.Name); err != nil {
 		t.Fatal(err)
 	}
-	// Automatic trigger: with the threshold at 3, a few cycles keep the
-	// counter bounded below it.
-	m.SetConsolidateEvery(3)
+	// Automatic trigger: with the ratio threshold just above 1, any
+	// incremental patch that leaves the channel's storage larger than
+	// its live rows rebuilds it, which keeps the patch counter bounded.
+	// The twin of tau5's period (T = 24) keeps every cycle on the
+	// incremental path; c1 would fall back to a compact recompile.
+	var rec eventRecorder
+	m.SetEventSink(rec.sink)
+	m.SetConsolidateRatio(1.01)
+	twin := task.Task{Name: "c2", C: 0.1, T: 24, Mode: task.NF, Channel: 3}
 	for i := 0; i < 10; i++ {
-		if err := m.Admit(guest); err != nil {
+		if err := m.Admit(twin); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Remove(guest.Name); err != nil {
+		if err := m.Remove(twin.Name); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if rec.count(trace.Consolidated) == 0 {
+		t.Fatal("ratio trigger at 1.01 never consolidated")
 	}
 	if got := m.channels[task.NF][3].patches; got >= 3 {
 		t.Fatalf("automatic consolidation did not bound the patch counter: %d", got)
 	}
+	if m.Config() != cfg0 {
+		t.Fatal("automatic consolidation changed the configuration")
+	}
 	checkProfilesFresh(t, m, "after automatic consolidation")
+	if err := m.Admit(guest); err != nil {
+		t.Fatalf("admission after automatic consolidation: %v", err)
+	}
+	if err := m.Remove(guest.Name); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Verify(); err != nil {
 		t.Fatalf("theorem oracle after consolidation: %v", err)
 	}

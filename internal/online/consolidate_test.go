@@ -93,34 +93,6 @@ func TestConsolidateRatioTrigger(t *testing.T) {
 	}
 }
 
-// TestConsolidateShimExclusive pins the setter interplay: installing
-// the legacy patch-count trigger clears the ratio trigger and vice
-// versa, so exactly one automatic policy is armed at a time.
-func TestConsolidateShimExclusive(t *testing.T) {
-	m := maxFlexManager(t)
-	m.SetConsolidateEvery(3) // clears the default ratio trigger
-	guest := task.Task{Name: "ghost", C: 0.05, T: 6, D: 6, Mode: task.NF, Channel: 0}
-	for i := 0; i < 5; i++ {
-		if err := m.Admit(guest); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Remove(guest.Name); err != nil {
-			t.Fatal(err)
-		}
-		if p := m.channels[task.NF][0].patches; p >= 3 {
-			t.Fatalf("cycle %d: patch counter %d, every-3 trigger should bound it below 3", i, p)
-		}
-	}
-	m.SetConsolidateRatio(4.0) // clears the patch-count trigger
-	if m.consolidateEvery.Load() != 0 {
-		t.Fatal("SetConsolidateRatio left the patch-count trigger armed")
-	}
-	m.SetConsolidateEvery(DefaultConsolidateEvery)
-	if m.consolidateRatio.Load() != 0 {
-		t.Fatal("SetConsolidateEvery left the ratio trigger armed")
-	}
-}
-
 // TestEnvelopeFallbackEvent admits a guest whose period stretches the
 // channel hyperperiod: the incremental patch bails to a full recompile
 // in both directions and the manager reports each bailout to the event

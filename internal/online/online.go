@@ -21,8 +21,9 @@
 //   - Batched: AdmitBatch and RemoveBatch reshape once for a whole
 //     group of arrivals or departures — all-or-nothing, one candidate
 //     set, one profile patch per touched channel
-//     (analysis.Profile.WithTasks/WithoutTasks, one envelope re-prune
-//     for the group instead of one per task), one configuration swap.
+//     (analysis.Profile.AddTasks/DropTasks in place, one envelope
+//     re-prune for the group instead of one per task), one
+//     configuration swap.
 //     Admit and Remove are the k=1 conveniences.
 //
 //   - Sharded: each channel carries its own lock, so batches touching
@@ -35,13 +36,13 @@
 //     set are published by one atomic pointer swap per reconfiguration,
 //     so Config, Slack and Tasks never block behind a reshape.
 //
-//   - Bounded memory: each incremental patch shares prefix rows with
-//     its predecessor, which can pin the backing arrays of profiles
-//     long since replaced. A consolidation policy (Consolidate on
+//   - Bounded memory: a channel's profile borrows the compiled
+//     problem's prefix rows until a patch must rewrite them, and keeps
+//     a spare buffer for width-changing relayouts, so its storage can
+//     outgrow the live rows. A consolidation policy (Consolidate on
 //     demand, or the automatic retained/live memory-ratio trigger of
-//     SetConsolidateRatio, fed by analysis.Profile.MemStats; the legacy
-//     every-n-patches trigger survives as the SetConsolidateEvery shim)
-//     rebuilds a channel's retained pre-pruning stream from scratch —
+//     SetConsolidateRatio, fed by analysis.Profile.MemStats) rebuilds a
+//     channel's retained pre-pruning stream from scratch —
 //     bit-identical by the compile properties — so a long-lived
 //     high-churn manager's footprint stays proportional to the live
 //     task set.
@@ -86,12 +87,6 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultConsolidateEvery is the patch-count threshold the legacy
-// SetConsolidateEvery shim documents; new managers no longer start with
-// it (they start with the memory-ratio trigger below), but installing
-// it restores the historical every-128-patches behaviour.
-const DefaultConsolidateEvery = 128
-
 // DefaultConsolidateRatio is the automatic consolidation trigger a new
 // manager starts with: a channel is rebuilt from scratch when its
 // profile's retained/live memory ratio (analysis.MemStats.Ratio — the
@@ -135,10 +130,6 @@ type Manager struct {
 
 	channels [task.NumModes][]*channelState
 
-	// consolidateEvery is the legacy patch-count consolidation
-	// threshold (atomic so SetConsolidateEvery needs no lock); 0 when
-	// the shim is not installed.
-	consolidateEvery atomic.Int64
 	// consolidateRatio is the retained/live memory-ratio consolidation
 	// threshold, stored as float64 bits (atomic so SetConsolidateRatio
 	// needs no lock); 0 disables the ratio trigger.
@@ -304,7 +295,7 @@ type channelState struct {
 	mu   sync.Mutex
 	prof *analysis.Profile
 	// patches counts incremental updates since the last from-scratch
-	// rebuild — the consolidation trigger.
+	// rebuild; consolidation skips a channel that has none.
 	patches int
 
 	// minq caches prof.MinQ(P) for the committed profile. It is written
@@ -334,9 +325,10 @@ func NewManager(pr core.Problem, cfg core.Config) (*Manager, error) {
 // slices and the task set — so reconfigurations never write into the
 // caller's CompiledProblem: the source stays bit-identical however the
 // manager churns, and several sibling managers may be built from one
-// compilation. (The shared profiles start immutable; the first
-// reconfiguration of a channel thaws a private exclusive copy that is
-// then patched in place.)
+// compilation. (The shared profiles start frozen; the first
+// reconfiguration of a channel thaws an exclusive copy that borrows
+// their prefix rows, never writing them, and is then patched in
+// place.)
 func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager, error) {
 	pr := cp.Problem()
 	if err := pr.Validate(); err != nil {
@@ -865,7 +857,7 @@ func (m *Manager) unreserveRemove(victims, parked task.Set) {
 // so a rejected candidate can be rolled back with the inverse patch.
 // patches counts the incremental updates the candidate accumulated
 // (partial admission sheds add more than one), folded into the shard's
-// consolidation counter on commit.
+// patch counter on commit.
 type touchedChannel struct {
 	st      *channelState
 	minq    float64
@@ -882,8 +874,10 @@ type touchedChannel struct {
 
 // thaw prepares the shard's profile for in-place patching: makes it
 // exclusive on first touch (the profiles installed at construction are
-// shared with the CompiledProblem and must not be mutated) and records
-// the pre-patch fallback baseline. Idempotent; caller holds st.mu.
+// shared with the CompiledProblem and must not be mutated; the thawed
+// copy borrows their prefix rows until a patch must rewrite them) and
+// records the pre-patch fallback baseline. Idempotent; caller holds
+// st.mu.
 func (tc *touchedChannel) thaw() {
 	if !tc.patched {
 		tc.patched = true
@@ -1135,70 +1129,43 @@ func (m *Manager) installProfiles(touched []touchedChannel) {
 // just-reconfigured channel whose profile reports a retained/live
 // memory ratio (analysis.MemStats.Ratio) of at least r is rebuilt from
 // scratch at the end of the reconfiguration. r ≤ 0 disables the ratio
-// trigger (Consolidate stays available). Installing a ratio clears any
-// legacy patch-count threshold.
+// trigger (Consolidate stays available).
 func (m *Manager) SetConsolidateRatio(r float64) {
 	if r <= 0 || math.IsNaN(r) {
 		r = 0
 	}
 	m.consolidateRatio.Store(math.Float64bits(r))
-	m.consolidateEvery.Store(0)
 }
 
-// SetConsolidateEvery is the legacy patch-count trigger, kept as a
-// shim over the memory-ratio policy: after n incremental patches a
-// channel's retained streams are rebuilt from scratch at the end of
-// the reconfiguration that crossed the threshold. Installing it
-// replaces the ratio trigger; n = 0 disables automatic consolidation
-// entirely (Consolidate stays available). New code should prefer
-// SetConsolidateRatio, which tracks the actual memory waste instead of
-// a patch count.
-func (m *Manager) SetConsolidateEvery(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.consolidateEvery.Store(int64(n))
-	m.consolidateRatio.Store(0)
-}
-
-// maybeConsolidate rebuilds any of the just-reconfigured channels that
-// crossed the automatic threshold — the retained/live memory ratio, or
-// the patch count under the legacy shim. The caller still holds the
-// channel locks; commitMu is not needed because the committed decision
-// caches (minq) are unchanged — the rebuild is bit-identical by the
-// compile properties, it only re-homes the retained streams into
-// compact backing arrays.
+// maybeConsolidate rebuilds any of the just-reconfigured channels whose
+// retained/live memory ratio crossed the automatic threshold. The
+// caller still holds the channel locks; commitMu is not needed because
+// the committed decision caches (minq) are unchanged — the rebuild is
+// bit-identical by the compile properties, it only re-homes the
+// retained streams into compact backing arrays.
 func (m *Manager) maybeConsolidate(touched []touchedChannel) {
-	every := int(m.consolidateEvery.Load())
 	ratio := math.Float64frombits(m.consolidateRatio.Load())
 	mt := m.met.Load()
-	if every <= 0 && ratio <= 0 && mt == nil {
+	if ratio <= 0 && mt == nil {
 		return
 	}
 	for _, tc := range touched {
-		var r float64
-		if ratio > 0 || mt != nil {
-			// One MemStats pass feeds both the trigger and the gauge.
-			r = tc.st.prof.MemStats().Ratio()
-			if mt != nil {
-				mt.EnvelopeMemRatio.Set(r)
-			}
+		// One MemStats pass feeds both the trigger and the gauge.
+		r := tc.st.prof.MemStats().Ratio()
+		if mt != nil {
+			mt.EnvelopeMemRatio.Set(r)
 		}
-		switch {
-		case every > 0 && tc.st.patches >= every:
-		case ratio > 0 && r >= ratio:
-		default:
-			continue
+		if ratio > 0 && r >= ratio {
+			m.consolidateLocked(tc.st)
 		}
-		m.consolidateLocked(tc.st)
 	}
 }
 
 // Consolidate rebuilds every channel's retained pre-pruning stream from
 // scratch, bounding the memory a long-lived high-churn manager retains:
-// incremental patches share prefix rows with their predecessors, which
-// can pin the backing arrays of profiles long since replaced, and a
-// fresh compile re-homes the live streams into compact arrays. The
+// a patched profile's row storage (rows still borrowed from the
+// compiled problem, spare relayout buffers) can outgrow its live rows,
+// and a fresh compile re-homes the live streams into compact arrays. The
 // rebuild is bit-identical to the incremental state (the property the
 // whole compiled layer is tested for), so configurations and admission
 // decisions are unaffected. It locks one channel at a time and never

@@ -79,8 +79,8 @@ func (r *AdmitReport) Err() error {
 // that fail validation or collide on a name are reported individually
 // (they do not poison the rest), and when the survivors' slots
 // overflow the available capacity the lowest-value members under pol
-// are shed one at a time — one profile patch per shed via the
-// incremental WithoutTasks machinery, not a recompile per candidate —
+// are shed one at a time — one in-place profile patch per shed
+// (analysis.Profile.DropTasks), not a recompile per candidate —
 // until the remainder fits. A final re-add pass retries the shed
 // members in descending value order, so the admitted set is
 // greedy-maximal: no shed task could be added back without breaking

@@ -259,7 +259,7 @@ func (s Set) Hyperperiod(den int64) (float64, error) {
 // LessRM reports whether a precedes b in Rate Monotonic priority order:
 // shorter period first; ties broken by shorter deadline, then by name,
 // so the order is deterministic. It is the comparator behind SortedRM,
-// exposed so that incremental consumers (analysis.Profile.WithTask) can
+// exposed so that incremental consumers (analysis.Profile.AddTasks) can
 // locate a task's priority position without re-sorting the whole set.
 func LessRM(a, b Task) bool {
 	if a.T != b.T {
