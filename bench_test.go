@@ -455,14 +455,14 @@ func churnChannel(b *testing.B, n int) TaskSet {
 // the in-place exclusive patch path (Thawed + AddTasks/DropTasks — what
 // the online manager executes per reconfiguration, steady-state
 // allocation-free); "immutable" runs the one-task WithTasks/WithoutTasks
-// what-ifs that queries use: the same patch on a clone that borrows the
-// receiver's rows, frozen afterwards. The guest's
+// what-ifs that queries use: the same patch on a clone of the
+// receiver, frozen afterwards. The guest's
 // period selects its deadline count within the fixed 120-unit
 // hyperperiod (T=60 → 2 points, T=12 → 10, T=5 → 24, all on the
-// channel's own deadline grid): the incremental cycle never rebuilds the
-// per-task demand matrix, so its cost tracks the channel's point stream
-// plus the guest's own deadlines, while recompilation rebuilds
-// tasks × points demand every time. The off-grid guest (D=3.7, so its
+// channel's own deadline grid): the incremental cycle patches the
+// channel's one demand row, so its cost tracks the channel's point
+// stream plus the guest's own deadlines, while recompilation
+// re-enumerates and re-merges every task's deadlines every time. The off-grid guest (D=3.7, so its
 // deadlines land between the channel's integer scheduling points)
 // exercises the heavier merge/unmerge path — every one of its 30 points
 // is brand new — and is the worst case for the patch. The channel-size sweep readmits a clone

@@ -15,7 +15,11 @@
 //   - internal/task, internal/timeu: task model and time arithmetic;
 //   - internal/points, internal/analysis, internal/supply: scheduling
 //     points, Theorems 1–2, minQ (Eqs. 6 and 11), supply functions
-//     (Lemma 1 exact form, linear bound, periodic-resource comparison);
+//     (Lemma 1 exact form, linear bound, periodic-resource comparison).
+//     The EDF demand bound W(t) of Eq. (9) is exact: it counts each
+//     task's jobs the way the deadline generator emits their deadlines
+//     and charges each job its WCET rounded up to whole simulator ticks
+//     — the work the sim engine executes — summed as integers;
 //   - internal/envelope: the incremental dominance-envelope index the
 //     analysis layer is built on. Demand curves cross at most once, so
 //     a pair is retained iff it is undominated at one of the two
@@ -38,10 +42,11 @@
 //     reference oracle. Profiles update incrementally through one
 //     patch algorithm, analysis.Profile.AddTasks/DropTasks: it merges
 //     a batch's deadline streams into the profile's envelope.Index (or
-//     walks them out), touches only the prefix rows the batch changes,
-//     and stays bit-identical to a fresh compile, so "what if these
-//     tasks joined channel i" costs the newcomers' own deadlines plus
-//     the affected envelope span rather than a channel recompilation.
+//     walks them out), adds or subtracts the batch's jobs in the
+//     channel's one integer demand row, and stays identical to a fresh
+//     compile, so "what if these tasks joined channel i" costs the
+//     newcomers' own deadlines, one pass over the row and the affected
+//     envelope span rather than a channel recompilation.
 //     The what-ifs WithTasks/WithoutTasks (on both analysis.Profile and
 //     core.CompiledProblem) run that patch on a clone of the receiver
 //     and freeze the result; a hyperperiod change falls back to a full
@@ -62,7 +67,8 @@
 //     consolidation policy bounding long-run memory under churn
 //     (ratio-triggered by default: Profile.MemStats reports the
 //     retained/live cell ratio and SetConsolidateRatio rebuilds a
-//     channel when its row storage outweighs the live rows). It is
+//     channel when its demand row's capacity outweighs its live
+//     points). It is
 //     also overload-resilient: AdmitBatchPartial sheds the
 //     lowest-value members of an overflowing batch under a Policy
 //     (greedy-maximal, one profile patch per shed), Revoke/Restore
@@ -136,17 +142,16 @@
 //     envelope.Index snapshots. A frozen profile is never written
 //     again, so an ancestor and its descendants can be read
 //     concurrently forever. A what-if is a clone, the patch and a
-//     freeze: the clone takes the index copy-on-write and borrows the
-//     receiver's prefix rows, and the result is sized exactly.
+//     freeze: the clone takes the index copy-on-write and copies the
+//     receiver's demand row, one int64 per deadline point.
 //   - Exclusive, single-owner: Profile.Thawed and
 //     analysis.CompileMutable produce profiles that AddTasks/DropTasks
-//     patch in place inside a private double-buffered arena, making a
-//     steady-state admit+remove cycle allocation-free. Rows borrowed
-//     from a frozen lender are never written in place; a patch that
-//     must rewrite one moves it into the arena. The online manager
-//     thaws each touched channel's profile on first patch, borrowing
-//     from the shared CompiledProblem; consolidation rebuilds into an
-//     exactly-compact arena so the memory-ratio trigger converges.
+//     patch in place: the demand row grows when new deadlines widen
+//     the stream and keeps that capacity, so a steady-state
+//     admit+remove cycle is allocation-free. The online manager thaws
+//     each touched channel's profile on first patch; consolidation
+//     recompiles a channel whose row capacity has grown well past its
+//     live points, so the memory-ratio trigger converges.
 //   - Scratch, per-owner, reused: the manager's touched-channel slice;
 //     the sim engine's epoch buffers (service windows, fault and
 //     corruption overlays), its job records (recycled through a
@@ -156,11 +161,11 @@
 //     readers.
 //
 // The bit-identity contract constrains all of it: every incremental or
-// in-place path must produce float-for-float the result of the
-// from-scratch oracle (envelope.Prune, a fresh Compile, the sim
-// engine's linear-scan release path), so buffers may be reused but
-// operation order and floating-point accumulation order may not
-// change. CI enforces the performance side with cmd/benchgate: the
+// in-place path must produce exactly the result of the from-scratch
+// oracle (envelope.Prune, a fresh Compile, the sim engine's linear-scan
+// release path). EDF demand is an integer tick sum, so its terms may be
+// added and removed in any order; everywhere else buffers may be reused
+// but floating-point operation order may not change. CI enforces the performance side with cmd/benchgate: the
 // headline benchmarks run against the checked-in BENCH_baseline.json
 // and a >20% ns/op or allocs/op regression fails the build.
 //

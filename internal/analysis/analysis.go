@@ -22,11 +22,14 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/points"
 	"repro/internal/task"
+	"repro/internal/timeu"
 )
 
 // Alg selects the per-channel scheduling algorithm.
@@ -92,22 +95,66 @@ func (a Alg) sorted(s task.Set) task.Set {
 func RequestBound(c float64, hp task.Set, t float64) float64 {
 	w := c
 	for _, h := range hp {
-		w += math.Ceil(t/h.T) * h.C
+		w += releases(t, h.T) * h.C
 	}
 	return w
 }
 
+// releases is ⌈t/T⌉, the jobs of period T released in [0, t). It is
+// pessimistic at its steps: at t = k·T it never counts fewer than k.
+func releases(t, T float64) float64 { return math.Ceil(t / T) }
+
 // DemandBound computes the EDF demand-bound function W(t) of Eq. (9):
 // the total computation of jobs with both arrival and deadline in [0, t].
-func DemandBound(s task.Set, t float64) float64 {
-	w := 0.0
-	for _, tk := range s {
-		if n := math.Floor((t + tk.T - tk.D) / tk.T); n > 0 {
-			w += n * tk.C
-		}
+// It is exact: each task's jobs are counted as points.Deadline emits
+// their deadlines, and each job charges its WCET rounded up to whole
+// ticks (timeu.FromUnitsUp), the work the simulator executes. The sum
+// is an integer tick count; one that overflows int64 saturates to +Inf,
+// which every test reads as infeasible.
+func DemandBound(s task.Set, t float64) float64 { return DemandBoundJitter(s, nil, t) }
+
+// jobs counts the deadlines points.Deadline(k, T, d), k ≥ 0, at or
+// before t (d > 0): the points a deadline generator emits up to t. One
+// floor estimates the count and one step corrects it against the
+// generator's own arithmetic, where the floor of (t−d)/T alone can be
+// one off at the deadlines themselves (t = d = 2.5665, T = 4 gives
+// ⌊0.9999999999999999⌋ = 0). Counts beyond exact float range saturate.
+func jobs(T, d, t float64) int64 {
+	if !(t >= d) {
+		return 0
 	}
-	return w
+	q := math.Floor((t - d) / T)
+	if !(q < 1<<52) {
+		return math.MaxInt64
+	}
+	n := int(q) + 1
+	if points.Deadline(n-1, T, d) > t {
+		n--
+	} else if points.Deadline(n, T, d) <= t {
+		n++
+	}
+	return int64(n)
 }
+
+// wcetTicks is a WCET in whole ticks, rounded up as the simulator
+// charges it (timeu.FromUnitsUp); ok is false when it overflows int64.
+func wcetTicks(c float64) (int64, bool) {
+	if !(c*timeu.Scale < 1<<63) {
+		return 0, false
+	}
+	return int64(timeu.FromUnitsUp(c)), true
+}
+
+// addJobs returns the demand w plus n jobs of c ticks each (all
+// non-negative); ok is false when the sum overflows int64.
+func addJobs(w, n, c int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(n), uint64(c))
+	s := w + int64(lo)
+	return s, hi == 0 && lo <= math.MaxInt64 && s >= w
+}
+
+// errOverflow reports a demand beyond the int64 tick range.
+var errOverflow = errors.New("analysis: demand overflows int64 ticks")
 
 // Supply is the bounded-delay abstraction (α, Δ) of a mode's supply
 // function: after an initial service delay of at most Delta, time is
@@ -186,12 +233,17 @@ func FeasibleEDF(s task.Set, sp Supply) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	dls, err := points.Deadlines(s, h)
+	// One sweep over the deadline stream gives DemandBound at every
+	// point, exactly, without a division per task and point.
+	dls, _, w, err := demandRow(s, h)
+	if errors.Is(err, errOverflow) {
+		return false, nil // a demand beyond the tick range
+	}
 	if err != nil {
 		return false, err
 	}
-	for _, t := range dls {
-		if sp.Delta > t-DemandBound(s, t)/sp.Alpha+feasTol {
+	for k, t := range dls {
+		if sp.Delta > t-timeu.Ticks(w[k]).Units()/sp.Alpha+feasTol {
 			return false, nil
 		}
 	}
@@ -278,7 +330,11 @@ func minQEDF(s task.Set, p float64) (float64, error) {
 	}
 	q := 0.0
 	for _, t := range dls {
-		if v := qNeeded(t, p, DemandBound(s, t)); v > q {
+		w := DemandBound(s, t)
+		if math.IsInf(w, 1) {
+			return 0, errOverflow
+		}
+		if v := qNeeded(t, p, w); v > q {
 			q = v
 		}
 	}

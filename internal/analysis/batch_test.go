@@ -165,8 +165,8 @@ func TestBatchedChurnRoundTrips(t *testing.T) {
 
 // TestBatchedEdgeCases pins the contract details: empty batches return
 // the receiver, invalid or absent tasks error without touching it, and
-// a single-element batch repeated off the same receiver (which lends
-// its rows to both results) gives the same profile.
+// a single-element batch repeated off the same receiver (which shares
+// its index with both results) gives the same profile.
 func TestBatchedEdgeCases(t *testing.T) {
 	s := task.PaperTaskSet().ByMode(task.FT)
 	for _, alg := range []Alg{EDF, RM} {

@@ -31,7 +31,7 @@ func ResponseTime(c float64, hp task.Set, bound float64) float64 {
 	for iter := 0; iter < rtaMaxIterations; iter++ {
 		next := c
 		for _, h := range hp {
-			next += math.Ceil(r/h.T) * h.C
+			next += releases(r, h.T) * h.C
 		}
 		if next == r {
 			return r

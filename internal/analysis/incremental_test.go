@@ -9,8 +9,9 @@ import (
 
 // assertProfileIdentical checks the full exactness guarantee of the
 // incremental layer: not just the pruned envelopes (Profile.Equal) but
-// the retained streams too, so that a patched profile keeps answering
-// future WithTasks/WithoutTasks calls exactly like a fresh Compile would.
+// the retained streams and the demand row too, compared exactly, so
+// that a patched profile keeps answering future WithTasks/WithoutTasks
+// calls exactly like a fresh Compile would.
 func assertProfileIdentical(t *testing.T, stage string, got, want *Profile) {
 	t.Helper()
 	if !got.Equal(want) {
@@ -50,15 +51,12 @@ func assertProfileIdentical(t *testing.T, stage string, got, want *Profile) {
 			}
 		}
 	}
-	if len(got.pre) != len(want.pre) {
-		t.Fatalf("%s: %d prefix rows, want %d", stage, len(got.pre), len(want.pre))
+	if len(got.w) != len(want.w) {
+		t.Fatalf("%s: demand row has %d points, want %d", stage, len(got.w), len(want.w))
 	}
-	for r := range got.pre {
-		for k := range got.pre[r] {
-			if got.pre[r][k] != want.pre[r][k] {
-				t.Fatalf("%s: prefix row %d point %d is %x, want %x",
-					stage, r, k, got.pre[r][k], want.pre[r][k])
-			}
+	for k := range got.w {
+		if got.w[k] != want.w[k] {
+			t.Fatalf("%s: demand at point %d is %d ticks, want %d", stage, k, got.w[k], want.w[k])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/points"
 	"repro/internal/task"
+	"repro/internal/timeu"
 )
 
 // The paper notes (after Theorem 2) that the EDF formulation "also
@@ -42,15 +43,29 @@ func (j Jitter) Validate(s task.Set) error {
 	return nil
 }
 
-// DemandBoundJitter computes W_J(t).
+// DemandBoundJitter computes W_J(t), exactly as DemandBound does: each
+// task's jobs are counted on the shifted stream jitterDeadlines emits.
 func DemandBoundJitter(s task.Set, j Jitter, t float64) float64 {
-	w := 0.0
+	var w int64
 	for _, tk := range s {
-		if n := math.Floor((t + j[tk.Name] + tk.T - tk.D) / tk.T); n > 0 {
-			w += n * tk.C
+		c, ok := wcetTicks(tk.C)
+		if ok {
+			w, ok = addJobs(w, jobs(tk.T, shiftedD(tk, j), t), c)
+		}
+		if !ok {
+			return math.Inf(1)
 		}
 	}
-	return w
+	return timeu.Ticks(w).Units()
+}
+
+// shiftedD is the task's relative deadline shifted left by its jitter,
+// kept positive: the offset of the points where ⌊(t+J+T−D)/T⌋ steps.
+func shiftedD(tk task.Task, j Jitter) float64 {
+	if d := tk.D - j[tk.Name]; d > 0 {
+		return d
+	}
+	return math.SmallestNonzeroFloat64
 }
 
 // jitterDeadlines returns the points where W_J changes: the nominal
@@ -58,10 +73,7 @@ func DemandBoundJitter(s task.Set, j Jitter, t float64) float64 {
 func jitterDeadlines(s task.Set, j Jitter, horizon float64) ([]float64, error) {
 	shifted := make(task.Set, len(s))
 	for i, tk := range s {
-		tk.D -= j[tk.Name] // points where ⌊(t+J+T−D)/T⌋ steps
-		if tk.D <= 0 {
-			tk.D = math.SmallestNonzeroFloat64
-		}
+		tk.D = shiftedD(tk, j)
 		shifted[i] = tk
 	}
 	return points.Deadlines(shifted, horizon)
@@ -133,7 +145,11 @@ func MinQEDFJitter(s task.Set, j Jitter, p float64) (float64, error) {
 	}
 	q := 0.0
 	for _, t := range dls {
-		if v := qNeeded(t, p, DemandBoundJitter(s, j, t)); v > q {
+		w := DemandBoundJitter(s, j, t)
+		if math.IsInf(w, 1) {
+			return 0, errOverflow
+		}
+		if v := qNeeded(t, p, w); v > q {
 			q = v
 		}
 	}

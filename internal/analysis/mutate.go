@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,43 +18,51 @@ import (
 //
 //   - Frozen: Compile results and what-if results (WithTasks,
 //     WithoutTasks). Immutable and safe for concurrent reads; a frozen
-//     profile's index and rows are never written again, so clones may
-//     share them.
+//     profile's index and demand row are never written again, so clones
+//     may share the index.
 //   - Exclusive: Thawed and CompileMutable results, owned by a single
 //     goroutine (the online manager holds each under its channel lock)
 //     and patched in place. Exclusivity is a single-owner contract, not
 //     a lock.
 //
-// An exclusive profile's own prefix rows live in one arena (preb) at a
-// uniform stride, with a spare buffer (prebAlt) that width-changing
-// relayouts swap with, so steady-state admit+remove cycles reuse two
-// flat buffers and never allocate. A profile thawed from a frozen one
-// borrows its leading rows instead of copying them: rows with an index
-// below the borrowed count live in the lender's storage and are never
-// written in place. A patch that must rewrite a borrowed row — a
-// relayout, or a drop at or before that row's index — moves it into the
-// own arena, which that patch rewrites anyway. The index is cloned
-// copy-on-write from a frozen receiver, so its own machinery privatizes
-// whatever the patch touches. An exclusive receiver keeps mutating, so
-// its clones get a deep index copy and a copy of its own rows.
+// A thaw copies the demand row W — one int64 per stream point — and
+// clones the index copy-on-write from a frozen receiver (deeply from an
+// exclusive one, which keeps mutating), so its own machinery privatizes
+// whatever the patch touches. An exclusive profile patches W in place:
+// a stream that widens grows the row, reusing its capacity once it has
+// grown, so steady-state admit+remove cycles never allocate.
 //
 // Rejection rollback is the inverse patch: AddTasks followed by
-// DropTasks of the same tasks restores the profile bit-exactly, because
-// both directions perform the identical float64 term accumulation a
-// fresh Compile performs.
+// DropTasks of the same tasks restores the profile exactly, because W
+// gains and loses the same integer terms and the index is a pure
+// function of its points.
 
 // patchScratch holds the per-operation scratch buffers of the patch.
 // Pooled at package level: profiles are patched under their channel
 // lock, but distinct channels patch concurrently.
 type patchScratch struct {
-	scaled []int64
-	union  []float64
-	dls    []float64
-	tmp    []float64
-	used   []bool
+	scaled  []int64
+	union   []float64
+	charges []int64
+	dls     []float64
+	tmp     []float64
+	tmpC    []int64
+	used    []bool
+	ws      []float64
 }
 
 var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
+
+// demands converts a demand row to the time units the envelope ranks,
+// W/timeu.Scale as DemandBound returns it, in the scratch buffer.
+func (sc *patchScratch) demands(w []int64) []float64 {
+	ws := slices.Grow(sc.ws[:0], len(w))[:len(w)]
+	for k, v := range w {
+		ws[k] = timeu.Ticks(v).Units()
+	}
+	sc.ws = ws
+	return ws
+}
 
 // Exclusive reports whether the profile is in exclusive (mutable)
 // mode, i.e. it was produced by Thawed or CompileMutable and may be
@@ -62,19 +71,16 @@ func (pf *Profile) Exclusive() bool { return pf.exclusive }
 
 // Thawed returns an exclusive copy of the profile: same compiled state,
 // free to be patched in place. The receiver is unchanged and remains
-// valid; a frozen receiver lends its prefix rows to the copy. The copy
-// must only be used by one goroutine at a time.
-func (pf *Profile) Thawed() *Profile { return pf.thaw(4, true) }
+// valid. The copy must only be used by one goroutine at a time.
+func (pf *Profile) Thawed() *Profile { return pf.thaw(4) }
 
-// thaw is Thawed with room for extra more tasks in the task, period and
-// row-header slices; slack selects growth headroom in the buffers later
-// patches allocate (off for what-if clones, which freeze exactly sized).
-func (pf *Profile) thaw(extra int, slack bool) *Profile {
+// thaw is Thawed with room for extra more tasks in the task and period
+// slices.
+func (pf *Profile) thaw(extra int) *Profile {
 	n := len(pf.tasks)
 	c := &Profile{
 		alg: pf.alg, horizon: pf.horizon, horizonInt: pf.horizonInt,
-		fallbacks: pf.fallbacks, exclusive: true, slack: slack,
-		borrowed: pf.borrowed, lent: pf.lent,
+		fallbacks: pf.fallbacks, exclusive: true,
 	}
 	c.tasks = append(make(task.Set, 0, n+extra), pf.tasks...)
 	if pf.scaled != nil {
@@ -82,22 +88,13 @@ func (pf *Profile) thaw(extra int, slack bool) *Profile {
 	}
 	switch {
 	case pf.idx != nil:
-		c.pre = append(make([][]float64, 0, n+extra), pf.pre...)
-		var own []float64
 		if pf.exclusive {
-			c.idx, own = pf.idx.DeepClone(), pf.preb
+			c.idx = pf.idx.DeepClone()
 		} else {
 			c.idx = pf.idx.Clone()
-			c.borrowed, c.lent = n, pf.pinned()
 		}
-		// Slack lineages start with two spare rows, so small admissions
-		// patch without allocating.
-		size := len(own)
-		if slack {
-			size += 2 * c.idx.Len()
-		}
-		c.preb = append(make([]float64, 0, size), own...)
-		c.setRows(n, c.idx.Len())
+		c.w = make([]int64, len(pf.w))
+		copy(c.w, pf.w)
 		c.edf = c.idx.Kept()
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe (patches
@@ -107,36 +104,33 @@ func (pf *Profile) thaw(extra int, slack bool) *Profile {
 	return c
 }
 
-// freeze ends a what-if clone's exclusive life: the spare buffer is
-// dropped and the profile becomes immutable, free to lend its rows.
+// freeze ends a what-if clone's exclusive life: the profile becomes
+// immutable.
 func (pf *Profile) freeze() *Profile {
 	pf.exclusive = false
-	pf.prebAlt = nil
 	return pf
 }
 
 // CompileMutable compiles s and returns the profile already in
 // exclusive mode — the starting point for a lineage that will be
-// patched in place rather than cloned. Compile's row arena is exactly
-// compact, so a consolidation that rebuilds through CompileMutable
-// reports Ratio 1.0 and the ratio trigger converges; the first
-// width-changing patch afterwards re-establishes the double-buffer
-// slack.
+// patched in place rather than cloned. Compile's demand row is exactly
+// sized, so a consolidation that rebuilds through CompileMutable
+// reports Ratio 1.0 and the ratio trigger converges.
 func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
 	pf, err := Compile(s, alg)
 	if err != nil {
 		return nil, err
 	}
-	pf.exclusive, pf.slack = true, true
+	pf.exclusive = true
 	return pf, nil
 }
 
 // AddTasks patches the profile in place, adding every task in add in
-// order — after it returns, the profile is bit-identical (retained
-// streams included) to a fresh Compile of the extended set. The profile
-// must be exclusive. On error the profile is unchanged, except for
-// internal-invariant bails which rebuild it from scratch (still to the
-// correct extended state).
+// order — after it returns, the profile is identical (retained streams
+// and demand row included) to a fresh Compile of the extended set. The
+// profile must be exclusive. On error the profile is unchanged, except
+// for internal-invariant bails which rebuild it from scratch (still to
+// the correct extended state).
 func (pf *Profile) AddTasks(add []task.Task) error {
 	if !pf.exclusive {
 		return fmt.Errorf("analysis: AddTasks: profile is not exclusive (use Thawed or CompileMutable)")
@@ -161,11 +155,11 @@ func (pf *Profile) AddTasks(add []task.Task) error {
 
 // DropTasks patches the profile in place, removing every task in rem
 // (exact field equality; a value listed twice must be present twice).
-// After it returns, the profile is bit-identical to a fresh Compile of
-// the surviving set — in particular, AddTasks followed by DropTasks of
-// the same batch restores the pre-patch state bit for bit, which is
-// what the online manager's rejection rollback relies on. The profile
-// must be exclusive. A not-present error leaves the profile unchanged.
+// After it returns, the profile is identical to a fresh Compile of the
+// surviving set — in particular, AddTasks followed by DropTasks of the
+// same batch restores the pre-patch state exactly, which is what the
+// online manager's rejection rollback relies on. The profile must be
+// exclusive. A not-present error leaves the profile unchanged.
 func (pf *Profile) DropTasks(rem []task.Task) error {
 	if !pf.exclusive {
 		return fmt.Errorf("analysis: DropTasks: profile is not exclusive (use Thawed or CompileMutable)")
@@ -182,56 +176,11 @@ func (pf *Profile) DropTasks(rem []task.Task) error {
 	return fmt.Errorf("analysis: DropTasks: unknown algorithm %s", pf.alg)
 }
 
-// setRows rebuilds the headers of the own rows, borrowed..n-1, over the
-// arena at the given stride, full-slice-capped so an append through a
-// header can never clobber the next row. Borrowed headers are kept.
-func (pf *Profile) setRows(n, width int) {
-	b := pf.borrowed
-	if cap(pf.pre) < n {
-		grow := n
-		if pf.slack {
-			grow += 4
-		}
-		hdr := make([][]float64, b, grow)
-		copy(hdr, pf.pre)
-		pf.pre = hdr
-	} else {
-		pf.pre = pf.pre[:b]
-	}
-	for r := b; r < n; r++ {
-		o := (r - b) * width
-		pf.pre = append(pf.pre, pf.preb[o:o+width:o+width])
-	}
-}
-
-// spareBuf returns a length-need buffer that does not alias preb,
-// reusing prebAlt's backing when large enough. Contents are garbage;
-// the caller fills every cell it will read.
-func (pf *Profile) spareBuf(need, width int) []float64 {
-	buf := pf.prebAlt[:0]
-	if cap(buf) < need {
-		size := need
-		if pf.slack {
-			size += 2 * width
-		}
-		buf = make([]float64, 0, size)
-	}
-	return buf[:need]
-}
-
-// swapArena installs buf (obtained from spareBuf) as the row arena and
-// retires the old one to prebAlt for the next relayout.
-func (pf *Profile) swapArena(buf []float64) {
-	pf.preb, pf.prebAlt = buf, pf.preb[:0]
-}
-
 // adoptCompiled is the patch's bail-out: rebuild s from scratch and
-// adopt the fresh profile — its exactly compact row arena included —
-// keeping the receiver exclusive with its growth policy, and carrying
+// adopt the fresh profile, keeping the receiver exclusive and carrying
 // the fallback count (bumped for a genuine fallback rather than a
-// trivial case such as an empty profile). The larger old buffer stays
-// on as the spare and the old header slice takes the fresh rows, so
-// the next patch can grow without allocating.
+// trivial case such as an empty profile). On error the receiver is
+// unchanged.
 func (pf *Profile) adoptCompiled(s task.Set, bump bool) error {
 	fresh, err := Compile(s, pf.alg)
 	if err != nil {
@@ -241,16 +190,50 @@ func (pf *Profile) adoptCompiled(s task.Set, bump bool) error {
 	if bump {
 		fresh.fallbacks++
 	}
-	fresh.exclusive, fresh.slack = true, pf.slack
-	fresh.prebAlt = pf.prebAlt[:0]
-	if cap(pf.preb) > cap(pf.prebAlt) {
-		fresh.prebAlt = pf.preb[:0]
-	}
-	if cap(pf.pre) >= len(fresh.pre) {
-		fresh.pre = append(pf.pre[:0], fresh.pre...)
-	}
+	fresh.exclusive = true
 	*pf = *fresh
 	return nil
+}
+
+// mergeCharges merges a task's deadline stream dls, each deadline
+// charging c ticks, into the charged union (ts, cs) of a batch's
+// streams, adding up the charges of shared points. It writes to sc's
+// spare buffers and swaps them with the union's.
+func (sc *patchScratch) mergeCharges(dls []float64, c int64) {
+	ts, cs := sc.union, sc.charges
+	dts := slices.Grow(sc.tmp[:0], len(ts)+len(dls))
+	dcs := slices.Grow(sc.tmpC[:0], len(ts)+len(dls))
+	i, j := 0, 0
+	for i < len(ts) || j < len(dls) {
+		switch {
+		case j == len(dls) || i < len(ts) && ts[i] < dls[j]:
+			dts, dcs = append(dts, ts[i]), append(dcs, cs[i])
+			i++
+		case i == len(ts) || dls[j] < ts[i]:
+			dts, dcs = append(dts, dls[j]), append(dcs, c)
+			j++
+		default:
+			dts, dcs = append(dts, ts[i]), append(dcs, cs[i]+c)
+			i++
+			j++
+		}
+	}
+	sc.union, sc.charges, sc.tmp, sc.tmpC = dts, dcs, ts, cs
+}
+
+// addCharges adds the batch's charges to W in one walk, carrying each
+// forward, so every point gains the charges of the jobs due by it. Every
+// point of the union must be in the stream.
+func (pf *Profile) addCharges(sc *patchScratch) {
+	var d int64
+	j := 0
+	for p, x := range pf.idx.Ts() {
+		if j < len(sc.union) && sc.union[j] == x {
+			d += sc.charges[j]
+			j++
+		}
+		pf.w[p] += d
+	}
 }
 
 func (pf *Profile) addTasksEDF(add []task.Task) error {
@@ -280,62 +263,31 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		}
 	}
 	sc.scaled = scaledAdd
-	n, k := len(pf.tasks), len(add)
 	// Union of the newcomers' deadline streams, built on pooled buffers:
-	// the single merge input.
-	union := points.AppendTaskDeadlines(sc.union[:0], add[0], pf.horizon)
-	for _, t := range add[1:] {
+	// the single merge input. W's last point is the demand of the whole
+	// stream, so checking the newcomers' jobs against it bounds every
+	// cell before anything changes. (A stream can be empty: a period
+	// just above its scaled value puts the deadline past the horizon.)
+	var total int64
+	if len(pf.w) > 0 {
+		total = pf.w[len(pf.w)-1]
+	}
+	sc.union, sc.charges = sc.union[:0], sc.charges[:0]
+	for _, t := range add {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
-		union, sc.tmp = points.MergeUniqueInto(union, sc.dls, sc.tmp[:0]), union
+		c, ok := wcetTicks(t.C)
+		if ok {
+			total, ok = addJobs(total, int64(len(sc.dls)), c)
+		}
+		if !ok {
+			return errOverflow
+		}
+		sc.mergeCharges(sc.dls, c)
 	}
-	sc.union = union
 	// Merge splices the brand-new scheduling points in as zero-demand,
-	// zero-owner placeholders and reports their positions.
-	inserted := pf.idx.Merge(union)
-	N := pf.idx.Len()
-	if len(inserted) == 0 {
-		// Widths unchanged: every existing row keeps its cells, borrowed
-		// ones included; the arena grows by the k new rows.
-		need := (n + k - pf.borrowed) * N
-		if cap(pf.preb) < need {
-			buf := pf.spareBuf(need, N)
-			copy(buf, pf.preb)
-			pf.swapArena(buf)
-		} else {
-			pf.preb = pf.preb[:need]
-		}
-	} else {
-		// The stream widened: relayout every row into the spare arena —
-		// borrowed rows move in here — with gap columns at the inserted
-		// positions; runs of retained points get block copies per row.
-		buf := pf.spareBuf((n+k)*N, N)
-		for r := 0; r < n; r++ {
-			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
-			from, at := 0, 0
-			for _, p := range inserted {
-				copy(dst[at:p], src[from:from+(p-at)])
-				from += p - at
-				at = p + 1
-			}
-			copy(dst[at:], src[from:])
-		}
-		pf.swapArena(buf)
-		pf.borrowed = 0
-	}
-	pf.setRows(n+k, N)
-	if len(inserted) > 0 {
-		// Brand-new points: accumulate the old set's prefix demand
-		// exactly as a fresh Compile would.
-		ts := pf.idx.Ts()
-		for _, p := range inserted {
-			x := ts[p]
-			w := 0.0
-			for r := 0; r < n; r++ {
-				w += demandTerm(pf.tasks[r], x)
-				pf.pre[r][p] = w
-			}
-		}
-	}
+	// zero-owner placeholders; each takes its predecessor's demand,
+	// since no resident has a deadline between the two.
+	pf.widen(pf.idx.Merge(sc.union))
 	// Bump owner counts for each newcomer's own stream; every inserted
 	// placeholder belongs to at least one newcomer, so no zero-owner
 	// point survives.
@@ -347,35 +299,49 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 			return pf.adoptCompiled(append(pf.tasks, add...), true)
 		}
 	}
+	pf.addCharges(sc)
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
-	// Append the k new prefix rows, each the left-fold continuation of
-	// the one before — the exact partial sums a sequential fold builds.
-	ts := pf.idx.Ts()
-	base := pf.pre[n-1]
-	for j := 0; j < k; j++ {
-		row := pf.pre[n+j]
-		t := pf.tasks[n+j]
-		for p, x := range ts {
-			row[p] = base[p] + demandTerm(t, x)
-		}
-		base = row
-	}
 	// Hand the patched demand row to the index: it re-ranks exactly the
 	// points whose demand changed bitwise and maintains the envelope.
-	if err := pf.idx.SetDemand(pf.pre[n+k-1]); err != nil {
+	if err := pf.idx.SetDemand(sc.demands(pf.w)); err != nil {
 		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.edf = pf.idx.Kept()
 	return nil
 }
 
+// widen opens a W column at each inserted stream position (ascending,
+// in the merged coordinates) and fills it with the demand of the point
+// before it.
+func (pf *Profile) widen(inserted []int) {
+	n0, n := len(pf.w), len(pf.w)+len(inserted)
+	if cap(pf.w) < n {
+		w := make([]int64, n0, n)
+		copy(w, pf.w)
+		pf.w = w
+	}
+	w := pf.w[:n]
+	hi := n0
+	for k := len(inserted) - 1; k >= 0; k-- {
+		lo := inserted[k] - k
+		copy(w[lo+k+1:hi+k+1], w[lo:hi])
+		hi = lo
+	}
+	for _, p := range inserted {
+		w[p] = 0
+		if p > 0 {
+			w[p] = w[p-1]
+		}
+	}
+	pf.w = w
+}
+
 func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	n0 := len(pf.tasks)
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
-	minIdx, err := pf.mark(rem, sc)
-	if err != nil {
+	if _, err := pf.mark(rem, sc); err != nil {
 		return err
 	}
 	used := sc.used
@@ -409,70 +375,36 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		// re-ranges, so patching has no advantage.
 		return pf.adoptCompiled(pf.tasks, true)
 	}
-	n := w
-	// Walk owner counts down once per departing stream, then compact:
-	// points owned solely by the departing tasks drop out of the stream,
-	// and Compact reports their pre-compaction positions. A violated
-	// invariant (a deadline not in the stream — impossible unless the
-	// compiled state is corrupted) degrades to a rebuild.
+	// Walk owner counts down once per departing stream and take back
+	// their jobs in one walk, then compact: points owned solely by the
+	// departing tasks drop out of the stream, and Compact reports their
+	// pre-compaction positions. A violated invariant (a deadline not in
+	// the stream — impossible unless the compiled state is corrupted)
+	// degrades to a rebuild.
+	sc.union, sc.charges = sc.union[:0], sc.charges[:0]
 	for _, t := range rem {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		if err := pf.idx.RemoveOwners(sc.dls); err != nil {
 			return pf.adoptCompiled(pf.tasks, true)
 		}
+		c, _ := wcetTicks(t.C)
+		sc.mergeCharges(sc.dls, -c)
 	}
-	dropped := pf.idx.Compact()
-	N := pf.idx.Len()
-	keep := min(minIdx, n)
-	if len(dropped) == 0 {
-		// Widths unchanged: rows above the first removed position keep
-		// their cells in place. Borrowed rows at or below it move into
-		// the own arena, where the suffix re-accumulation below rewrites
-		// them — so when the arena must grow, nothing carries over.
-		b := min(pf.borrowed, keep)
-		need := (n - b) * N
-		if cap(pf.preb) < need {
-			pf.swapArena(pf.spareBuf(need, N))
-		}
-		pf.preb = pf.preb[:need]
-		pf.borrowed = b
-	} else {
-		// The stream narrowed: relayout the kept rows into the spare
-		// arena — borrowed rows move in here — skipping the dropped
-		// columns.
-		buf := pf.spareBuf(n*N, N)
-		for r := 0; r < keep; r++ {
-			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
-			from, at := 0, 0
-			for _, p := range dropped {
-				copy(dst[at:at+(p-from)], src[from:p])
-				at += p - from
-				from = p + 1
+	pf.addCharges(sc)
+	// No survivor has a deadline at a dropped point, so its column only
+	// repeats its predecessor's demand.
+	if dropped := pf.idx.Compact(); len(dropped) > 0 {
+		k := 0
+		for p, v := range pf.w {
+			if k < len(dropped) && dropped[k] == p {
+				k++
+				continue
 			}
-			copy(dst[at:], src[from:])
+			pf.w[p-k] = v
 		}
-		pf.swapArena(buf)
-		pf.borrowed = 0
+		pf.w = pf.w[:len(pf.w)-len(dropped)]
 	}
-	pf.setRows(n, N)
-	// Re-accumulate the suffix rows in place; each reads the (already
-	// final) row above it.
-	ts := pf.idx.Ts()
-	for r := keep; r < n; r++ {
-		tk := pf.tasks[r]
-		row := pf.pre[r]
-		if r == 0 {
-			for p, x := range ts {
-				row[p] = demandTerm(tk, x)
-			}
-		} else {
-			base := pf.pre[r-1]
-			for p, x := range ts {
-				row[p] = base[p] + demandTerm(tk, x)
-			}
-		}
-	}
-	if err := pf.idx.SetDemand(pf.pre[n-1]); err != nil {
+	if err := pf.idx.SetDemand(sc.demands(pf.w)); err != nil {
 		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.edf = pf.idx.Kept()

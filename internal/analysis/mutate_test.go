@@ -135,6 +135,37 @@ func TestMutableErrors(t *testing.T) {
 	assertProfileIdentical(t, "after failed add", mu, pf)
 }
 
+// TestPatchEmptyStream patches a profile whose stream is empty: the
+// task's period is a hair above its scaled value, so its deadline falls
+// past the hyperperiod and the compiled stream has no points.
+func TestPatchEmptyStream(t *testing.T) {
+	hair := task.Task{Name: "hair", C: 0.1, T: 0.30000000001, D: 0.30000000001}
+	guest := task.Task{Name: "guest", C: 0.1, T: 0.3, D: 0.2}
+	pf, err := CompileMutable(task.Set{hair}, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pf.MemStats().RetainedPoints; n != 0 {
+		t.Fatalf("stream has %d points, want 0", n)
+	}
+	if err := pf.AddTasks([]task.Task{guest}); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := Compile(task.Set{hair, guest}, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertProfileIdentical(t, "admit onto an empty stream", pf, grown)
+	if err := pf.DropTasks([]task.Task{guest}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Compile(task.Set{hair}, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertProfileIdentical(t, "drop back to an empty stream", pf, back)
+}
+
 // Lineage op codes of FuzzProfileLineages. Every op starts with a
 // lineage byte (which lineage it acts on) and an op byte; all but
 // lineageThaw then read a batch-size byte (1–3 tasks) and one
@@ -192,15 +223,15 @@ func lineageSeed(seed int64) []byte {
 // lineages patched in place by AddTasks/DropTasks, and thaw or frozen
 // forks taken from either kind — under EDF, RM and DM, with every
 // lineage compared to an independent fresh Compile after every step.
-// Any state leaking between lineages (a lent row or shared slab written
-// in place, arena rows observed across a fork) shows up as a bitwise
-// divergence from that lineage's own oracle. `go test` replays the seed
+// Any state leaking between lineages (a shared demand row or index slab
+// written in place, observed across a fork) shows up as a divergence
+// from that lineage's own oracle. `go test` replays the seed
 // corpus; `go test -fuzz=FuzzProfileLineages` explores mutations.
 func FuzzProfileLineages(f *testing.F) {
 	// The two randomized schedules the property has always run.
 	f.Add(lineageSeed(int64(EDF) + 97))
 	f.Add(lineageSeed(int64(DM) + 97))
-	// Three-task batches: a relayout admit on the root, a frozen fork of
+	// Three-task batches: a widening admit on the root, a frozen fork of
 	// three, a thaw of that fork, then drops on both.
 	f.Add([]byte{
 		0, lineageAdd, 2, 4, 6, 7,

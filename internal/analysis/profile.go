@@ -32,6 +32,13 @@ import (
 // is applied with a relative margin (envelope.PruneMargin) far above
 // float64 noise, so the pruned scan returns bit-identical results to
 // the naive oracle MinQ.
+//
+// The EDF demand itself is exact. The profile keeps one row W of
+// integer ticks along the stream — each job charges its WCET rounded
+// up to ticks, as the simulator executes it — and hands the index
+// W/timeu.Scale, the value DemandBound returns. Integer addition is
+// associative, so a patch adds or subtracts one task's jobs in any
+// order and still matches a fresh Compile exactly.
 
 // Profile is a task set's demand structure compiled for one scheduling
 // algorithm: everything minQ needs that does not depend on the period P.
@@ -39,8 +46,7 @@ import (
 // it came from Thawed or CompileMutable, which return exclusive
 // profiles that AddTasks/DropTasks patch in place (mutate.go). The
 // what-if constructors WithTasks and WithoutTasks (incremental.go)
-// return new frozen profiles that borrow unchanged rows from the
-// receiver.
+// return new frozen profiles and leave the receiver unchanged.
 type Profile struct {
 	alg Alg
 	// edf holds the surviving (t, W(t)) pairs of Eq. (11), ascending in
@@ -53,58 +59,43 @@ type Profile struct {
 
 	// idx is the incremental envelope index over the pre-pruning EDF
 	// deadline stream: the stream itself, per-point owner counts, the
-	// demand row W(t) and the maintained dominance envelope. nil for
-	// FP and empty profiles. A frozen profile's index is an immutable
-	// snapshot; thawing clones it copy-on-write, so what-if probes
-	// (core's compiled clones, online's first-touch thaw) share it.
+	// demand W(t) in time units and the maintained dominance envelope.
+	// nil for FP and empty profiles. A frozen profile's index is an
+	// immutable snapshot; thawing clones it copy-on-write, so what-if
+	// probes (core's compiled clones, online's first-touch thaw) share
+	// it.
 	idx *envelope.Index
 
-	// The fields below are the incremental-update state: the prefix
-	// demand rows retained alongside the index, a deliberate
-	// memory-for-latency trade (see incremental.go) that stays private
-	// to the profile. tasks is the compiled set — in declaration order
-	// for EDF (the order the demand sum accumulates in) and in priority
-	// order for RM/DM (the order the fp rows are built in).
+	// The fields below are the incremental-update state. tasks is the
+	// compiled set — in declaration order for EDF and in priority order
+	// for RM/DM (the order the fp rows are built in).
 	tasks task.Set
 	// horizon is the EDF hyperperiod the deadline stream was enumerated
 	// to (horizonInt its integer numerator over HyperperiodDenominator,
-	// for O(1) change detection); pre[i][k] is the prefix demand
-	// Σ_{j ≤ i} contribution of tasks[j] at the k-th stream point, so
-	// pre[i] is the exact partial sum DemandBound(tasks[:i+1], ·)
-	// accumulates and pre[len(tasks)-1] is the full W(t) row the index
-	// prunes. scaled[i] is tasks[i].T as an integer numerator over
-	// HyperperiodDenominator, cached so a departure can re-fold the
-	// hyperperiod with pure integer LCMs.
+	// for O(1) change detection). scaled[i] is tasks[i].T as an integer
+	// numerator over HyperperiodDenominator, cached so a departure can
+	// re-fold the hyperperiod with pure integer LCMs.
 	horizon    float64
 	horizonInt int64
 	scaled     []int64
-	pre        [][]float64
+	// w is the EDF demand row in ticks, aligned with idx's stream: w[k]
+	// is DemandBound at the k-th point times timeu.Scale.
+	w []int64
 	// fallbacks counts how many times this profile's incremental
 	// lineage bailed to a full recompile (hyperperiod change, or a
 	// violated stream invariant); carried across updates so online
 	// managers can report the incremental path's hit rate.
 	fallbacks uint64
-
-	// Row storage and ownership (mutate.go). preb is the arena holding
-	// the profile's own prefix rows, borrowed..len(pre)-1, at a uniform
-	// stride; prebAlt is the spare buffer width-changing relayouts swap
-	// with. Rows below borrowed are lent by the frozen profile this one
-	// was thawed from and are never written in place; lent is the cell
-	// count that lender pinned (see MemStats). slack selects growth
-	// headroom in the buffers a patch allocates: on for lineages that
-	// keep patching, off for what-if clones that freeze exactly sized.
+	// exclusive marks a single-owner profile that may be patched in
+	// place (mutate.go).
 	exclusive bool
-	slack     bool
-	preb      []float64
-	prebAlt   []float64
-	borrowed  int
-	lent      int
 }
 
 // Compile builds the profile of s under alg. It performs all the
 // P-independent work of MinQ — hyperperiods, scheduling-point sets,
 // demand evaluation and dominance pruning — exactly once. An empty set
-// compiles to a profile whose MinQ is identically zero.
+// compiles to a profile whose MinQ is identically zero. An EDF demand
+// beyond the int64 tick range is an error.
 func Compile(s task.Set, alg Alg) (*Profile, error) {
 	pf := &Profile{alg: alg}
 	if len(s) == 0 {
@@ -126,34 +117,17 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		}
 		pf.scaled = scaled
 		h := float64(hInt) / float64(HyperperiodDenominator)
-		dls, err := points.Deadlines(s, h)
+		dls, owners, w, err := demandRow(s, h)
 		if err != nil {
 			return nil, err
 		}
 		pf.tasks = append(task.Set(nil), s...)
 		pf.horizon = h
 		pf.horizonInt = hInt
-		owners := make([]int32, len(dls))
-		for _, tk := range s {
-			i := 0
-			for _, x := range points.TaskDeadlines(tk, h) {
-				for dls[i] != x {
-					i++
-				}
-				owners[i]++
-				i++
-			}
-		}
-		pf.preb = make([]float64, len(s)*len(dls))
-		pf.setRows(len(s), len(dls))
-		for k, x := range dls {
-			w := 0.0
-			for r, tk := range s {
-				w += demandTerm(tk, x)
-				pf.pre[r][k] = w
-			}
-		}
-		pf.idx, err = envelope.Build(false, dls, pf.pre[len(s)-1], owners)
+		pf.w = w
+		sc := patchPool.Get().(*patchScratch)
+		pf.idx, err = envelope.Build(false, dls, sc.demands(w), owners)
+		patchPool.Put(sc)
 		if err != nil {
 			return nil, err
 		}
@@ -171,15 +145,43 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 	return pf, nil
 }
 
-// demandTerm is task tk's contribution to the EDF demand bound at x —
-// the summand DemandBound accumulates. Adding the 0.0 it returns outside
-// the task's deadline range is a bitwise no-op (w ≥ 0 throughout), so
-// prefix rows accumulated with it are bit-identical to DemandBound.
-func demandTerm(tk task.Task, x float64) float64 {
-	if n := math.Floor((x + tk.T - tk.D) / tk.T); n > 0 {
-		return n * tk.C
+// demandRow enumerates the EDF deadline stream of s up to the horizon h,
+// with per-point owner counts and the demand row in ticks: each task
+// charges its WCET at its own deadlines, and the prefix sum holds, at
+// every point, the jobs due by it — exactly DemandBound there. A demand
+// beyond the int64 tick range is errOverflow.
+func demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
+	dls, err := points.Deadlines(s, h)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return 0
+	owners := make([]int32, len(dls))
+	w := make([]int64, len(dls))
+	var total int64
+	own := make([]float64, 0, len(dls)) // no task has more deadlines
+	for _, tk := range s {
+		own = points.AppendTaskDeadlines(own[:0], tk, h)
+		c, ok := wcetTicks(tk.C)
+		if ok {
+			total, ok = addJobs(total, int64(len(own)), c)
+		}
+		if !ok {
+			return nil, nil, nil, errOverflow
+		}
+		i := 0
+		for _, x := range own {
+			for dls[i] != x {
+				i++
+			}
+			owners[i]++
+			w[i] += c
+			i++
+		}
+	}
+	for k := 1; k < len(w); k++ {
+		w[k] += w[k-1]
+	}
+	return dls, owners, w, nil
 }
 
 // compileFPRow builds one priority level of the FP profile: the pruned
@@ -216,7 +218,7 @@ func (pf *Profile) Pairs() int {
 func (pf *Profile) Fallbacks() uint64 { return pf.fallbacks }
 
 // MemStats describes the memory retained by a profile's incremental
-// state, in units that expose sharing waste rather than bytes.
+// state, in units that expose over-allocation rather than bytes.
 type MemStats struct {
 	// RetainedPoints is the pre-pruning scheduling-point count (the
 	// envelope index's stream length; 0 for FP profiles).
@@ -225,19 +227,20 @@ type MemStats struct {
 	LivePairs int
 	// OwnerTable is the per-point owner-count table size.
 	OwnerTable int
-	// LiveCells is the number of prefix-row cells (EDF) or
-	// fixed-priority pair cells (RM/DM) the profile actually reads.
+	// LiveCells is the number of demand-row cells (EDF: one per stream
+	// point) or fixed-priority pair cells (RM/DM) the profile reads.
 	LiveCells int
-	// PinnedCells is the number of cells kept reachable through the
-	// profile's row storage — its own arena and spare buffer, plus
-	// whatever a lender's storage pinned while rows are borrowed from it.
+	// PinnedCells is the number of cells the profile's row storage keeps
+	// reachable: the EDF demand row's capacity, which a stream widened
+	// by departed tasks leaves above its length, or the FP rows'
+	// capacities.
 	PinnedCells int
 }
 
 // Ratio is PinnedCells over LiveCells: 1 when the profile's backings
-// hold exactly its own state, growing as incremental updates accumulate
-// references into ancestors' backings. online.Manager consolidates a
-// channel when this crosses its configured threshold.
+// hold exactly its own state, growing as patches leave capacity behind.
+// online.Manager consolidates a channel when this crosses its
+// configured threshold.
 func (m MemStats) Ratio() float64 {
 	if m.LiveCells <= 0 {
 		return 1
@@ -253,8 +256,8 @@ func (pf *Profile) MemStats() MemStats {
 	if pf.idx != nil {
 		m.RetainedPoints = pf.idx.Len()
 		m.OwnerTable = pf.idx.Len()
-		m.LiveCells = len(pf.pre) * pf.idx.Len()
-		m.PinnedCells = pf.pinned()
+		m.LiveCells = len(pf.w)
+		m.PinnedCells = cap(pf.w)
 		return m
 	}
 	for _, row := range pf.fp {
@@ -264,20 +267,9 @@ func (pf *Profile) MemStats() MemStats {
 	return m
 }
 
-// pinned counts the prefix-row cells reachable through the profile's
-// row storage: its own arena and spare buffer, plus, while it still
-// borrows rows, everything its lender pinned.
-func (pf *Profile) pinned() int {
-	n := cap(pf.preb) + cap(pf.prebAlt)
-	if pf.borrowed > 0 {
-		n += pf.lent
-	}
-	return n
-}
-
 // Check audits the profile against the full-compile oracle: the
-// envelope index's own invariants (envelope.Check) plus a bitwise
-// comparison of the retained stream, owner counts, prefix rows and
+// envelope index's own invariants (envelope.Check) plus an exact
+// comparison of the retained stream, owner counts, demand row and
 // pruned pairs against a fresh Compile of the same set. It is the
 // profile-level quiescent-point audit internal/chaos runs.
 func (pf *Profile) Check() error {
@@ -293,8 +285,8 @@ func (pf *Profile) Check() error {
 	}
 	if pf.idx != nil {
 		ts, want := pf.idx.Ts(), fresh.idx.Ts()
-		if len(ts) != len(want) {
-			return fmt.Errorf("analysis: profile check: %d stream points, fresh Compile has %d", len(ts), len(want))
+		if len(ts) != len(want) || len(pf.w) != len(ts) {
+			return fmt.Errorf("analysis: profile check: %d stream points and %d demands, fresh Compile has %d", len(ts), len(pf.w), len(want))
 		}
 		for k := range ts {
 			if math.Float64bits(ts[k]) != math.Float64bits(want[k]) {
@@ -307,11 +299,9 @@ func (pf *Profile) Check() error {
 				return fmt.Errorf("analysis: profile check: owner count at point %d is %d, fresh Compile has %d", k, owners[k], wantOwners[k])
 			}
 		}
-		for r := range pf.pre {
-			for k := range pf.pre[r] {
-				if math.Float64bits(pf.pre[r][k]) != math.Float64bits(fresh.pre[r][k]) {
-					return fmt.Errorf("analysis: profile check: prefix row %d point %d diverged from fresh Compile", r, k)
-				}
+		for k := range pf.w {
+			if pf.w[k] != fresh.w[k] {
+				return fmt.Errorf("analysis: profile check: demand at point %d is %d ticks, fresh Compile has %d", k, pf.w[k], fresh.w[k])
 			}
 		}
 	}

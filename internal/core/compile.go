@@ -116,10 +116,10 @@ func (cp *CompiledProblem) ConfigFor(p float64) (Config, error) {
 // every task in add (normalised, in order). It answers "what if these
 // tasks joined" without recompiling anything: the batch is grouped by
 // (mode, channel) and each touched channel's profile is patched once
-// with analysis.Profile.WithTasks — one stream merge and one
-// envelope-index update per channel, on a clone that borrows the
-// receiver's unchanged rows — while untouched channels share their
-// profiles with the receiver. The whole batch is validated up front
+// with analysis.Profile.WithTasks — one stream merge, one demand-row
+// patch and one envelope-index update per channel, on a clone of the
+// receiver's profile — while untouched channels share their profiles
+// with the receiver. The whole batch is validated up front
 // (names present, unique within the batch, absent from the problem), so
 // the result is all-or-nothing; the receiver is never modified, so
 // rejected what-ifs are free to discard.

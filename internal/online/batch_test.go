@@ -279,13 +279,14 @@ func TestConsolidationPreservesState(t *testing.T) {
 	}
 	// Automatic trigger: with the ratio threshold just above 1, any
 	// incremental patch that leaves the channel's storage larger than
-	// its live rows rebuilds it, which keeps the patch counter bounded.
+	// its live row rebuilds it, which keeps the patch counter bounded.
 	// The twin of tau5's period (T = 24) keeps every cycle on the
-	// incremental path; c1 would fall back to a compact recompile.
+	// incremental path, and its off-stream deadline widens the demand
+	// row until it leaves; c1 would fall back to a compact recompile.
 	var rec eventRecorder
 	m.SetEventSink(rec.sink)
 	m.SetConsolidateRatio(1.01)
-	twin := task.Task{Name: "c2", C: 0.1, T: 24, Mode: task.NF, Channel: 3}
+	twin := task.Task{Name: "c2", C: 0.1, T: 24, D: 17.3, Mode: task.NF, Channel: 3}
 	for i := 0; i < 10; i++ {
 		if err := m.Admit(twin); err != nil {
 			t.Fatal(err)

@@ -57,9 +57,10 @@ func TestConsolidateRatioTrigger(t *testing.T) {
 	off := maxFlexManager(t)
 	off.SetConsolidateRatio(0) // trigger disabled, patches accumulate
 
-	// Twin-period guest: stays on the incremental path, pinning the
-	// ancestor prefix rows each cycle until the ratio crosses 1.2.
-	guest := task.Task{Name: "ghost", C: 0.05, T: 6, D: 6, Mode: task.NF, Channel: 0}
+	// A guest with an on-grid period stays on the incremental path; its
+	// off-stream deadlines widen the channel's demand row, whose capacity
+	// outlives the guest, so the ratio crosses 1.2 when it leaves.
+	guest := task.Task{Name: "ghost", C: 0.05, T: 6, D: 5.4321, Mode: task.NF, Channel: 0}
 	for i := 0; i < 8; i++ {
 		for _, mgr := range []*Manager{m, off} {
 			if err := mgr.Admit(guest); err != nil {

@@ -50,6 +50,12 @@ func (m *Manager) Revoke(capacity float64, pol Policy) (*DegradeReport, error) {
 	defer m.commitMu.Unlock()
 	old := m.cur.Load()
 	newRevoked := old.revoked + capacity
+	// Evicting everything leaves the overheads alone; when even they do
+	// not fit, reject before any profile is patched.
+	if m.over.Total() > m.p-newRevoked+core.SlotFitTol {
+		return nil, fmt.Errorf("%w: revoking %.6f leaves capacity %.6f but the mode overheads alone need %.6f",
+			ErrRejected, capacity, m.p-newRevoked, m.over.Total())
+	}
 	live := append(task.Set(nil), old.live...)
 	var evicted task.Set
 	for {
@@ -58,8 +64,10 @@ func (m *Manager) Revoke(capacity float64, pol Policy) (*DegradeReport, error) {
 			break
 		}
 		if len(live) == 0 {
-			return nil, fmt.Errorf("%w: revoking %.6f leaves capacity %.6f but the mode overheads alone need %.6f",
-				ErrRejected, capacity, m.p-newRevoked, m.over.Total())
+			// Cannot happen: an empty candidate holds only the
+			// overheads, which fit. Re-admit the evicted tasks and reject.
+			m.readmitEvicted(touched, evicted)
+			return nil, fmt.Errorf("%w: no eviction makes %.6f fit", ErrRejected, m.p-newRevoked)
 		}
 		victim := 0
 		for i := 1; i < len(live); i++ {

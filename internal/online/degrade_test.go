@@ -177,7 +177,8 @@ func TestRestoreReadmitsByValue(t *testing.T) {
 }
 
 // TestRevokeRejectsImpossible checks that a revocation no eviction can
-// satisfy — capacity below the mode overheads — is rejected atomically.
+// satisfy — capacity below the mode overheads — is rejected atomically,
+// channel profiles included: they must still hold every live task.
 func TestRevokeRejectsImpossible(t *testing.T) {
 	m, _, _ := minimalManager(t)
 	before := m.Config()
@@ -201,6 +202,7 @@ func TestRevokeRejectsImpossible(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("Verify after rejected revocation: %v", err)
 	}
+	checkProfilesFresh(t, m, "after rejected revocation")
 }
 
 // TestDegradeParameterValidation covers the argument guards.

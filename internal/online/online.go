@@ -36,10 +36,10 @@
 //     set are published by one atomic pointer swap per reconfiguration,
 //     so Config, Slack and Tasks never block behind a reshape.
 //
-//   - Bounded memory: a channel's profile borrows the compiled
-//     problem's prefix rows until a patch must rewrite them, and keeps
-//     a spare buffer for width-changing relayouts, so its storage can
-//     outgrow the live rows. A consolidation policy (Consolidate on
+//   - Bounded memory: a channel's profile keeps one demand row per
+//     deadline point, and a row widened by guests with new deadlines
+//     keeps its capacity after they leave, so its storage can outgrow
+//     the live points. A consolidation policy (Consolidate on
 //     demand, or the automatic retained/live memory-ratio trigger of
 //     SetConsolidateRatio, fed by analysis.Profile.MemStats) rebuilds a
 //     channel's retained pre-pruning stream from scratch —
@@ -90,7 +90,7 @@ import (
 // DefaultConsolidateRatio is the automatic consolidation trigger a new
 // manager starts with: a channel is rebuilt from scratch when its
 // profile's retained/live memory ratio (analysis.MemStats.Ratio — the
-// prefix-row cells its slice backings pin over the cells it actually
+// demand-row cells it keeps allocated over the deadline points it
 // reads) reaches this factor. SetConsolidateRatio changes it.
 const DefaultConsolidateRatio = 4.0
 
@@ -326,9 +326,8 @@ func NewManager(pr core.Problem, cfg core.Config) (*Manager, error) {
 // caller's CompiledProblem: the source stays bit-identical however the
 // manager churns, and several sibling managers may be built from one
 // compilation. (The shared profiles start frozen; the first
-// reconfiguration of a channel thaws an exclusive copy that borrows
-// their prefix rows, never writing them, and is then patched in
-// place.)
+// reconfiguration of a channel thaws an exclusive copy, which shares
+// their envelope index copy-on-write and is then patched in place.)
 func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager, error) {
 	pr := cp.Problem()
 	if err := pr.Validate(); err != nil {
@@ -874,10 +873,8 @@ type touchedChannel struct {
 
 // thaw prepares the shard's profile for in-place patching: makes it
 // exclusive on first touch (the profiles installed at construction are
-// shared with the CompiledProblem and must not be mutated; the thawed
-// copy borrows their prefix rows until a patch must rewrite them) and
-// records the pre-patch fallback baseline. Idempotent; caller holds
-// st.mu.
+// shared with the CompiledProblem and must not be mutated) and records
+// the pre-patch fallback baseline. Idempotent; caller holds st.mu.
 func (tc *touchedChannel) thaw() {
 	if !tc.patched {
 		tc.patched = true
@@ -1163,9 +1160,9 @@ func (m *Manager) maybeConsolidate(touched []touchedChannel) {
 
 // Consolidate rebuilds every channel's retained pre-pruning stream from
 // scratch, bounding the memory a long-lived high-churn manager retains:
-// a patched profile's row storage (rows still borrowed from the
-// compiled problem, spare relayout buffers) can outgrow its live rows,
-// and a fresh compile re-homes the live streams into compact arrays. The
+// a patched profile's demand row keeps the capacity departed guests'
+// deadlines widened it to, and a fresh compile re-homes the live
+// stream into compact arrays. The
 // rebuild is bit-identical to the incremental state (the property the
 // whole compiled layer is tested for), so configurations and admission
 // decisions are unaffected. It locks one channel at a time and never

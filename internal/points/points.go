@@ -49,7 +49,9 @@ func FixedPriority(hp task.Set, d float64) []float64 {
 		period := hp[j-1].T
 		floors = floors[:0]
 		for _, t := range pts {
-			if f := math.Floor(t/period) * period; f > 0 {
+			// Pessimistic: a rounded-up quotient can put ⌊t/T⌋·T an ulp
+			// above t; the clamp drops that point instead of passing d.
+			if f := math.Min(math.Floor(t/period)*period, t); f > 0 {
 				floors = append(floors, f)
 			}
 		}
@@ -112,7 +114,7 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 	advance := func(i int) {
 		t := s[i]
 		for {
-			dl := float64(kidx[i])*t.T + t.D
+			dl := Deadline(kidx[i], t.T, t.D)
 			kidx[i]++
 			if dl > horizon {
 				head[i] = math.Inf(1)
@@ -150,6 +152,13 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 	return out, nil
 }
 
+// Deadline is the absolute deadline k·T + d of a task's job k, rounded
+// as every generator here emits it. The explicit conversion rounds the
+// product before the sum, so no platform fuses them: a caller that
+// counts jobs with Deadline agrees with the generated streams bit for
+// bit.
+func Deadline(k int, T, d float64) float64 { return float64(float64(k)*T) + d }
+
 // TaskDeadlines returns one task's absolute deadline stream restricted
 // to (0, horizon]: the points k·T + D for k ≥ 0, ascending. It generates
 // exactly the values task t contributes to Deadlines (same expression,
@@ -178,7 +187,7 @@ func AppendTaskDeadlines(dst []float64, t task.Task, horizon float64) []float64 
 		return dst
 	}
 	for k := 0; ; k++ {
-		dl := float64(k)*t.T + t.D
+		dl := Deadline(k, t.T, t.D)
 		if dl > horizon {
 			return dst
 		}
@@ -192,13 +201,6 @@ func AppendTaskDeadlines(dst []float64, t task.Task, horizon float64) []float64 
 // dropping exact duplicates. Neither input is modified.
 func MergeUnique(a, b []float64) []float64 {
 	return mergeSortedUnique(a, b, nil)
-}
-
-// MergeUniqueInto is MergeUnique with a caller-recycled destination:
-// dst must be empty (length zero) and must not alias a or b; its backing
-// array is reused when large enough.
-func MergeUniqueInto(a, b, dst []float64) []float64 {
-	return mergeSortedUnique(a, b, dst)
 }
 
 // DenseGrid returns points {step, 2·step, …} up to and including horizon

@@ -312,3 +312,37 @@ func TestTaskDeadlinesRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedPriorityFloorDirection confirms the rounding direction of
+// the ⌊t/T⌋·T lift: at float-rounded steps t = k·T, one ulp below
+// them, and for random four-decimal periods and deadlines, no
+// scheduling point lands above the deadline. A rounding error can only
+// drop a test point, which is pessimistic: every point in (0, d] is a
+// sound place to test. Unclamped, ⌊d/T⌋·T is one ulp above d for
+// T = 76.0954, d = 86292.18359999999.
+func TestFixedPriorityFloorDirection(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	fourDecimal := func(max int) float64 { return float64(1+rng.Intn(max)) / 1e4 }
+	inRange := func(hp task.Set, d float64) {
+		t.Helper()
+		for _, p := range FixedPriority(hp, d) {
+			if !(p > 0 && p <= d) {
+				t.Fatalf("schedP(%v, %v) holds %v outside (0, d]", hp, d, p)
+			}
+		}
+	}
+	inRange(task.Set{{T: 76.0954}}, 86292.18359999999)
+	for trial := 0; trial < 100000; trial++ {
+		T := fourDecimal(1200000)
+		step := Deadline(1+rng.Intn(1000), T, 0)
+		inRange(task.Set{{T: T}}, step)
+		inRange(task.Set{{T: T}}, math.Nextafter(step, 0))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		hp := make(task.Set, 1+rng.Intn(4))
+		for i := range hp {
+			hp[i].T = fourDecimal(400000)
+		}
+		inRange(hp, fourDecimal(1200000))
+	}
+}

@@ -64,7 +64,7 @@ func (s Slot) Value(t float64) float64 {
 	if t <= 0 || s.Q == 0 {
 		return 0
 	}
-	j := math.Floor(t / s.P)
+	j := math.Floor(t / s.P) // continuous: both branches agree at j·P
 	if t < (j+1)*s.P-s.Q {
 		return j * s.Q
 	}
@@ -110,7 +110,7 @@ func (r PeriodicResource) Value(t float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	k := math.Floor(x / r.Pi)
+	k := math.Floor(x / r.Pi) // continuous: both branches agree at k·Π
 	return k*r.Theta + math.Max(0, x-k*r.Pi-(r.Pi-r.Theta))
 }
 
@@ -172,7 +172,7 @@ func (pt Pattern) supplied(from, to float64) float64 {
 		return 0
 	}
 	// Shift into the first period.
-	base := math.Floor(from/pt.P) * pt.P
+	base := math.Floor(from/pt.P) * pt.P // continuous: any base within a period of from works
 	from -= base
 	to -= base
 	total := 0.0

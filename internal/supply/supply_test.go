@@ -246,3 +246,34 @@ func TestBoundedDelayFunction(t *testing.T) {
 		t.Error("BoundedDelay round trip mismatch")
 	}
 }
+
+// TestSupplyFloorsContinuous confirms that the floors in Slot.Value,
+// PeriodicResource.Value and Pattern.supplied are harmless: each is
+// continuous, so at float-rounded steps j·P, where a rounded floor can
+// take either branch, the value moves by no more than rounding noise.
+func TestSupplyFloorsContinuous(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	continuous := func(name string, f func(float64) float64, x float64) {
+		t.Helper()
+		v, tol := f(x), 1e-12*(1+x)
+		for _, y := range []float64{math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1))} {
+			if math.Abs(f(y)-v) > tol {
+				t.Fatalf("%s jumps at the step %v: %v vs %v at %v", name, x, v, f(y), y)
+			}
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		p := float64(1+rng.Intn(100000)) / 1e4
+		q := p * rng.Float64()
+		step := float64(float64(1+rng.Intn(100)) * p)
+		continuous("Slot.Value", Slot{P: p, Q: q}.Value, step)
+		r := PeriodicResource{Pi: p, Theta: q}
+		continuous("PeriodicResource.Value", r.Value, step+(p-q))
+		pat, err := SlotPattern(p, math.Max(q, 1e-3*p), (p-q)*rng.Float64())
+		if err != nil {
+			continue
+		}
+		length := p * 3 * rng.Float64()
+		continuous("Pattern.supplied", func(x float64) float64 { return pat.supplied(x, x+length) }, step)
+	}
+}
