@@ -88,15 +88,18 @@
 //     (ftsim -scenario);
 //   - internal/platform, internal/faults, internal/sim,
 //     internal/recovery, internal/trace: the executable platform model
-//     with fault injection and recovery policies. internal/sim is a
-//     scenario runtime as well as a one-shot simulator: Replay applies
-//     a timeline of workload events (Admit, AdmitPartial, Remove,
-//     Revoke, Restore at simulated instants) to a live online.Manager
-//     and executes the epochs the accepted changes induce — each
-//     configuration swap takes effect at the next slot-cycle boundary
-//     (mode-switch-safe, Figure 2), in-flight jobs carry across each
-//     reshape, and per-task statistics are kept per residency (one
-//     admission-to-departure tenure). The invariant it checks is the
+//     with fault injection and recovery policies. internal/sim has one
+//     executor: under one fault schedule it runs an engine per channel
+//     across epochs, spans with a fixed slot layout at whose
+//     boundaries tasks join and leave. Replay applies a timeline of
+//     workload events (Admit, AdmitPartial, Remove, Revoke, Restore at
+//     simulated instants) to a live online.Manager and executes the
+//     epochs the accepted changes induce — each configuration swap
+//     takes effect at the next slot-cycle boundary (mode-switch-safe,
+//     Figure 2), in-flight jobs carry across each reshape, and per-task
+//     statistics are kept per residency (one admission-to-departure
+//     tenure). Simulator.Run, the static validation of one design, is
+//     the one-epoch case. The invariant Replay checks is the
 //     executable analogue of the admission guarantee: every task the
 //     manager admits meets every deadline released during its
 //     residency. Reshapes that shrink or shift a channel's windows
@@ -165,9 +168,11 @@
 // oracle (envelope.Prune, a fresh Compile, the sim engine's linear-scan
 // release path). EDF demand is an integer tick sum, so its terms may be
 // added and removed in any order; everywhere else buffers may be reused
-// but floating-point operation order may not change. CI enforces the performance side with cmd/benchgate: the
-// headline benchmarks run against the checked-in BENCH_baseline.json
-// and a >20% ns/op or allocs/op regression fails the build.
+// but floating-point operation order may not change.
+//
+// CI enforces the performance side with cmd/benchgate: the headline
+// benchmarks run against the checked-in BENCH_baseline.json and a >20%
+// ns/op or allocs/op regression fails the build.
 //
 // A typical session: build a Problem, explore the feasible periods,
 // solve for a design goal, and validate the result in simulation:

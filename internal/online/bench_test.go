@@ -34,7 +34,7 @@ func BenchmarkPartialAdmission(b *testing.B) {
 		return 1
 	}}
 	for _, shed := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("shed-%d-of-%d", shed, batchSize), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shed=%d", shed), func(b *testing.B) {
 			b.ReportAllocs()
 			m, _, _ := minimalManager(b)
 			m.SetConsolidateRatio(0) // keep the patch counters monotone

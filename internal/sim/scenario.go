@@ -1,16 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/online"
-	"repro/internal/platform"
 	"repro/internal/task"
 	"repro/internal/timeu"
 	"repro/internal/trace"
@@ -158,14 +157,6 @@ type memberOp struct {
 	cancelled bool
 }
 
-// epoch is one provisioning span [from, to) with a fixed slot layout.
-type epoch struct {
-	from, to timeu.Ticks
-	spec     windowSpec
-	joins    task.Set
-	leaves   task.Set
-}
-
 // Replay executes the scenario against the manager and simulates the
 // resulting platform schedule over the horizon.
 //
@@ -195,19 +186,9 @@ func Replay(m *online.Manager, sc Scenario, opts ScenarioOptions) (*ScenarioResu
 	}
 	initial := m.Tasks()
 
-	horizon := opts.Horizon
-	if horizon == 0 {
-		if len(initial) == 0 {
-			return nil, fmt.Errorf("sim: empty initial task set needs an explicit Options.Horizon")
-		}
-		h, err := initial.Hyperperiod(analysis.HyperperiodDenominator)
-		if err != nil {
-			return nil, fmt.Errorf("sim: cannot derive default horizon: %w", err)
-		}
-		horizon = timeu.FromUnits(h)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %d must be positive", horizon)
+	horizon, err := runHorizon(opts.Horizon, initial)
+	if err != nil {
+		return nil, err
 	}
 	settle := period * timeu.Ticks(opts.settlePeriods())
 
@@ -222,16 +203,9 @@ func Replay(m *online.Manager, sc Scenario, opts ScenarioOptions) (*ScenarioResu
 		}
 	}
 
-	injector := opts.Injector
-	if injector == nil {
-		injector = faults.None{}
-	}
-	schedule, err := injector.Schedule(horizon)
+	schedule, err := faultSchedule(opts.Injector, horizon)
 	if err != nil {
-		return nil, fmt.Errorf("sim: fault schedule: %w", err)
-	}
-	if err := faults.ValidateSingleFaultOn(schedule, 0, platform.NumCores); err != nil {
-		return nil, fmt.Errorf("sim: fault schedule: %w", err)
+		return nil, err
 	}
 
 	// nextBoundary is the first slot-cycle boundary at or after t. The
@@ -397,89 +371,20 @@ func Replay(m *online.Manager, sc Scenario, opts ScenarioOptions) (*ScenarioResu
 	}
 	epochs[len(epochs)-1].to = horizon
 
-	// ---- Phase 2: execute each channel across the epochs. ----
+	// ---- Phase 2: execute the epochs; list residencies and the driver's trace. ----
 
-	present := map[task.Mode]map[int]bool{}
-	note := func(t task.Task) {
-		if present[t.Mode] == nil {
-			present[t.Mode] = map[int]bool{}
-		}
-		present[t.Mode][t.Channel] = true
-	}
-	for _, ep := range epochs {
-		for _, t := range ep.joins {
-			note(t)
-		}
-	}
-	var ids []ChannelID
-	for _, md := range task.Modes() {
-		chs := make([]int, 0, len(present[md]))
-		for ch := range present[md] {
-			chs = append(chs, ch)
-		}
-		sort.Ints(chs)
-		for _, ch := range chs {
-			ids = append(ids, ChannelID{Mode: md, Ch: ch})
-		}
-	}
-
-	runOne := func(id ChannelID) (*channelResult, error) {
-		eng := newEngine(id, alg, horizon, opts.Recovery, opts.newEngineLog())
-		eng.linearReleases = opts.linearReleases
-		eng.period = period
-		for i, ep := range epochs {
-			svc := eng.serviceFor(ep.spec, schedule, ep.from, ep.to)
-			corrupt := eng.corruptFor(ep.spec, schedule, ep.from, ep.to)
-			leaves := ep.leaves.ByChannel(id.Mode, id.Ch)
-			joins := ep.joins.ByChannel(id.Mode, id.Ch)
-			// A reshape perturbs this channel when the mode's new
-			// windows do not cover the old ones: pure growth keeps every
-			// old-epoch supply instant, shrinks and shifts do not.
-			perturbed := i > 0 && !coversOffsets(epochs[i-1].spec.usable[id.Mode], ep.spec.usable[id.Mode])
-			if err := eng.provision(ep.from, svc, corrupt, leaves, joins, perturbed); err != nil {
-				return nil, err
-			}
-			if err := eng.runUntil(ep.to); err != nil {
-				return nil, err
-			}
-		}
-		return eng.finish(), nil
-	}
-
-	channels, err := runChannels(ids, opts.Parallel, runOne)
+	r, channels, err := execute(alg, epochs, horizon, schedule, opts.Options)
 	if err != nil {
 		return nil, err
 	}
-
-	// ---- Merge, account, and attach the driver's own trace. ----
-
-	res := &ScenarioResult{Result: *newResult(horizon, opts.CollectTrace), Epochs: len(epochs), Outcomes: outcomes}
+	res := &ScenarioResult{Result: *r, Epochs: len(epochs), Outcomes: outcomes}
 	for _, cr := range channels {
 		res.Residencies = append(res.Residencies, cr.residencies...)
-		res.merge(cr)
 	}
-	sort.SliceStable(res.Residencies, func(i, j int) bool {
-		a, b := res.Residencies[i], res.Residencies[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Task.Mode != b.Task.Mode {
-			return a.Task.Mode < b.Task.Mode
-		}
-		if a.Task.Channel != b.Task.Channel {
-			return a.Task.Channel < b.Task.Channel
-		}
-		return a.Task.Name < b.Task.Name
+	slices.SortStableFunc(res.Residencies, func(a, b Residency) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Task.Mode, b.Task.Mode),
+			cmp.Compare(a.Task.Channel, b.Task.Channel), strings.Compare(a.Task.Name, b.Task.Name))
 	})
-
-	var usable, overhead modeIntervals
-	for _, ep := range epochs {
-		appendPlatformWindows(&usable, &overhead, ep.spec, ep.from, ep.to)
-	}
-	res.accountFaults(schedule, usable)
-	res.accountPlatform(usable, overhead, horizon)
-	res.TotalFaults = len(schedule)
-
 	if res.Trace != nil {
 		for _, ev := range sunk {
 			res.Trace.Add(trace.Event{At: ev.At, Kind: ev.Kind, Mode: ev.Mode, Channel: ev.Channel, Core: -1,
@@ -504,59 +409,6 @@ func Replay(m *online.Manager, sc Scenario, opts ScenarioOptions) (*ScenarioResu
 		opts.Metrics.observeReplay(res, uint64(time.Since(wall0)))
 	}
 	return res, nil
-}
-
-// runChannels executes one engine per channel, sequentially or on
-// goroutines, and returns the results in the canonical channel order.
-func runChannels(ids []ChannelID, parallel bool, runOne func(ChannelID) (*channelResult, error)) ([]*channelResult, error) {
-	results := make([]*channelResult, len(ids))
-	if !parallel {
-		for i, id := range ids {
-			cr, err := runOne(id)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = cr
-		}
-		return results, nil
-	}
-	errs := make([]error, len(ids))
-	done := make(chan int, len(ids))
-	for i := range ids {
-		go func(i int) {
-			results[i], errs[i] = runOne(ids[i])
-			done <- i
-		}(i)
-	}
-	for range ids {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// coversOffsets reports whether every old per-period window is
-// contained in some new window — the condition under which a reshape
-// can only add supply to the channel and carried jobs keep their
-// old-epoch guarantee.
-func coversOffsets(old, new []interval) bool {
-	for _, o := range old {
-		contained := false
-		for _, n := range new {
-			if n.From <= o.From && o.To <= n.To {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			return false
-		}
-	}
-	return true
 }
 
 // diffByName compares two live sets by task name, reporting tasks that

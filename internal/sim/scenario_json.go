@@ -11,8 +11,9 @@ import (
 
 // ScenarioFile is the decoded form of a scenario JSON file — the
 // reproducible-workload DSL behind `ftsim -scenariofile`. Times in the
-// file are float64 time units (the same scale task parameters use);
-// decoding converts them to ticks.
+// file are float64 time units (the same scale task parameters use), at
+// most maxScenarioUnits; decoding converts them to ticks. Admission
+// batches are validated like task-set files (task.ReadJSON).
 //
 // The wire format:
 //
@@ -38,6 +39,14 @@ type ScenarioFile struct {
 	// Scenario is the decoded timeline.
 	Scenario Scenario
 }
+
+// maxScenarioUnits bounds a scenario file's instants and horizon, in
+// time units. Up to it an instant survives WriteJSON → ReadScenario
+// exactly: its tick count stays under 2^51, where Ticks.Units and the
+// FromUnits that reads the written value back err by less than half a
+// tick together. Scenarios span a few hundred units; int64 ticks
+// overflow near 9.2e9.
+const maxScenarioUnits = 1e6
 
 type scenarioJSON struct {
 	Horizon       float64     `json:"horizon,omitempty"`
@@ -72,8 +81,8 @@ func ReadScenario(r io.Reader) (*ScenarioFile, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("sim: parsing scenario file: %w", err)
 	}
-	if raw.Horizon < 0 {
-		return nil, fmt.Errorf("sim: scenario horizon %g must not be negative", raw.Horizon)
+	if raw.Horizon < 0 || raw.Horizon > maxScenarioUnits {
+		return nil, fmt.Errorf("sim: scenario horizon %g outside [0, %g]", raw.Horizon, maxScenarioUnits)
 	}
 	sf := &ScenarioFile{HorizonUnits: raw.Horizon, SettlePeriods: raw.SettlePeriods}
 	for i, e := range raw.Events {
@@ -81,14 +90,18 @@ func ReadScenario(r io.Reader) (*ScenarioFile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: event %d: %w", i, err)
 		}
-		if e.At < 0 {
-			return nil, fmt.Errorf("sim: event %d (%s): negative instant %g", i, e.Kind, e.At)
+		if e.At < 0 || e.At > maxScenarioUnits {
+			return nil, fmt.Errorf("sim: event %d (%s): instant %g outside [0, %g]", i, e.Kind, e.At, maxScenarioUnits)
 		}
 		ev := WorkloadEvent{At: timeu.FromUnits(e.At), Kind: kind}
 		switch kind {
 		case EventAdmit, EventAdmitPartial:
 			if len(e.Tasks) == 0 {
 				return nil, fmt.Errorf("sim: event %d (%s): needs a non-empty tasks list", i, e.Kind)
+			}
+			// Decoding normalised each task (task.Task.UnmarshalJSON).
+			if err := e.Tasks.Validate(); err != nil {
+				return nil, fmt.Errorf("sim: event %d (%s): %w", i, e.Kind, err)
 			}
 			ev.Tasks = e.Tasks
 		case EventRemove:

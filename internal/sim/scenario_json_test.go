@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,18 +57,67 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// badScenarios are scenario files ReadScenario must reject.
+var badScenarios = map[string]string{
+	"unknown kind":    `{"events":[{"at":1,"kind":"explode"}]}`,
+	"negative at":     `{"events":[{"at":-1,"kind":"remove","names":["a"]}]}`,
+	"admit no tasks":  `{"events":[{"at":1,"kind":"admit"}]}`,
+	"remove no names": `{"events":[{"at":1,"kind":"remove"}]}`,
+	"revoke zero":     `{"events":[{"at":1,"kind":"revoke"}]}`,
+	"unknown field":   `{"events":[{"at":1,"kind":"remove","names":["a"],"bogus":1}]}`,
+	// 1e10 units overflow int64 ticks; 5e6 fit but no longer round-trip.
+	"at overflows ticks":    `{"events":[{"at":1e10,"kind":"remove","names":["a"]}]}`,
+	"at past round-trip":    `{"events":[{"at":5e6,"kind":"remove","names":["a"]}]}`,
+	"horizon past range":    `{"horizon":1e10,"events":[]}`,
+	"admit negative C":      `{"events":[{"at":1,"kind":"admit","tasks":[{"name":"g","c":-1,"t":8,"mode":"NF","channel":0}]}]}`,
+	"admit zero T":          `{"events":[{"at":1,"kind":"admit","tasks":[{"name":"g","c":0.1,"t":0,"mode":"NF","channel":0}]}]}`,
+	"admit channel 9":       `{"events":[{"at":1,"kind":"admit-partial","tasks":[{"name":"g","c":0.1,"t":8,"mode":"NF","channel":9}]}]}`,
+	"admit duplicate names": `{"events":[{"at":1,"kind":"admit","tasks":[{"name":"g","c":0.1,"t":8,"mode":"NF","channel":0},{"name":"g","c":0.1,"t":8,"mode":"NF","channel":1}]}]}`,
+}
+
 func TestScenarioJSONRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"unknown kind":    `{"events":[{"at":1,"kind":"explode"}]}`,
-		"negative at":     `{"events":[{"at":-1,"kind":"remove","names":["a"]}]}`,
-		"admit no tasks":  `{"events":[{"at":1,"kind":"admit"}]}`,
-		"remove no names": `{"events":[{"at":1,"kind":"remove"}]}`,
-		"revoke zero":     `{"events":[{"at":1,"kind":"revoke"}]}`,
-		"unknown field":   `{"events":[{"at":1,"kind":"remove","names":["a"],"bogus":1}]}`,
-	}
-	for name, src := range cases {
+	for name, src := range badScenarios {
 		if _, err := ReadScenario(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted %s", name, src)
 		}
 	}
+}
+
+// FuzzScenarioFile checks the scenario DSL on arbitrary bytes:
+// ReadScenario either rejects the input or accepts a file that WriteJSON
+// writes back and ReadScenario reads to an equal ScenarioFile. It never
+// panics.
+func FuzzScenarioFile(f *testing.F) {
+	f.Add([]byte(`{
+	  "horizon": 360,
+	  "settle_periods": 1,
+	  "events": [
+	    {"at": 12.5, "kind": "admit",
+	     "tasks": [{"name": "g1", "c": 0.05, "t": 8, "mode": "NF", "channel": 2}]},
+	    {"at": 20,   "kind": "admit-partial", "tasks": [{"name": "g2", "c": 0.1, "t": 12, "d": 10, "mode": "FS", "channel": 1}]},
+	    {"at": 28,   "kind": "remove",  "names": ["g1"]},
+	    {"at": 40,   "kind": "revoke",  "capacity": 0.3},
+	    {"at": 55,   "kind": "restore", "capacity": 0.3}
+	  ]
+	}`))
+	for _, src := range badScenarios {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := ReadScenario(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := sf.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		back, err := ReadScenario(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadScenario rejects what WriteJSON wrote: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(sf, back) {
+			t.Fatalf("round trip changed the scenario:\nread    %+v\nreread  %+v\nwritten %s", sf, back, buf.Bytes())
+		}
+	})
 }

@@ -5,18 +5,23 @@
 // the checker semantics of internal/platform (FT masks, FS silences,
 // NF corrupts).
 //
-// Two entry points share one engine:
-//
-//   - Simulator.Run executes a static configuration over a horizon —
-//     the executable validation of a single design: a configuration
-//     that internal/core proves feasible must complete every job by its
-//     deadline here, under any single-transient-fault schedule.
+// One executor runs every simulation. It takes the horizon split into
+// epochs — spans with a fixed slot layout, at whose boundaries tasks
+// join and leave — and one fault schedule, and runs one engine per
+// channel across the epochs, re-provisioning it at each boundary with
+// in-flight jobs carried over. Two entry points feed it:
 //
 //   - Replay executes a Scenario — a timeline of workload events
 //     (admissions, removals, capacity revocations and restores) applied
 //     to a live online.Manager — and validates the executable analogue
 //     of the admission guarantees: every task the manager admits meets
 //     every deadline released during its residency, across reshapes.
+//
+//   - Simulator.Run is the one-epoch case: a static configuration over
+//     a horizon, the executable validation of a single design. A
+//     configuration that internal/core proves feasible must complete
+//     every job by its deadline here, under any single-transient-fault
+//     schedule.
 //
 // Time is integer ticks (internal/timeu) so runs are exact and
 // reproducible. Window boundaries derived from the float64 analysis are
@@ -30,9 +35,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -189,113 +194,195 @@ func newWithSpec(spec windowSpec, tasks task.Set, alg analysis.Alg) (*Simulator,
 	if alg != analysis.RM && alg != analysis.DM && alg != analysis.EDF {
 		return nil, fmt.Errorf("sim: unsupported algorithm %v", alg)
 	}
+	if spec.period <= 0 {
+		return nil, fmt.Errorf("sim: period of %d ticks is degenerate", spec.period)
+	}
 	return &Simulator{spec: spec, tasks: tasks, alg: alg}, nil
 }
 
-// Run simulates [0, horizon) and returns the aggregated result.
+// Run simulates [0, horizon) and returns the aggregated result: the
+// one-epoch case of the executor, with the whole task set joining at 0
+// on a slot layout that never changes.
 func (s *Simulator) Run(opts Options) (*Result, error) {
-	horizon := opts.Horizon
-	if horizon == 0 {
-		h, err := s.tasks.Hyperperiod(analysis.HyperperiodDenominator)
-		if err != nil {
-			return nil, fmt.Errorf("sim: cannot derive default horizon: %w", err)
-		}
-		horizon = timeu.FromUnits(h)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %d must be positive", horizon)
-	}
-	injector := opts.Injector
-	if injector == nil {
-		injector = faults.None{}
-	}
-	schedule, err := injector.Schedule(horizon)
+	horizon, err := runHorizon(opts.Horizon, s.tasks)
 	if err != nil {
-		return nil, fmt.Errorf("sim: fault schedule: %w", err)
+		return nil, err
 	}
-	// The built-in injectors validate by construction, but a custom
-	// Injector could hand back overlapping faults or out-of-range cores;
-	// the fault handling below assumes neither.
-	if err := faults.ValidateSingleFaultOn(schedule, 0, platform.NumCores); err != nil {
-		return nil, fmt.Errorf("sim: fault schedule: %w", err)
+	schedule, err := faultSchedule(opts.Injector, horizon)
+	if err != nil {
+		return nil, err
 	}
-
-	// Build the per-channel work items.
-	type item struct {
-		id    ChannelID
-		tasks task.Set
+	res, _, err := execute(s.alg, []epoch{{from: 0, to: horizon, spec: s.spec, joins: s.tasks}}, horizon, schedule, opts)
+	if err != nil {
+		return nil, err
 	}
-	var items []item
-	for _, m := range task.Modes() {
-		for ch, sub := range s.tasks.Channels(m) {
-			if len(sub) == 0 {
-				continue
-			}
-			items = append(items, item{id: ChannelID{Mode: m, Ch: ch}, tasks: sub})
-		}
-	}
-
-	results := make([]*channelResult, len(items))
-	runOne := func(i int) error {
-		cr, err := s.runChannel(items[i].id, items[i].tasks, schedule, horizon, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = cr
-		return nil
-	}
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		errs := make([]error, len(items))
-		for i := range items {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = runOne(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := range items {
-			if err := runOne(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	res := newResult(horizon, opts.CollectTrace)
-	for _, cr := range results {
-		res.merge(cr)
-	}
-	var usable, overhead modeIntervals
-	appendPlatformWindows(&usable, &overhead, s.spec, 0, horizon)
-	res.accountFaults(schedule, usable)
-	res.accountPlatform(usable, overhead, horizon)
-	res.TotalFaults = len(schedule)
 	opts.finishTrace(res.Trace)
 	return res, nil
 }
 
-// runChannel simulates one channel end to end: a single epoch spanning
-// the whole horizon.
-func (s *Simulator) runChannel(id ChannelID, tasks task.Set, schedule []faults.Fault, horizon timeu.Ticks, opts Options) (*channelResult, error) {
-	eng := newEngine(id, s.alg, horizon, opts.Recovery, opts.newEngineLog())
-	eng.linearReleases = opts.linearReleases
-	eng.period = s.spec.period
-	svc := eng.serviceFor(s.spec, schedule, 0, horizon)
-	corrupt := eng.corruptFor(s.spec, schedule, 0, horizon)
-	if err := eng.provision(0, svc, corrupt, nil, tasks, false); err != nil {
-		return nil, err
+// runHorizon resolves Options.Horizon: zero means one hyperperiod of
+// the tasks resident at time 0.
+func runHorizon(horizon timeu.Ticks, initial task.Set) (timeu.Ticks, error) {
+	if horizon == 0 {
+		if len(initial) == 0 {
+			return 0, fmt.Errorf("sim: empty initial task set needs an explicit Options.Horizon")
+		}
+		h, err := initial.Hyperperiod(analysis.HyperperiodDenominator)
+		if err != nil {
+			return 0, fmt.Errorf("sim: cannot derive default horizon: %w", err)
+		}
+		horizon = timeu.FromUnits(h)
 	}
-	if err := eng.runUntil(horizon); err != nil {
-		return nil, err
+	if horizon <= 0 {
+		return 0, fmt.Errorf("sim: horizon %d must be positive", horizon)
 	}
-	return eng.finish(), nil
+	return horizon, nil
+}
+
+// faultSchedule draws the faults over [0, horizon); a nil injector
+// means none. The built-in injectors validate by construction, but a
+// custom Injector could hand back overlapping faults or out-of-range
+// cores, and the engine's fault handling assumes neither.
+func faultSchedule(inj faults.Injector, horizon timeu.Ticks) ([]faults.Fault, error) {
+	if inj == nil {
+		return nil, nil
+	}
+	schedule, err := inj.Schedule(horizon)
+	if err == nil {
+		err = faults.ValidateSingleFaultOn(schedule, 0, platform.NumCores)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: fault schedule: %w", err)
+	}
+	return schedule, nil
+}
+
+// epoch is one provisioning span [from, to) with a fixed slot layout;
+// joins and leaves are the tasks that enter and exit at from.
+type epoch struct {
+	from, to timeu.Ticks
+	spec     windowSpec
+	joins    task.Set
+	leaves   task.Set
+}
+
+// execute runs alg over the epochs, which tile [0, horizon), under one
+// fault schedule. Every channel that some epoch joins a task to gets
+// one engine, provisioned at each epoch boundary and run to the next;
+// the engines run in turn or, with opts.Parallel, on goroutines.
+// execute merges their results in canonical channel order and accounts
+// platform time and faults over the epochs. The merged trace is not
+// yet finished (opts.finishTrace), so a caller can add its own events
+// first. The channel results are returned too, in the same order, for
+// the residencies only Replay reports.
+func execute(alg analysis.Alg, epochs []epoch, horizon timeu.Ticks, schedule []faults.Fault, opts Options) (*Result, []*channelResult, error) {
+	n := 0
+	for _, ep := range epochs {
+		n += len(ep.joins)
+	}
+	ids := make([]ChannelID, 0, n)
+	for _, ep := range epochs {
+		for _, t := range ep.joins {
+			ids = append(ids, ChannelID{Mode: t.Mode, Ch: t.Channel})
+		}
+	}
+	slices.SortFunc(ids, func(a, b ChannelID) int {
+		return cmp.Or(cmp.Compare(a.Mode, b.Mode), cmp.Compare(a.Ch, b.Ch))
+	})
+	ids = slices.Compact(ids)
+
+	runOne := func(id ChannelID) (*channelResult, error) {
+		eng := newEngine(id, alg, horizon, opts.Recovery, opts.newEngineLog())
+		eng.linearReleases = opts.linearReleases
+		eng.period = epochs[0].spec.period
+		for i, ep := range epochs {
+			svc := eng.serviceFor(ep.spec, schedule, ep.from, ep.to)
+			corrupt := eng.corruptFor(ep.spec, schedule, ep.from, ep.to)
+			leaves := ep.leaves.ByChannel(id.Mode, id.Ch)
+			joins := ep.joins.ByChannel(id.Mode, id.Ch)
+			// A reshape perturbs this channel when the mode's new
+			// windows do not cover the old ones: pure growth keeps every
+			// old-epoch supply instant, shrinks and shifts do not.
+			perturbed := i > 0 && !coversOffsets(epochs[i-1].spec.usable[id.Mode], ep.spec.usable[id.Mode])
+			if err := eng.provision(ep.from, svc, corrupt, leaves, joins, perturbed); err != nil {
+				return nil, err
+			}
+			if err := eng.runUntil(ep.to); err != nil {
+				return nil, err
+			}
+		}
+		return eng.finish(), nil
+	}
+	channels, err := runChannels(ids, opts.Parallel, runOne)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	res := newResult(horizon, opts.CollectTrace)
+	for _, cr := range channels {
+		res.merge(cr)
+	}
+	var usable, overhead modeIntervals
+	for _, ep := range epochs {
+		appendPlatformWindows(&usable, &overhead, ep.spec, ep.from, ep.to)
+	}
+	res.accountFaults(schedule, usable)
+	res.accountPlatform(usable, overhead, horizon)
+	res.TotalFaults = len(schedule)
+	return res, channels, nil
+}
+
+// runChannels executes one engine per channel, sequentially or on
+// goroutines, and returns the results in the canonical channel order.
+func runChannels(ids []ChannelID, parallel bool, runOne func(ChannelID) (*channelResult, error)) ([]*channelResult, error) {
+	results := make([]*channelResult, len(ids))
+	if !parallel {
+		for i, id := range ids {
+			cr, err := runOne(id)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = cr
+		}
+		return results, nil
+	}
+	errs := make([]error, len(ids))
+	done := make(chan int, len(ids))
+	for i := range ids {
+		go func(i int) {
+			results[i], errs[i] = runOne(ids[i])
+			done <- i
+		}(i)
+	}
+	for range ids {
+		<-done
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// coversOffsets reports whether every old per-period window is
+// contained in some new window — the condition under which a reshape
+// can only add supply to the channel and carried jobs keep their
+// old-epoch guarantee.
+func coversOffsets(old, new []interval) bool {
+	for _, o := range old {
+		contained := false
+		for _, n := range new {
+			if n.From <= o.From && o.To <= n.To {
+				contained = true
+				break
+			}
+		}
+		if !contained {
+			return false
+		}
+	}
+	return true
 }
 
 // ChannelID names one execution channel of one mode.

@@ -58,6 +58,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(toyConfig(), toyTasks(), analysis.Alg(9)); err == nil {
 		t.Error("unknown algorithm should be rejected")
 	}
+	// Periods that round to 0 ticks: Run divides by the period.
+	tiny := core.Config{P: 4e-10, Q: core.PerMode{FT: 1e-10, FS: 1e-10, NF: 1e-10}}
+	if err := tiny.Validate(); err != nil {
+		t.Fatalf("the sub-tick config must pass Config.Validate: %v", err)
+	}
+	if _, err := New(tiny, toyTasks(), analysis.EDF); err == nil {
+		t.Error("sub-tick period should be rejected")
+	}
+	if _, err := NewWindows(1e-10, nil, nil, toyTasks(), analysis.EDF); err == nil {
+		t.Error("sub-tick window period should be rejected")
+	}
 }
 
 func TestFaultFreeBasics(t *testing.T) {

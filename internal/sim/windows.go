@@ -61,9 +61,6 @@ func specFromConfig(cfg core.Config) windowSpec {
 	return spec
 }
 
-// periodTicks returns the slot-cycle period in ticks.
-func (s *Simulator) periodTicks() timeu.Ticks { return s.spec.period }
-
 // repeatRange materialises periodic per-period offsets over [from, to)
 // into dst (pass dst[:0] to reuse a scratch buffer), clipping at both
 // ends. Epoch boundaries sit on period multiples, so windows never
@@ -89,18 +86,6 @@ func repeatRange(dst []interval, offsets []interval, period, from, to timeu.Tick
 		}
 	}
 	return dst
-}
-
-// modeWindows materialises the usable windows of mode m over [0, horizon).
-func (s *Simulator) modeWindows(m task.Mode, horizon timeu.Ticks) []interval {
-	return repeatRange(nil, s.spec.usable[m], s.spec.period, 0, horizon)
-}
-
-// overheadWindows materialises the mode-switch overhead intervals of
-// mode m (the prefix of each of its sub-slots) over the horizon, for
-// platform-time accounting.
-func (s *Simulator) overheadWindows(m task.Mode, horizon timeu.Ticks) []interval {
-	return repeatRange(nil, s.spec.overhead[m], s.spec.period, 0, horizon)
 }
 
 // appendPlatformWindows appends the per-mode usable and overhead windows
