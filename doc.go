@@ -53,7 +53,12 @@
 //     recompile (counted by Profile.Fallbacks and reported as a trace
 //     event);
 //   - internal/region, internal/design: Figure 4 exploration and the
-//     two design goals of Table 2;
+//     two design goals of Table 2. The period searches find their
+//     answer on the Figure 4 grid without evaluating all of it: the
+//     minimum quanta sum S(P) is nondecreasing in P, so an interval of
+//     the grid is bounded by its right end and S at its left end, and
+//     only the samples no such bound rules out are evaluated. Results
+//     match a scan of every sample bit for bit;
 //   - internal/partition, internal/workload: automatic channel
 //     assignment and synthetic workload generation;
 //   - internal/online: the run-time admission controller of the paper's

@@ -80,7 +80,7 @@ func (pf *Profile) thaw(extra int) *Profile {
 	n := len(pf.tasks)
 	c := &Profile{
 		alg: pf.alg, horizon: pf.horizon, horizonInt: pf.horizonInt,
-		fallbacks: pf.fallbacks, exclusive: true,
+		streamLen: pf.streamLen, fallbacks: pf.fallbacks, exclusive: true,
 	}
 	c.tasks = append(make(task.Set, 0, n+extra), pf.tasks...)
 	if pf.scaled != nil {
@@ -257,12 +257,21 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 			return err
 		}
 		scaledAdd = append(scaledAdd, p)
-		if hInt = timeu.LCM(hInt, p); hInt != pf.horizonInt {
+		if hInt, err = timeu.LCM(hInt, p); err != nil {
+			sc.scaled = scaledAdd
+			return err
+		}
+		if hInt != pf.horizonInt {
 			sc.scaled = scaledAdd
 			return pf.adoptCompiled(append(pf.tasks, add...), true)
 		}
 	}
 	sc.scaled = scaledAdd
+	// The bound a fresh Compile of the candidate applies to its stream.
+	streamLen := pf.streamLen + points.StreamLen(add, pf.horizon)
+	if err := points.CheckStreamLen(streamLen, pf.horizon); err != nil {
+		return err
+	}
 	// Union of the newcomers' deadline streams, built on pooled buffers:
 	// the single merge input. W's last point is the demand of the whole
 	// stream, so checking the newcomers' jobs against it bounds every
@@ -302,6 +311,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	pf.addCharges(sc)
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
+	pf.streamLen = streamLen
 	// Hand the patched demand row to the index: it re-ranks exactly the
 	// points whose demand changed bitwise and maintains the envelope.
 	if err := pf.idx.SetDemand(sc.demands(pf.w)); err != nil {
@@ -353,10 +363,14 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	// reaches the horizon it stays there — stop early.
 	hInt := int64(1)
 	for i, p := range pf.scaled {
-		if !used[i] {
-			if hInt = timeu.LCM(hInt, p); hInt == pf.horizonInt {
-				break
-			}
+		if used[i] {
+			continue
+		}
+		var err error
+		if hInt, err = timeu.LCM(hInt, p); err != nil {
+			return err
+		} else if hInt == pf.horizonInt {
+			break
 		}
 	}
 	// Compact tasks and scaled in place.
@@ -375,6 +389,7 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		// re-ranges, so patching has no advantage.
 		return pf.adoptCompiled(pf.tasks, true)
 	}
+	pf.streamLen -= points.StreamLen(rem, pf.horizon)
 	// Walk owner counts down once per departing stream and take back
 	// their jobs in one walk, then compact: points owned solely by the
 	// departing tasks drop out of the stream, and Compact reports their

@@ -78,6 +78,10 @@ type Profile struct {
 	horizon    float64
 	horizonInt int64
 	scaled     []int64
+	// streamLen is points.StreamLen of tasks up to horizon, the count
+	// points.MaxStream bounds, kept so that AddTasks checks a batch
+	// against the bound without recounting the residents.
+	streamLen float64
 	// w is the EDF demand row in ticks, aligned with idx's stream: w[k]
 	// is DemandBound at the k-th point times timeu.Scale.
 	w []int64
@@ -113,7 +117,9 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 				return nil, err
 			}
 			scaled[i] = p
-			hInt = timeu.LCM(hInt, p)
+			if hInt, err = timeu.LCM(hInt, p); err != nil {
+				return nil, err
+			}
 		}
 		pf.scaled = scaled
 		h := float64(hInt) / float64(HyperperiodDenominator)
@@ -124,6 +130,7 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		pf.tasks = append(task.Set(nil), s...)
 		pf.horizon = h
 		pf.horizonInt = hInt
+		pf.streamLen = points.StreamLen(s, h)
 		pf.w = w
 		sc := patchPool.Get().(*patchScratch)
 		pf.idx, err = envelope.Build(false, dls, sc.demands(w), owners)
@@ -282,6 +289,9 @@ func (pf *Profile) Check() error {
 	}
 	if !pf.Equal(fresh) {
 		return fmt.Errorf("analysis: profile check: pruned pairs differ from fresh Compile (%d vs %d)", pf.Pairs(), fresh.Pairs())
+	}
+	if pf.streamLen != fresh.streamLen {
+		return fmt.Errorf("analysis: profile check: stream count %g, fresh Compile has %g", pf.streamLen, fresh.streamLen)
 	}
 	if pf.idx != nil {
 		ts, want := pf.idx.Ts(), fresh.idx.Ts()

@@ -237,3 +237,51 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestHyperperiodOverflowIsAnError(t *testing.T) {
+	// Valid periods whose scaled LCM overflows int64, and a period whose
+	// scaled value alone does: EDF analysis must refuse them, not panic,
+	// whether they are compiled together or added to a profile.
+	base := task.Task{Name: "a", C: 1, T: 7.000001, D: 7.000001}
+	for _, add := range []task.Set{
+		{{Name: "b", C: 1, T: 5.000003, D: 5.000003}, {Name: "c", C: 1, T: 3.000007, D: 3.000007}},
+		{{Name: "huge", C: 1, T: 1e300, D: 1e300}},
+	} {
+		s := append(task.Set{base}, add...)
+		if _, err := Compile(s, EDF); err == nil {
+			t.Errorf("Compile(%v): want an error", s)
+		}
+		if q, err := MinQ(s, EDF, 1); err == nil {
+			t.Errorf("MinQ(%v) = %g: want an error", s, q)
+		}
+		pf, err := Compile(s[:1], EDF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.Thawed().AddTasks(add); err == nil {
+			t.Errorf("AddTasks(%v): want an error", add)
+		}
+	}
+}
+
+func TestStreamBoundIsAnError(t *testing.T) {
+	// τ1 alone has hyperperiod 6; a newcomer of period 1e-6 keeps it but
+	// brings 6·10^6 deadlines, beyond points.MaxStream. A fresh Compile
+	// and an incremental AddTasks must both refuse the candidate.
+	tau1 := task.Task{Name: "tau1", C: 1, T: 6, D: 6}
+	tiny := task.Task{Name: "tiny", C: 1e-7, T: 1e-6, D: 1e-6}
+	if _, err := Compile(task.Set{tau1, tiny}, EDF); err == nil {
+		t.Error("Compile: want an error")
+	}
+	pf, err := Compile(task.Set{tau1}, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := pf.Thawed()
+	if err := th.AddTasks([]task.Task{tiny}); err == nil {
+		t.Error("AddTasks: want an error")
+	}
+	if err := th.Check(); err != nil {
+		t.Errorf("profile after the refused AddTasks: %v", err)
+	}
+}

@@ -9,9 +9,10 @@ import (
 
 // CompiledProblem is a Problem whose per-channel demand profiles have
 // been compiled once (see analysis.Compile), so that the quantities the
-// design-space searches evaluate thousands of times — MinQuanta, LHS and
-// FeasiblePeriod — become tight allocation-free loops over precompiled
-// (t, W(t)) pairs. The results are bit-identical to the naive methods on
+// design-space searches evaluate over and over — MinQuanta, LHS and
+// FeasiblePeriod, tens to hundreds of times per period search and once
+// per sample of a Figure 4 sweep — become tight allocation-free loops
+// over precompiled (t, W(t)) pairs. The results are bit-identical to the naive methods on
 // Problem, which remain as the reference oracle.
 //
 // A CompiledProblem is immutable after Compile and safe for concurrent

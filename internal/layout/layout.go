@@ -77,9 +77,15 @@ func (c Counts) Validate() error {
 }
 
 // frames returns lcm(counts).
-func (c Counts) frames() int {
-	l := timeu.LCMAll(int64(c.FT), int64(c.FS), int64(c.NF))
-	return int(l)
+func (c Counts) frames() (int, error) {
+	l := int64(1)
+	for _, k := range []int{c.FT, c.FS, c.NF} {
+		var err error
+		if l, err = timeu.LCM(l, int64(k)); err != nil {
+			return 0, fmt.Errorf("layout: frames of counts %+v: %w", c, err)
+		}
+	}
+	return int(l), nil
 }
 
 // Layout is an as-built period layout: explicit sub-slot intervals per
@@ -115,7 +121,10 @@ func Build(p float64, counts Counts, quanta core.PerMode, o core.Overheads) (Lay
 			return Layout{}, fmt.Errorf("layout: negative quantum or overhead for %s", m)
 		}
 	}
-	frames := counts.frames()
+	frames, err := counts.frames()
+	if err != nil {
+		return Layout{}, err
+	}
 	frameLen := p / float64(frames)
 	ivs := map[task.Mode][]supply.Interval{}
 	consumed := 0.0

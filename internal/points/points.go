@@ -85,11 +85,19 @@ func mergeSortedUnique(a, b, dst []float64) []float64 {
 	return dst
 }
 
+// MaxStream bounds the deadlines Deadlines enumerates, counted per task
+// before duplicates merge (see StreamLen): about 4 million points, 32 MB
+// of float64. It is far above any stream of the paper's time scale (a
+// 240-unit hyperperiod of 83 tasks has under 2000), and it turns a
+// horizon that would exhaust memory into an error.
+const MaxStream = 1 << 22
+
 // Deadlines returns dlSet(T) restricted to (0, horizon]: every absolute
 // deadline k·T_i + D_i (k ≥ 0) of every task, assuming the synchronous
 // arrival pattern (all first jobs released at time zero). The horizon is
 // normally the hyperperiod of the set. The result is sorted ascending
-// and duplicate-free.
+// and duplicate-free. A set with more than MaxStream deadlines in the
+// horizon is an error, reported before anything is allocated.
 //
 // Each task's deadline stream is already ascending, so the set is built
 // by a k-way merge of the streams instead of hashing and sorting. A task
@@ -105,6 +113,10 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 		if t.T <= 0 {
 			return nil, fmt.Errorf("points: task %s has non-positive period T = %g", t.Name, t.T)
 		}
+	}
+	total := StreamLen(s, horizon)
+	if err := CheckStreamLen(total, horizon); err != nil {
+		return nil, err
 	}
 	// head[i] is task i's next unconsumed deadline in (0, horizon],
 	// +Inf once the stream is exhausted.
@@ -127,14 +139,10 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 			}
 		}
 	}
-	total := 0
-	for i, t := range s {
-		if t.D <= horizon {
-			total += int(math.Max(0, (horizon-t.D)/t.T)) + 1
-		}
+	for i := range s {
 		advance(i)
 	}
-	out := make([]float64, 0, total)
+	out := make([]float64, 0, int(total))
 	for exhausted < len(s) {
 		next := math.Inf(1)
 		for _, h := range head {
@@ -150,6 +158,30 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// StreamLen returns how many deadlines the tasks of s have in
+// (0, horizon], counted per task before duplicates merge: the count
+// MaxStream bounds. It counts in float64, so that a huge horizon cannot
+// overflow the count, and the count of a set is the sum of the counts
+// of its parts. Periods must be positive.
+func StreamLen(s task.Set, horizon float64) float64 {
+	n := 0.0
+	for _, t := range s {
+		if t.D <= horizon {
+			n += math.Floor(math.Max(0, (horizon-t.D)/t.T)) + 1
+		}
+	}
+	return n
+}
+
+// CheckStreamLen returns an error if n deadlines up to horizon, as
+// StreamLen counts them, exceed MaxStream.
+func CheckStreamLen(n, horizon float64) error {
+	if n > MaxStream {
+		return fmt.Errorf("points: %g deadlines up to %g exceed the bound of %d", n, horizon, MaxStream)
+	}
+	return nil
 }
 
 // Deadline is the absolute deadline k·T + d of a task's job k, rounded

@@ -130,6 +130,25 @@ func TestDeadlinesRejectsNonPositivePeriod(t *testing.T) {
 	}
 }
 
+func TestDeadlinesRejectsOverlongStream(t *testing.T) {
+	// 10^11 deadlines: the bound must reject them before allocating.
+	s := task.Set{{Name: "a", C: 1, T: 10, D: 10}, {Name: "b", C: 1, T: 1e12, D: 1e12}}
+	if n := StreamLen(s, 1e12); CheckStreamLen(n, 1e12) == nil {
+		t.Fatalf("StreamLen = %g passes the bound", n)
+	}
+	if _, err := Deadlines(s, 1e12); err == nil {
+		t.Fatal("Deadlines over 10^11 points: want error, got none")
+	}
+	// One point more than the bound is rejected, the bound itself is not.
+	one := task.Set{{Name: "c", C: 1, T: 1, D: 1}}
+	if got := mustDeadlines(t, one, MaxStream); len(got) != MaxStream {
+		t.Errorf("Deadlines up to MaxStream: %d points, want %d", len(got), MaxStream)
+	}
+	if _, err := Deadlines(one, MaxStream+1); err == nil {
+		t.Error("Deadlines up to MaxStream+1: want error, got none")
+	}
+}
+
 func TestDeadlinesMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

@@ -2,13 +2,29 @@
 // (Section 3.3 and Figure 4 of the paper).
 //
 // The feasibility condition on P is Eq. (15): lhs(P) ≥ O_tot, with
-// lhs(P) = P − Σ_k max_i minQ(T_k^i, alg, P). The function lhs is
-// continuous but not monotone: it climbs while larger periods amortise
-// the supply delays and falls once the slot delays approach the task
-// deadlines. The package provides the Figure 4 sweep and the three
-// scalar quantities the paper extracts from it: the maximum feasible
-// period for a given overhead, the maximum admissible total overhead,
-// and the period maximising the redistributable slack bandwidth.
+// lhs(P) = P − S(P) and S(P) = Σ_k max_i minQ(T_k^i, alg, P). The
+// function lhs is continuous but not monotone: it climbs while larger
+// periods amortise the supply delays and falls once the slot delays
+// approach the task deadlines. The package provides the Figure 4 sweep
+// and the three scalar quantities the paper extracts from it: the
+// maximum feasible period for a given overhead, the maximum admissible
+// total overhead, and the period maximising the redistributable slack
+// bandwidth.
+//
+// The three searches look for their answer on the grid of the sweep,
+// p_i = i·PMax/Samples, and refine it between grid samples. They do not
+// evaluate every sample. Every per-point quantum of minQ is
+// nondecreasing in P (it is 0 for zero demand, and its derivative in P
+// is positive otherwise), and maxima and minima of nondecreasing
+// functions are nondecreasing, so S is nondecreasing for EDF and for
+// RM/DM alike. Hence lhs ≤ p_hi − S(p_lo) at every sample of an interval
+// (p_lo, p_hi], and each search objective, being nondecreasing in lhs, is
+// bounded on the interval by its value at that bound. The searches split
+// the grid into intervals, evaluate S once at each split point, and skip
+// every interval whose bound, widened by a relative margin of 1e-9, rules
+// out the answer. Every sample that can decide a result is evaluated by
+// the expression CompiledProblem.LHS uses, so the results are the ones a
+// scan of every sample gives, bit for bit.
 package region
 
 import (
@@ -20,11 +36,12 @@ import (
 	"repro/internal/task"
 )
 
-// DefaultSamples is the number of lhs evaluations used by the scanning
-// searches when Options.Samples is zero. lhs kinks at scheduling-point
-// crossovers, so the searches scan densely and then refine by bisection
+// DefaultSamples is the resolution of the search grid when
+// Options.Samples is zero. lhs kinks at scheduling-point crossovers, so
+// the searches locate their answer on a dense grid and then refine it
 // inside a bracket; 4096 samples resolve every feature of workloads with
-// the paper's time scale.
+// the paper's time scale. The searches evaluate lhs at only the samples
+// their bounds cannot rule out (see the package comment).
 const DefaultSamples = 4096
 
 // bisectTolerance is the absolute tolerance of the bracket refinements.
@@ -35,7 +52,7 @@ type Options struct {
 	// PMax bounds the period search from above. Zero means "derive from
 	// the task set" (see UpperBound).
 	PMax float64
-	// Samples is the number of scan samples over (0, PMax].
+	// Samples is the number of grid samples over (0, PMax].
 	Samples int
 }
 
@@ -131,9 +148,48 @@ func SweepCompiled(cp *core.CompiledProblem, opts Options) ([]Point, error) {
 // ErrInfeasible is returned when no period satisfies Eq. (15).
 var ErrInfeasible = errors.New("region: no feasible period for the given overhead")
 
+// boundMargin is the relative margin of every interval bound, the value
+// of envelope.PruneMargin: far above float64 rounding noise, so rounding
+// in S can never prune a sample that decides a search.
+const boundMargin = 1e-9
+
+// grid is the sample grid p_i = i·step, i = 1..n, of one search over
+// (0, PMax], with the count of lhs evaluations the search made on it,
+// refinements included.
+type grid struct {
+	cp         *core.CompiledProblem
+	pMax, step float64
+	n          int
+	evals      int
+}
+
+func newGrid(cp *core.CompiledProblem, opts Options) grid {
+	return grid{cp: cp, pMax: opts.PMax, step: opts.PMax / float64(opts.Samples), n: opts.Samples}
+}
+
+// p returns the period of sample i; p(0) = 0.
+func (g *grid) p(i int) float64 { return float64(i) * g.step }
+
+// quanta returns S(p) = Σ_k max_i minQ(T_k^i, P), the sum lhs subtracts
+// from p, with one MinQuanta call.
+func (g *grid) quanta(p float64) float64 {
+	g.evals++
+	return g.cp.MinQuanta(p).Total()
+}
+
+// lhs is cp.LHS(p), computed by the same expression.
+func (g *grid) lhs(p float64) float64 { return p - g.quanta(p) }
+
+// lhsBound bounds lhs at every sample in (pLo, p] from s = S(pLo):
+// lhs(p') = p' − S(p') ≤ p − s, since S is nondecreasing.
+func lhsBound(p, s float64) float64 { return p - s + boundMargin*(p+s) }
+
 // MaxFeasiblePeriod returns the largest period P ≤ PMax with
-// lhs(P) ≥ O_tot (points ①, ② and ⑤ of Figure 4). It scans from PMax
-// downward and sharpens the boundary by bisection.
+// lhs(P) ≥ O_tot (points ①, ② and ⑤ of Figure 4): the largest feasible
+// grid sample, sharpened by bisection towards the next sample. It finds
+// that sample top-down and evaluates only the samples whose interval
+// bound (see the package comment) does not exclude them; the result is
+// the one a scan of every sample from PMax downward finds.
 func MaxFeasiblePeriod(pr core.Problem, opts Options) (float64, error) {
 	cp, err := pr.Compile()
 	if err != nil {
@@ -149,38 +205,54 @@ func MaxFeasiblePeriodCompiled(cp *core.CompiledProblem, opts Options) (float64,
 	if err != nil {
 		return 0, err
 	}
-	target := cp.Problem().O.Total()
-	step := opts.PMax / float64(opts.Samples)
-	feasible := func(p float64) bool { return cp.LHS(p) >= target }
-	for i := opts.Samples; i >= 1; i-- {
-		p := float64(i) * step
-		if !feasible(p) {
-			continue
-		}
-		// p feasible, p+step (if inside the range) infeasible: bisect.
-		lo, hi := p, math.Min(p+step, opts.PMax)
-		if hi <= lo {
-			return lo, nil
-		}
-		for hi-lo > bisectTolerance {
-			mid := (lo + hi) / 2
-			if feasible(mid) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
+	g := newGrid(cp, opts)
+	return maxFeasiblePeriod(&g, cp.Problem().O.Total())
+}
+
+func maxFeasiblePeriod(g *grid, target float64) (float64, error) {
+	i := g.lastFeasible(0, 0, g.n, target)
+	if i == 0 {
+		return 0, ErrInfeasible
+	}
+	// p feasible, p+step (if inside the range) infeasible: bisect.
+	lo, hi := g.p(i), math.Min(g.p(i)+g.step, g.pMax)
+	if hi <= lo {
 		return lo, nil
 	}
-	return 0, ErrInfeasible
+	for hi-lo > bisectTolerance {
+		mid := (lo + hi) / 2
+		if g.lhs(mid) >= target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// lastFeasible returns the largest sample index in (lo, hi] with
+// lhs ≥ target, or 0 if there is none; s is S(p(lo)), 0 at lo = 0.
+func (g *grid) lastFeasible(lo int, s float64, hi int, target float64) int {
+	if lo >= hi || lhsBound(g.p(hi), s) < target {
+		return 0
+	}
+	mid := lo + (hi-lo+1)/2
+	sMid := g.quanta(g.p(mid))
+	if i := g.lastFeasible(mid, sMid, hi, target); i != 0 {
+		return i
+	}
+	if g.p(mid)-sMid >= target {
+		return mid
+	}
+	return g.lastFeasible(lo, s, mid-1, target)
 }
 
 // MaxAdmissibleOverhead returns the largest total overhead for which a
 // feasible period exists — the peak of the lhs curve (points ③ and ④
-// of Figure 4) — along with the period attaining it. The peak is located
-// by dense scanning followed by golden-section refinement in the winning
-// bracket (lhs is smooth between scheduling-point kinks, and the scan is
-// fine enough to land the bracket on the right piece).
+// of Figure 4) — along with the period attaining it. The peak is the
+// best grid sample (see maximize), refined by golden-section search in
+// the winning bracket (lhs is smooth between scheduling-point kinks, and
+// the grid is fine enough to land the bracket on the right piece).
 func MaxAdmissibleOverhead(pr core.Problem, opts Options) (period, overhead float64, err error) {
 	cp, err := pr.Compile()
 	if err != nil {
@@ -196,7 +268,9 @@ func MaxAdmissibleOverheadCompiled(cp *core.CompiledProblem, opts Options) (peri
 	if err != nil {
 		return 0, 0, err
 	}
-	return maximize(cp, opts, func(p, lhs float64) float64 { return lhs })
+	g := newGrid(cp, opts)
+	p, v := maximize(&g, lhsObjective)
+	return p, v, nil
 }
 
 // MaxSlackBandwidth returns the period maximising the redistributable
@@ -217,33 +291,42 @@ func MaxSlackBandwidthCompiled(cp *core.CompiledProblem, opts Options) (period, 
 	if err != nil {
 		return 0, 0, err
 	}
-	target := cp.Problem().O.Total()
-	p, v, err := maximize(cp, opts, func(p, lhs float64) float64 { return (lhs - target) / p })
-	if err != nil {
-		return 0, 0, err
-	}
+	g := newGrid(cp, opts)
+	return maxSlackBandwidth(&g, cp.Problem().O.Total())
+}
+
+func maxSlackBandwidth(g *grid, target float64) (period, bandwidth float64, err error) {
+	p, v := maximize(g, slackObjective(target))
 	if v < 0 {
 		return 0, 0, ErrInfeasible
 	}
 	return p, v, nil
 }
 
-// maximize scans objective(p, lhs(p)) over the grid and refines the best
-// bracket by golden-section search. All lhs evaluations are served from
-// the compiled profiles.
-func maximize(cp *core.CompiledProblem, opts Options, objective func(p, lhs float64) float64) (float64, float64, error) {
-	step := opts.PMax / float64(opts.Samples)
-	eval := func(p float64) float64 { return objective(p, cp.LHS(p)) }
-	bestP, bestV := 0.0, math.Inf(-1)
-	for i := 1; i <= opts.Samples; i++ {
-		p := float64(i) * step
-		if v := eval(p); v > bestV {
-			bestP, bestV = p, v
-		}
-	}
+// lhsObjective is MaxAdmissibleOverhead's objective: lhs itself.
+func lhsObjective(p, lhs float64) float64 { return lhs }
+
+// slackObjective is MaxSlackBandwidth's objective: the slack bandwidth
+// (lhs − target)/P.
+func slackObjective(target float64) func(p, lhs float64) float64 {
+	return func(p, lhs float64) float64 { return (lhs - target) / p }
+}
+
+// maximize finds the first grid sample with the maximal objective(p,
+// lhs(p)), as a scan of every sample keeping the strictly greater value
+// would, and refines its bracket by golden-section search. The objective
+// must be nondecreasing in lhs and, at fixed S = p − lhs, monotone in p;
+// maximize then evaluates only the samples whose interval bound (see the
+// package comment) could beat the best sample found so far.
+func maximize(g *grid, objective func(p, lhs float64) float64) (float64, float64) {
+	top := best{v: math.Inf(-1)}
+	g.visit(0, 0, g.n, objective, &top)
+	bestP, bestV := g.p(top.i), top.v
+	eval := func(p float64) float64 { return objective(p, g.lhs(p)) }
 	// Golden-section refinement within [bestP−step, bestP+step].
+	step := g.step
 	lo := math.Max(bestP-step, step/1024)
-	hi := math.Min(bestP+step, opts.PMax)
+	hi := math.Min(bestP+step, g.pMax)
 	const phi = 0.6180339887498949
 	a, b := hi-phi*(hi-lo), lo+phi*(hi-lo)
 	fa, fb := eval(a), eval(b)
@@ -261,7 +344,40 @@ func maximize(cp *core.CompiledProblem, opts Options, objective func(p, lhs floa
 	mid := (lo + hi) / 2
 	v := eval(mid)
 	if v < bestV { // refinement can only improve; keep the scan winner otherwise
-		return bestP, bestV, nil
+		return bestP, bestV
 	}
-	return mid, v, nil
+	return mid, v
+}
+
+// best is the incumbent of maximize's search: sample i with value v,
+// i = 0 while no sample has beaten v = −Inf.
+type best struct {
+	i int
+	v float64
+}
+
+// visit searches the samples in (lo, hi] for one that beats top; s is
+// S(p(lo)), 0 at lo = 0. The interval's bound is the objective at the
+// lhs bound, taken at whichever end of the interval it is larger. The
+// interval is skipped when the bound cannot beat top: it is below top's
+// value, or equal to it with every sample at a higher index.
+func (g *grid) visit(lo int, s float64, hi int, objective func(p, lhs float64) float64, top *best) {
+	if lo >= hi {
+		return
+	}
+	first, last := g.p(lo+1), g.p(hi)
+	u := math.Max(objective(first, lhsBound(first, s)), objective(last, lhsBound(last, s)))
+	if u < top.v || (u == top.v && lo+1 >= top.i) {
+		return
+	}
+	mid := lo + (hi-lo+1)/2
+	p := g.p(mid)
+	sMid := g.quanta(p)
+	// A greater value wins, and so does an equal one at a lower index,
+	// as in a scan that keeps the first maximum. NaN never wins.
+	if v := objective(p, p-sMid); v > top.v || (v == top.v && mid < top.i) {
+		*top = best{i: mid, v: v}
+	}
+	g.visit(lo, s, mid-1, objective, top)
+	g.visit(mid, sMid, hi, objective, top)
 }

@@ -322,12 +322,8 @@ func execute(alg analysis.Alg, epochs []epoch, horizon timeu.Ticks, schedule []f
 	for _, cr := range channels {
 		res.merge(cr)
 	}
-	var usable, overhead modeIntervals
-	for _, ep := range epochs {
-		appendPlatformWindows(&usable, &overhead, ep.spec, ep.from, ep.to)
-	}
-	res.accountFaults(schedule, usable)
-	res.accountPlatform(usable, overhead, horizon)
+	res.accountFaults(schedule, epochs)
+	res.accountPlatform(epochs, horizon)
 	res.TotalFaults = len(schedule)
 	return res, channels, nil
 }

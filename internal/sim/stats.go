@@ -226,22 +226,21 @@ type Result struct {
 	Trace *trace.Log
 }
 
-// accountPlatform fills the platform-time ledger from explicit per-mode
-// usable and overhead windows: per-mode usable service, overhead time,
-// and the residual slack. The three always sum to the horizon.
-func (r *Result) accountPlatform(usable, overhead modeIntervals, horizon timeu.Ticks) {
+// accountPlatform fills the platform-time ledger from the epochs'
+// per-mode usable and overhead windows: per-mode usable service,
+// overhead time, and the residual slack. The three always sum to the
+// horizon.
+func (r *Result) accountPlatform(epochs []epoch, horizon timeu.Ticks) {
 	r.ModeService = make(map[task.Mode]timeu.Ticks, task.NumModes)
 	var used timeu.Ticks
 	for _, m := range task.Modes() {
 		var svc timeu.Ticks
-		for _, iv := range usable[m] {
-			svc += iv.length()
+		for _, ep := range epochs {
+			svc += periodicLength(ep.spec.usable[m], ep.spec.period, ep.from, ep.to)
+			r.OverheadTime += periodicLength(ep.spec.overhead[m], ep.spec.period, ep.from, ep.to)
 		}
 		r.ModeService[m] = svc
 		used += svc
-		for _, iv := range overhead[m] {
-			r.OverheadTime += iv.length()
-		}
 	}
 	r.SlackTime = horizon - used - r.OverheadTime
 }
@@ -284,24 +283,24 @@ func (r *Result) merge(cr *channelResult) {
 // condition overlapped. A long fault can overlap several modes and then
 // counts in each category it reaches; a fault that touches no service
 // window at all is harmless.
-func (r *Result) accountFaults(schedule []faults.Fault, usable modeIntervals) {
+func (r *Result) accountFaults(schedule []faults.Fault, epochs []epoch) {
 	for _, f := range schedule {
 		touched := false
-		if overlapsAny(f, usable[task.FT]) {
+		if usableDuring(f, epochs, task.FT) {
 			r.Masked++
 			touched = true
 			if r.Trace != nil {
 				r.Trace.Add(trace.Event{At: f.At, Kind: trace.Masked, Mode: task.FT, Core: f.Core})
 			}
 		}
-		if overlapsAny(f, usable[task.FS]) {
+		if usableDuring(f, epochs, task.FS) {
 			touched = true
 			if r.Trace != nil {
 				ch, _ := platform.CoreChannel(task.FS, f.Core)
 				r.Trace.Add(trace.Event{At: f.At, Kind: trace.Silenced, Mode: task.FS, Channel: ch, Core: f.Core})
 			}
 		}
-		if overlapsAny(f, usable[task.NF]) {
+		if usableDuring(f, epochs, task.NF) {
 			touched = true
 		}
 		if !touched {
@@ -314,9 +313,15 @@ func (r *Result) accountFaults(schedule []faults.Fault, usable modeIntervals) {
 	}
 }
 
-func overlapsAny(f faults.Fault, windows []interval) bool {
-	for _, w := range windows {
-		if w.intersects(f.At, f.End()) {
+// usableDuring reports whether mode m serves at some instant of the
+// fault, in any of the time-ordered epochs the fault overlaps.
+func usableDuring(f faults.Fault, epochs []epoch, m task.Mode) bool {
+	for _, ep := range epochs {
+		if ep.from >= f.End() {
+			break
+		}
+		from, to := max(ep.from, f.At), min(ep.to, f.End())
+		if periodicLength(ep.spec.usable[m], ep.spec.period, from, to) > 0 {
 			return true
 		}
 	}

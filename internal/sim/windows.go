@@ -88,15 +88,27 @@ func repeatRange(dst []interval, offsets []interval, period, from, to timeu.Tick
 	return dst
 }
 
-// appendPlatformWindows appends the per-mode usable and overhead windows
-// of spec over [from, to) onto the accumulators — the accounting inputs
-// for one epoch, gathered without the per-epoch map and slice churn the
-// old platformWindows paid.
-func appendPlatformWindows(usable, overhead *modeIntervals, spec windowSpec, from, to timeu.Ticks) {
-	for _, m := range task.Modes() {
-		usable[m] = repeatRange(usable[m], spec.usable[m], spec.period, from, to)
-		overhead[m] = repeatRange(overhead[m], spec.overhead[m], spec.period, from, to)
+// periodicLength returns the total length, inside [from, to), of the
+// windows the offsets repeat every period: whole periods times the
+// per-period lengths, plus the clipped remainders. It is the summed
+// length of the windows repeatRange materialises over the same range,
+// without materialising them. Offsets must lie within [0, period].
+func periodicLength(offsets []interval, period, from, to timeu.Ticks) timeu.Ticks {
+	if to <= from {
+		return 0
 	}
+	return lengthBefore(offsets, period, to) - lengthBefore(offsets, period, from)
+}
+
+// lengthBefore returns the total length of the periodic windows inside
+// [0, t), t ≥ 0.
+func lengthBefore(offsets []interval, period, t timeu.Ticks) timeu.Ticks {
+	k, r := t/period, t%period
+	var n timeu.Ticks
+	for _, w := range offsets {
+		n += k*w.length() + max(0, min(w.To, r)-w.From)
+	}
+	return n
 }
 
 // channelFaults appends onto dst the fault intervals that afflict the

@@ -240,7 +240,8 @@ func (s Set) MaxChannelUtilization(m Mode) float64 {
 }
 
 // Hyperperiod returns the least common multiple of the task periods.
-// Periods must be integral multiples of 1/den time units.
+// Periods must be integral multiples of 1/den time units, and the
+// multiple must fit in an int64 count of 1/den units.
 func (s Set) Hyperperiod(den int64) (float64, error) {
 	if len(s) == 0 {
 		return 0, ErrEmptySet
@@ -251,7 +252,9 @@ func (s Set) Hyperperiod(den int64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h = timeu.LCM(h, p)
+		if h, err = timeu.LCM(h, p); err != nil {
+			return 0, err
+		}
 	}
 	return float64(h) / float64(den), nil
 }

@@ -247,3 +247,19 @@ func TestHyperperiodEmpty(t *testing.T) {
 		t.Error("empty set hyperperiod should error")
 	}
 }
+
+func TestHyperperiodOverflowIsAnError(t *testing.T) {
+	// Three valid periods whose scaled LCM, 7000001·5000003·3000007,
+	// exceeds int64; and one period whose scaled value alone does.
+	for _, s := range []Set{
+		{{Name: "a", C: 1, T: 7.000001}, {Name: "b", C: 1, T: 5.000003}, {Name: "c", C: 1, T: 3.000007}},
+		{{Name: "huge", C: 1, T: 1e300}},
+	} {
+		if err := s.Normalized().Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if h, err := s.Hyperperiod(1_000_000); err == nil {
+			t.Errorf("Hyperperiod = %g, want an overflow error", h)
+		}
+	}
+}

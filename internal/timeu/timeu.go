@@ -59,32 +59,22 @@ func GCD(a, b int64) int64 {
 }
 
 // LCM returns the least common multiple of a and b, or 0 if either is 0.
-// It panics on overflow, which for task periods indicates a modelling
-// error rather than a recoverable condition.
-func LCM(a, b int64) int64 {
+// A multiple beyond the int64 range is an error: task periods whose
+// hyperperiod cannot be represented in ticks cannot be analysed.
+func LCM(a, b int64) (int64, error) {
 	if a == 0 || b == 0 {
-		return 0
+		return 0, nil
 	}
 	g := GCD(a, b)
 	q := a / g
 	r := q * b
 	if r/b != q {
-		panic(fmt.Sprintf("timeu: LCM(%d, %d) overflows int64", a, b))
+		return 0, fmt.Errorf("timeu: LCM(%d, %d) overflows int64", a, b)
 	}
 	if r < 0 {
-		return -r
+		return -r, nil
 	}
-	return r
-}
-
-// LCMAll folds LCM over vs. LCMAll() = 1 so that it is a neutral value
-// for hyperperiod computations over empty task sets.
-func LCMAll(vs ...int64) int64 {
-	out := int64(1)
-	for _, v := range vs {
-		out = LCM(out, v)
-	}
-	return out
+	return r, nil
 }
 
 // AlmostEqual reports whether a and b differ by at most tol.
@@ -92,7 +82,8 @@ func AlmostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // ScaledPeriod converts a float64 period to its integer numerator over
 // the given denominator: the period must be an integral multiple of
-// 1/den to within 1e-9 relative, and positive. It is the per-period
+// 1/den to within 1e-9 relative, positive, and its numerator must fit
+// in an int64. It is the per-period
 // validation step of Hyperperiod, exposed so incremental consumers can
 // fold one more period into an integer hyperperiod without re-parsing
 // the whole set.
@@ -102,8 +93,11 @@ func ScaledPeriod(p float64, den int64) (int64, error) {
 	if math.Abs(scaled-r) > 1e-9*math.Max(1, math.Abs(scaled)) {
 		return 0, fmt.Errorf("timeu: period %g is not a multiple of 1/%d", p, den)
 	}
-	if r <= 0 {
+	if !(r > 0) {
 		return 0, fmt.Errorf("timeu: period %g is not positive", p)
+	}
+	if r >= math.MaxInt64 { // float64(math.MaxInt64) is 2^63, the first value out of range
+		return 0, fmt.Errorf("timeu: period %g is beyond the int64 range over 1/%d", p, den)
 	}
 	return int64(r), nil
 }
@@ -123,7 +117,9 @@ func HyperperiodInt(periods []float64, den int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h = LCM(h, r)
+		if h, err = LCM(h, r); err != nil {
+			return 0, err
+		}
 	}
 	return h, nil
 }

@@ -38,29 +38,46 @@ func TestLCM(t *testing.T) {
 		{10, 10, 10},
 	}
 	for _, c := range cases {
-		if got := LCM(c.a, c.b); got != c.want {
-			t.Errorf("LCM(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		if got, err := LCM(c.a, c.b); got != c.want || err != nil {
+			t.Errorf("LCM(%d, %d) = %d, %v; want %d", c.a, c.b, got, err, c.want)
 		}
 	}
-}
-
-func TestLCMOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCM of two huge coprimes should panic on overflow")
-		}
-	}()
-	LCM(math.MaxInt64-1, math.MaxInt64-2)
 }
 
 func TestLCMAll(t *testing.T) {
-	if got := LCMAll(); got != 1 {
-		t.Errorf("LCMAll() = %d, want 1", got)
+	// The LCM fold over no periods is 1, the identity of the fold.
+	if got, err := HyperperiodInt(nil, 1); got != 1 || err != nil {
+		t.Errorf("HyperperiodInt(nil, 1) = %d, %v; want 1", got, err)
 	}
 	// Hyperperiod of the paper's Table 1 periods.
-	got := LCMAll(6, 8, 12, 10, 24, 10, 15, 20, 4, 12, 15, 20, 30)
-	if got != 120 {
-		t.Errorf("LCMAll(paper periods) = %d, want 120", got)
+	paper := []float64{6, 8, 12, 10, 24, 10, 15, 20, 4, 12, 15, 20, 30}
+	if got, err := HyperperiodInt(paper, 1); got != 120 || err != nil {
+		t.Errorf("HyperperiodInt(paper periods, 1) = %d, %v; want 120", got, err)
+	}
+}
+
+func TestLCMOverflowErrors(t *testing.T) {
+	if l, err := LCM(math.MaxInt64-1, math.MaxInt64-2); err == nil {
+		t.Fatalf("LCM of two huge coprimes = %d, want an overflow error", l)
+	}
+	// The product of three scaled periods that are valid on their own.
+	l, err := LCM(7000001, 5000003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LCM(l, 3000007); err == nil {
+		t.Error("LCM(35000026000003, 3000007) should overflow")
+	}
+}
+
+func TestScaledPeriodRange(t *testing.T) {
+	if r, err := ScaledPeriod(9.2e12, 1_000_000); err != nil || r != 9_200_000_000_000_000_000 {
+		t.Errorf("ScaledPeriod(9.2e12, 1e6) = %d, %v; want 9.2e18", r, err)
+	}
+	for _, p := range []float64{1e13, 1e300, math.Inf(1), math.NaN()} {
+		if r, err := ScaledPeriod(p, 1_000_000); err == nil {
+			t.Errorf("ScaledPeriod(%g, 1e6) = %d, want an error", p, r)
+		}
 	}
 }
 
@@ -68,7 +85,8 @@ func TestGCDLCMProperty(t *testing.T) {
 	// gcd(a,b) * lcm(a,b) == a*b for positive a, b.
 	f := func(a, b uint16) bool {
 		x, y := int64(a)+1, int64(b)+1
-		return GCD(x, y)*LCM(x, y) == x*y
+		l, err := LCM(x, y)
+		return err == nil && GCD(x, y)*l == x*y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
