@@ -448,6 +448,49 @@ func churnChannel(b *testing.B, n int) TaskSet {
 	return out
 }
 
+// churnGrid is the period grid of the live=300 manager rung: the
+// admission workload's grid, whose hyperperiod is 120.
+var churnGrid = []float64{4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120}
+
+// churnDesign builds a max-flexibility manager over n residents spread
+// over all seven channels: modes cycle FT, FS, FS, NF, NF, NF, NF,
+// periods cycle churnGrid, and the total utilisation is 1.2, each task
+// within ±25 % of the mean.
+func churnDesign(b *testing.B, n int) (*OnlineManager, TaskSet) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(2007))
+	src := make(TaskSet, n)
+	for i := range src {
+		mode := NF
+		switch i % 7 {
+		case 0:
+			mode = FT
+		case 1, 2:
+			mode = FS
+		}
+		T := churnGrid[i%len(churnGrid)]
+		u := 1.2 / float64(n) * (0.75 + 0.5*rng.Float64())
+		src[i] = Task{Name: fmt.Sprintf("r%03d", i), C: u * T, T: T, D: T, Mode: mode}
+	}
+	parted, err := AutoPartition(src, EDF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := NewProblem(parted, EDF, PaperOverheadTotal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, err := Design(pr, MaxFlexibility)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := NewOnlineManager(pr, sol.Config)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mgr, pr.Tasks
+}
+
 // BenchmarkAdmitRemoveChurn is the tentpole measurement of the
 // incremental profile layer: one admit+remove cycle on a 20-task
 // channel, patching the compiled profile versus recompiling the channel
@@ -468,7 +511,11 @@ func churnChannel(b *testing.B, n int) TaskSet {
 // is brand new — and is the worst case for the patch. The channel-size sweep readmits a clone
 // of each channel's own first task, and the manager sub-benchmark
 // measures the full admission-controller cycle built on the incremental
-// path.
+// path. The manager/live=300 rung runs that cycle at the admission
+// workload's scale, where publishing the live set is visible: a
+// 300-resident design over all seven channels, metrics on, each cycle
+// one RemoveBatch of six residents from the middle of the live set,
+// across channels, and one AdmitBatch readmitting them.
 func BenchmarkAdmitRemoveChurn(b *testing.B) {
 	const channelTasks = 20
 	ch := churnChannel(b, channelTasks)
@@ -571,6 +618,40 @@ func BenchmarkAdmitRemoveChurn(b *testing.B) {
 			if err := mgr.Remove(guest.Name); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("manager/live=300", func(b *testing.B) {
+		mgr, residents := churnDesign(b, 300)
+		mgr.SetMetrics(NewOnlineMetrics(NewMetricsRegistry()))
+		// Eight groups of six residents, 40 positions apart, so each
+		// group spans modes. A readmitted group moves to the end of the
+		// live set; the others then still lie between residents that
+		// never leave and the groups readmitted after them.
+		const groups, size = 8, 6
+		batches := make([][]Task, groups)
+		names := make([][]string, groups)
+		for g := range batches {
+			for q := 0; q < size; q++ {
+				r := residents[20+g+40*q]
+				batches[g], names[g] = append(batches[g], r), append(names[g], r.Name)
+			}
+		}
+		cycle := func(i int) {
+			g := i % groups
+			if err := mgr.RemoveBatch(names[g]); err != nil {
+				b.Fatal(err)
+			}
+			if err := mgr.AdmitBatch(batches[g]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*groups; i++ { // warm pools and snapshot backings
+			cycle(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(i)
 		}
 	})
 }

@@ -45,13 +45,17 @@
 //     walks them out), adds or subtracts the batch's jobs in the
 //     channel's one integer demand row, and stays identical to a fresh
 //     compile, so "what if these tasks joined channel i" costs the
-//     newcomers' own deadlines, one pass over the row and the affected
-//     envelope span rather than a channel recompilation.
+//     newcomers' own deadlines and one pass over the row rather than a
+//     channel recompilation. The in-place patch leaves the dominance
+//     envelope unsettled: until the profile is frozen or audited,
+//     MinQ scans the exact demand row with the naive oracle's
+//     arithmetic, and the envelope is settled once, re-ranking the
+//     span the patches changed.
 //     The what-ifs WithTasks/WithoutTasks (on both analysis.Profile and
 //     core.CompiledProblem) run that patch on a clone of the receiver
-//     and freeze the result; a hyperperiod change falls back to a full
-//     recompile (counted by Profile.Fallbacks and reported as a trace
-//     event);
+//     and settle and freeze the result; a hyperperiod change falls back
+//     to a full recompile (counted by Profile.Fallbacks and reported as
+//     a trace event);
 //   - internal/region, internal/design: Figure 4 exploration and the
 //     two design goals of Table 2. The period searches find their
 //     answer on the Figure 4 grid without evaluating all of it: the
@@ -68,7 +72,11 @@
 //     reshape and one configuration swap per batch), sharded
 //     (per-channel locks, so disjoint channels reconfigure
 //     concurrently) and read-optimised (Config/Slack/Tasks are served
-//     lock-free from atomically swapped snapshots), with a
+//     lock-free from atomically swapped snapshots; the next live set
+//     is bulk-copied from the current one around the departing tasks,
+//     which their publication sequence numbers locate by binary
+//     search, so a commit does no per-name work over the live set),
+//     with a
 //     consolidation policy bounding long-run memory under churn
 //     (ratio-triggered by default: Profile.MemStats reports the
 //     retained/live cell ratio and SetConsolidateRatio rebuilds a
@@ -147,20 +155,29 @@
 //
 //   - Frozen, shared: compiled profiles (Compile, Problem.Compile) and
 //     what-if results (WithTasks/WithoutTasks) with their
-//     envelope.Index snapshots. A frozen profile is never written
-//     again, so an ancestor and its descendants can be read
-//     concurrently forever. A what-if is a clone, the patch and a
-//     freeze: the clone takes the index copy-on-write and copies the
-//     receiver's demand row, one int64 per deadline point.
+//     envelope.Index snapshots. A frozen profile is settled and never
+//     written again, so an ancestor and its descendants can be read
+//     concurrently forever. A what-if is a clone, the patch, a settle
+//     and a freeze: the clone takes the index copy-on-write and copies
+//     the receiver's demand row, one int64 per deadline point.
 //   - Exclusive, single-owner: Profile.Thawed and
 //     analysis.CompileMutable produce profiles that AddTasks/DropTasks
 //     patch in place: the demand row grows when new deadlines widen
 //     the stream and keeps that capacity, so a steady-state
-//     admit+remove cycle is allocation-free. The online manager thaws
-//     each touched channel's profile on first patch; consolidation
-//     recompiles a channel whose row capacity has grown well past its
-//     live points, so the memory-ratio trigger converges.
-//   - Scratch, per-owner, reused: the manager's touched-channel slice;
+//     admit+remove cycle is allocation-free. An EDF patch leaves the
+//     profile unsettled — only an exclusive profile ever is — and its
+//     owner's reads (MinQ, Pairs, MemStats) never settle it; Equal and
+//     Check do, and a thaw copies it unsettled. The online manager
+//     thaws each touched channel's profile on first patch;
+//     consolidation recompiles a channel whose row capacity has grown
+//     well past its live points, so the memory-ratio trigger converges.
+//   - Published, recycled: the manager's snapshot ring. A commit
+//     rewrites a retired record's live set as bulk copies of the
+//     current one, and the commit-side sequence-number arrays
+//     alternate with it; a backing that must grow is sized to what it
+//     holds, not doubled.
+//   - Scratch, per-owner, reused: the manager's touched-channel slice
+//     and per-channel batch groups;
 //     the sim engine's epoch buffers (service windows, fault and
 //     corruption overlays), its job records (recycled through a
 //     freelist at each job's terminal event) and its concrete,

@@ -16,14 +16,16 @@ import (
 //     stream with per-point owner counts, and the profile keeps one
 //     demand row W in integer ticks along it. Admitting tasks merges the
 //     newcomers' deadline streams into the index (Merge), gives each
-//     brand-new point its predecessor's demand, adds each newcomer's
-//     jobs in one walk, and hands the patched row back to the index
-//     (SetDemand), which re-ranks only the points whose demand changed.
-//     Releasing tasks walks owner counts down (RemoveOwners), subtracts
-//     the leavers' jobs, and compacts the solely-owned points out of the
-//     stream and the row (Compact). Integer sums do not depend on their
-//     order, so the patched row — and therefore the maintained envelope —
-//     is identical to a fresh Compile of the same set.
+//     brand-new point its predecessor's demand and adds each newcomer's
+//     jobs in one walk. Releasing tasks walks owner counts down
+//     (RemoveOwners), subtracts the leavers' jobs, and compacts the
+//     solely-owned points out of the stream and the row (Compact).
+//     Integer sums do not depend on their order, so the patched row is
+//     identical to a fresh Compile of the same set. The patch leaves the
+//     envelope unsettled: MinQ scans the row until the profile is
+//     frozen or audited, which hands the row back to the index once
+//     (SetDemand, re-ranking only the points whose demand changed since
+//     the last settle), so the settled envelope is identical too.
 //
 //   - RM/DM: priority levels above the changed tasks keep their
 //     higher-priority sets, so their rows are kept unchanged; only the
@@ -32,8 +34,8 @@ import (
 //
 // The what-if constructors WithTasks and WithoutTasks are that same
 // patch applied to a clone: Thawed's copy-on-write index clone plus a
-// copy of the demand row, patched in place, then frozen. The receiver
-// is unchanged.
+// copy of the demand row, patched in place, then settled and frozen.
+// The receiver is unchanged.
 //
 // The retained stream and row are the memory-for-latency trade called
 // out in the package comment: one int64 per deadline point. The patch
@@ -87,8 +89,11 @@ func (pf *Profile) Tasks() task.Set {
 
 // Equal reports whether two profiles retain bit-identical pruned pairs
 // for the same algorithm — the exactness guarantee of the incremental
-// patch relative to a fresh Compile.
+// patch relative to a fresh Compile. It settles an unsettled operand
+// first, so the caller must own any exclusive profile it passes.
 func (pf *Profile) Equal(o *Profile) bool {
+	pf.settle()
+	o.settle()
 	if pf.alg != o.alg || len(pf.edf) != len(o.edf) || len(pf.fp) != len(o.fp) {
 		return false
 	}

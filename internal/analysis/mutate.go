@@ -17,9 +17,9 @@ import (
 // ownership modes it runs under:
 //
 //   - Frozen: Compile results and what-if results (WithTasks,
-//     WithoutTasks). Immutable and safe for concurrent reads; a frozen
-//     profile's index and demand row are never written again, so clones
-//     may share the index.
+//     WithoutTasks). Immutable, settled and safe for concurrent reads; a
+//     frozen profile's index and demand row are never written again, so
+//     clones may share the index.
 //   - Exclusive: Thawed and CompileMutable results, owned by a single
 //     goroutine (the online manager holds each under its channel lock)
 //     and patched in place. Exclusivity is a single-owner contract, not
@@ -31,6 +31,14 @@ import (
 // whatever the patch touches. An exclusive profile patches W in place:
 // a stream that widens grows the row, reusing its capacity once it has
 // grown, so steady-state admit+remove cycles never allocate.
+//
+// The EDF patch keeps the index's stream and owner counts current but
+// leaves its demands and dominance flags behind: the profile is
+// unsettled, and MinQ scans W directly. settle re-ranks the points
+// whose demand changed since the last settle, once, when the profile
+// is frozen (the what-ifs) or audited (Equal, Check), so only exclusive
+// profiles are ever unsettled and no reader writes to a shared one.
+// Thawing an unsettled profile gives an unsettled copy.
 //
 // Rejection rollback is the inverse patch: AddTasks followed by
 // DropTasks of the same tasks restores the profile exactly, because W
@@ -95,7 +103,10 @@ func (pf *Profile) thaw(extra int) *Profile {
 		}
 		c.w = make([]int64, len(pf.w))
 		copy(c.w, pf.w)
-		c.edf = c.idx.Kept()
+		c.unsettled = pf.unsettled
+		if !c.unsettled {
+			c.edf = c.idx.Kept()
+		}
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe (patches
 		// replace row pointers, never row contents).
@@ -104,11 +115,35 @@ func (pf *Profile) thaw(extra int) *Profile {
 	return c
 }
 
-// freeze ends a what-if clone's exclusive life: the profile becomes
-// immutable.
+// freeze ends a what-if clone's exclusive life: the profile is settled
+// and becomes immutable.
 func (pf *Profile) freeze() *Profile {
+	pf.settle()
 	pf.exclusive = false
 	return pf
+}
+
+// settle brings an unsettled profile's envelope up to date with its
+// demand row: the index re-ranks exactly the points whose demand
+// changed since the last settle and materializes the pruned pairs.
+// Only an exclusive profile is ever unsettled, so settle writes only
+// to a profile its caller owns.
+func (pf *Profile) settle() {
+	if !pf.unsettled {
+		return
+	}
+	sc := patchPool.Get().(*patchScratch)
+	err := pf.idx.SetDemand(sc.demands(pf.w))
+	patchPool.Put(sc)
+	if err != nil {
+		// Impossible unless the compiled state is corrupted (a row and a
+		// stream of different lengths); degrade to a rebuild, which
+		// comes out settled.
+		_ = pf.adoptCompiled(pf.tasks, true)
+		return
+	}
+	pf.edf = pf.idx.Kept()
+	pf.unsettled = false
 }
 
 // CompileMutable compiles s and returns the profile already in
@@ -127,10 +162,11 @@ func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
 
 // AddTasks patches the profile in place, adding every task in add in
 // order — after it returns, the profile is identical (retained streams
-// and demand row included) to a fresh Compile of the extended set. The
-// profile must be exclusive. On error the profile is unchanged, except
-// for internal-invariant bails which rebuild it from scratch (still to
-// the correct extended state).
+// and demand row included, the pruned pairs once settled) to a fresh
+// Compile of the extended set. The profile must be exclusive. An EDF
+// patch leaves the profile unsettled (see settle). On error the
+// profile is unchanged, except for internal-invariant bails which
+// rebuild it from scratch (still to the correct extended state).
 func (pf *Profile) AddTasks(add []task.Task) error {
 	if !pf.exclusive {
 		return fmt.Errorf("analysis: AddTasks: profile is not exclusive (use Thawed or CompileMutable)")
@@ -312,12 +348,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
 	pf.streamLen = streamLen
-	// Hand the patched demand row to the index: it re-ranks exactly the
-	// points whose demand changed bitwise and maintains the envelope.
-	if err := pf.idx.SetDemand(sc.demands(pf.w)); err != nil {
-		return pf.adoptCompiled(pf.tasks, true)
-	}
-	pf.edf = pf.idx.Kept()
+	pf.unsettled = true
 	return nil
 }
 
@@ -419,10 +450,7 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		}
 		pf.w = pf.w[:len(pf.w)-len(dropped)]
 	}
-	if err := pf.idx.SetDemand(sc.demands(pf.w)); err != nil {
-		return pf.adoptCompiled(pf.tasks, true)
-	}
-	pf.edf = pf.idx.Kept()
+	pf.unsettled = true
 	return nil
 }
 

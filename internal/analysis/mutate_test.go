@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -107,6 +108,77 @@ func TestMutableRollbackBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUnsettledProfileLifecycle follows an EDF profile that the
+// in-place patch left unsettled: Pairs and MemStats report the demand
+// row MinQ scans without settling it, a thaw copies it unsettled, a
+// what-if from it comes out settled and frozen without touching it,
+// and every MinQ along the way is the naive oracle's, bit for bit.
+func TestUnsettledProfileLifecycle(t *testing.T) {
+	pool := churnPool()
+	// Every period divides the base's hyperperiod, 20, so no patch falls
+	// back to a recompile (which would come out settled).
+	base, add, more := task.Set{pool[0], pool[2], pool[3]}, task.Set{pool[1], pool[8]}, task.Set{pool[6]}
+	pf, err := CompileMutable(base, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddTasks(add); err != nil {
+		t.Fatal(err)
+	}
+	live := append(slices.Clone(base), add...)
+	minQMatches := func(stage string, pf *Profile, live task.Set) {
+		t.Helper()
+		for _, p := range lineagePeriods {
+			want, err := MinQ(live, EDF, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pf.MinQ(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MinQ(%g) = %v, naive MinQ = %v", stage, p, got, want)
+			}
+		}
+	}
+	if !pf.unsettled {
+		t.Fatal("an in-place EDF patch left the profile settled")
+	}
+	if n, ms := pf.Pairs(), pf.MemStats(); n != len(pf.w) || ms.LivePairs != n || !pf.unsettled {
+		t.Fatalf("unsettled profile: Pairs %d and LivePairs %d, want the %d-point row, unsettled %v", n, ms.LivePairs, len(pf.w), pf.unsettled)
+	}
+	minQMatches("unsettled", pf, live)
+
+	thawed := pf.Thawed()
+	if !thawed.unsettled {
+		t.Fatal("thawing an unsettled profile gave a settled copy")
+	}
+	if err := thawed.AddTasks(more); err != nil {
+		t.Fatal(err)
+	}
+	minQMatches("thawed and patched", thawed, append(slices.Clone(live), more...))
+
+	grown, err := pf.WithTasks(more)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Exclusive() || grown.unsettled {
+		t.Fatalf("WithTasks result: exclusive %v, unsettled %v; want frozen and settled", grown.Exclusive(), grown.unsettled)
+	}
+	if !pf.unsettled {
+		t.Fatal("WithTasks settled its receiver")
+	}
+	minQMatches("what-if", grown, append(slices.Clone(live), more...))
+	minQMatches("what-if receiver", pf, live)
+
+	fresh, err := Compile(live, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertProfileIdentical(t, "settled by Equal", pf, fresh)
+	if pf.unsettled || pf.Pairs() != fresh.Pairs() {
+		t.Fatalf("after Equal: unsettled %v, %d pairs; want settled with the fresh Compile's %d", pf.unsettled, pf.Pairs(), fresh.Pairs())
+	}
+	minQMatches("settled", pf, live)
 }
 
 // TestMutableErrors checks the mode guard and that a failed DropTasks
@@ -244,6 +316,10 @@ func FuzzProfileLineages(f *testing.F) {
 	f.Fuzz(runLineages)
 }
 
+// lineagePeriods are the periods at which runLineages compares every
+// lineage's MinQ with the naive oracle.
+var lineagePeriods = []float64{0.5, 2, 2.966, 7}
+
 // runLineages is FuzzProfileLineages' property over one input.
 func runLineages(t *testing.T, data []byte) {
 	if len(data) > 1024 {
@@ -335,11 +411,24 @@ func runLineages(t *testing.T, data []byte) {
 				}
 			}
 			for li, l := range lins {
+				stage := fmt.Sprintf("%s step %d (%s), lineage %d", alg, step, why, li)
+				// MinQ first: assertProfileIdentical's Equal settles the
+				// profile, and an exclusive lineage patched in place must
+				// answer from its unsettled demand-row scan too.
+				for _, p := range lineagePeriods {
+					want, err := MinQ(l.live, alg, p)
+					if err != nil {
+						t.Fatalf("%s: naive MinQ(%g): %v", stage, p, err)
+					}
+					if got := l.pf.MinQ(p); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: MinQ(%g) = %v, naive MinQ = %v", stage, p, got, want)
+					}
+				}
 				fresh, err := Compile(l.live, alg)
 				if err != nil {
-					t.Fatalf("%s step %d (%s): lineage %d oracle: %v", alg, step, why, li, err)
+					t.Fatalf("%s: lineage oracle: %v", stage, err)
 				}
-				assertProfileIdentical(t, fmt.Sprintf("%s step %d (%s), lineage %d", alg, step, why, li), l.pf, fresh)
+				assertProfileIdentical(t, stage, l.pf, fresh)
 			}
 		}
 		for li, l := range lins {

@@ -26,12 +26,16 @@ import (
 // internal/envelope, together with the machinery that maintains the
 // surviving set under churn. The profile holds an envelope.Index over
 // its pre-pruning EDF demand stream: Compile builds it once, and the
-// incremental patch (incremental.go) updates it in place of the full
-// re-prune it would otherwise perform, so the envelope cost of an
-// admission event tracks the touched points, not the stream. Dominance
-// is applied with a relative margin (envelope.PruneMargin) far above
-// float64 noise, so the pruned scan returns bit-identical results to
-// the naive oracle MinQ.
+// index is settled — re-ranked where the demand changed, in place of a
+// full re-prune — only when a patched profile is frozen or audited.
+// Between settles, an exclusive profile that the in-place patch
+// (mutate.go) left unsettled answers MinQ from its exact demand row,
+// scanning every stream point with the naive oracle's own arithmetic;
+// an admission controller that reads MinQ once per patch pays for the
+// stream, not for an envelope it would read once. Dominance is applied
+// with a relative margin (envelope.PruneMargin) far above float64
+// noise, so the pruned scan returns bit-identical results to the naive
+// oracle MinQ.
 //
 // The EDF demand itself is exact. The profile keeps one row W of
 // integer ticks along the stream — each job charges its WCET rounded
@@ -93,6 +97,12 @@ type Profile struct {
 	// exclusive marks a single-owner profile that may be patched in
 	// place (mutate.go).
 	exclusive bool
+	// unsettled marks an exclusive EDF profile patched in place since
+	// its envelope was last settled: w is exact, but idx's demands and
+	// flags, and so edf, still describe an earlier row. MinQ scans w
+	// instead; settle brings the envelope up to date. A frozen profile
+	// is never unsettled.
+	unsettled bool
 }
 
 // Compile builds the profile of s under alg. It performs all the
@@ -207,9 +217,13 @@ func compileFPRow(hp task.Set, tk task.Task) []envelope.Pair {
 // Alg returns the algorithm the profile was compiled for.
 func (pf *Profile) Alg() Alg { return pf.alg }
 
-// Pairs returns the total number of (t, w) pairs retained after
-// pruning — the work MinQ performs per call.
+// Pairs returns the number of (t, w) pairs MinQ scans per call: the
+// pairs retained after pruning, or, for an unsettled exclusive EDF
+// profile, every point of its demand row. It never settles.
 func (pf *Profile) Pairs() int {
+	if pf.unsettled {
+		return len(pf.w)
+	}
 	n := len(pf.edf)
 	for _, pts := range pf.fp {
 		n += len(pts)
@@ -230,7 +244,7 @@ type MemStats struct {
 	// RetainedPoints is the pre-pruning scheduling-point count (the
 	// envelope index's stream length; 0 for FP profiles).
 	RetainedPoints int
-	// LivePairs is the pruned pair count MinQ scans (Profile.Pairs).
+	// LivePairs is the pair count MinQ scans (Profile.Pairs).
 	LivePairs int
 	// OwnerTable is the per-point owner-count table size.
 	OwnerTable int
@@ -255,8 +269,10 @@ func (m MemStats) Ratio() float64 {
 	return float64(m.PinnedCells) / float64(m.LiveCells)
 }
 
-// MemStats reports the profile's retained-memory shape. It is a cheap
-// O(rows) accounting pass, safe for concurrent use.
+// MemStats reports the profile's retained-memory shape, its LivePairs
+// counting what MinQ scans (see Pairs). It is a cheap O(rows)
+// accounting pass that never settles, so it is safe for concurrent use
+// on a frozen profile and costs an exclusive one no envelope work.
 func (pf *Profile) MemStats() MemStats {
 	var m MemStats
 	m.LivePairs = pf.Pairs()
@@ -278,8 +294,10 @@ func (pf *Profile) MemStats() MemStats {
 // envelope index's own invariants (envelope.Check) plus an exact
 // comparison of the retained stream, owner counts, demand row and
 // pruned pairs against a fresh Compile of the same set. It is the
-// profile-level quiescent-point audit internal/chaos runs.
+// profile-level quiescent-point audit internal/chaos runs; it settles
+// an unsettled profile first.
 func (pf *Profile) Check() error {
+	pf.settle()
 	if err := envelope.Check(pf.idx); err != nil {
 		return fmt.Errorf("analysis: profile check: %w", err)
 	}
@@ -320,8 +338,10 @@ func (pf *Profile) Check() error {
 
 // MinQ computes minQ(T, alg, P) from the compiled profile: the same
 // value the reference MinQ(s, alg, p) returns, bit for bit, but as a
-// single pass over the precompiled pairs with zero allocations. p must
-// be positive (as validated by the naive MinQ); MinQ returns 0 for
+// single pass over the precompiled pairs with zero allocations. An
+// unsettled profile scans its demand row instead of the pruned pairs,
+// with the naive oracle's arithmetic at every stream point. p must be
+// positive (as validated by the naive MinQ); MinQ returns 0 for
 // non-positive p.
 func (pf *Profile) MinQ(p float64) float64 {
 	if p <= 0 {
@@ -329,8 +349,21 @@ func (pf *Profile) MinQ(p float64) float64 {
 	}
 	if pf.alg == EDF {
 		q := 0.0
-		for _, pr := range pf.edf {
-			if v := qNeeded(pr.T, p, pr.W); v > q {
+		if !pf.unsettled {
+			for _, pr := range pf.edf {
+				if v := qNeeded(pr.T, p, pr.W); v > q {
+					q = v
+				}
+			}
+			return q
+		}
+		// The exact demand row, as the naive oracle evaluates it. The two
+		// slices have one length; bounding the walk by both drops the
+		// index checks, whose panic calls would give MinQ a stack frame,
+		// and the settled scan above is the period searches' inner loop.
+		ts, w := pf.idx.Ts(), pf.w
+		for k := range min(len(ts), len(w)) {
+			if v := qNeeded(ts[k], p, timeu.Ticks(w[k]).Units()); v > q {
 				q = v
 			}
 		}

@@ -18,7 +18,7 @@ import (
 const (
 	opAdmit       = iota // guest: Admit
 	opPartial            // count byte (1–3 guests) + guests: AdmitBatchPartial
-	opRemove             // index byte: Remove an in-system guest
+	opRemove             // count byte (1–3) + index bytes: RemoveBatch of held tasks
 	opRevoke             // fraction byte: Revoke part of the spare capacity
 	opRestore            // fraction byte: Restore part of the revoked capacity
 	opConsolidate        // Consolidate
@@ -82,15 +82,25 @@ func encodeGuest(ch int, T, D float64, c byte) []byte {
 	return []byte{byte(ch), byte(slices.Index(fuzzGrid, T)), byte(k >> 16), byte(k >> 8), byte(k), c}
 }
 
+// fuzzAlgs are the algorithms FuzzManagerOps' first byte picks from.
+var fuzzAlgs = []analysis.Alg{analysis.EDF, analysis.RM, analysis.DM}
+
+// managerHead encodes FuzzManagerOps' first byte: the residents (the
+// paper's set, or lightResidents) and the algorithm.
+func managerHead(light bool, alg analysis.Alg) byte {
+	b := byte(2 * slices.Index(fuzzAlgs, alg))
+	if light {
+		b++
+	}
+	return b
+}
+
 // managerSeed encodes a random schedule of steps ops from a math/rand
 // source: mostly admissions and removals, with partial batches,
 // revocations, restorations and consolidations mixed in.
-func managerSeed(light bool, seed int64, steps int) []byte {
+func managerSeed(light bool, alg analysis.Alg, seed int64, steps int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	out := []byte{0}
-	if light {
-		out[0] = 1
-	}
+	out := []byte{managerHead(light, alg)}
 	guest := func() []byte {
 		b := make([]byte, guestBytes)
 		rng.Read(b)
@@ -107,7 +117,11 @@ func managerSeed(light bool, seed int64, steps int) []byte {
 				out = append(out, guest()...)
 			}
 		case op < 8:
-			out = append(out, opRemove, byte(rng.Intn(256)))
+			n := 1 + rng.Intn(2)
+			out = append(out, opRemove, byte(n-1))
+			for j := 0; j < n; j++ {
+				out = append(out, byte(rng.Intn(256)))
+			}
 		case op < 9:
 			out = append(out, byte(opRevoke+rng.Intn(2)), byte(rng.Intn(256)))
 		default:
@@ -118,22 +132,60 @@ func managerSeed(light bool, seed int64, steps int) []byte {
 }
 
 // FuzzManagerOps drives a Manager through decoded op sequences —
-// admissions, partial admissions, removals, revocations, restorations
-// and consolidations, with off-grid guests — and after every op checks
-// the theorem oracle (Verify), the envelope audit (CheckProfiles),
-// task conservation and bit-identity of the live configuration with a
-// fresh ConfigFor solve. The first byte picks the residents: the
-// paper's set or lightResidents, each at the minimal-slot configuration
-// of its max-flexibility period. `go test` replays the seed corpus;
+// admissions, partial admissions, batch removals, revocations,
+// restorations and consolidations, with off-grid guests — and after
+// every op checks the theorem oracle (Verify), the envelope audit
+// (CheckProfiles), bit-identity of the live configuration with a fresh
+// ConfigFor solve, and the published order against a reference model:
+// admissions and readmissions are appended, departures are removed in
+// place, and evictions go to the parked list in eviction order, so
+// Tasks and Parked must equal the model exactly. The first byte picks
+// the residents (the paper's set or lightResidents, each at the
+// minimal-slot configuration of its max-flexibility period) and the
+// algorithm (EDF, RM or DM). `go test` replays the seed corpus;
 // `go test -fuzz=FuzzManagerOps` explores mutations.
 func FuzzManagerOps(f *testing.F) {
 	// The off-grid shape of the admission benchmark's notes: a guest
 	// due at 2.5665 with period 4. With its first job uncounted, the
 	// manager admitted it and Verify rejected the result.
 	f.Add(append([]byte{1, opAdmit}, encodeGuest(0, 4, 2.5665, 24)...))
-	f.Add(managerSeed(false, 1, 40))
-	f.Add(managerSeed(true, 2, 40))
+	f.Add(managerSeed(false, analysis.EDF, 1, 40))
+	f.Add(managerSeed(true, analysis.EDF, 2, 40))
+	f.Add(managerSeed(false, analysis.RM, 3, 40))
+	f.Add(managerSeed(true, analysis.DM, 4, 40))
+	// Removals from the middle of the live set, across channels: four
+	// guests on FT/0, NF/0, NF/2 and FS/0 join the light residents, then
+	// one batch removes the second and third guests and resident r3
+	// (held names sort g1…g4, r0…r6, so indices 1, 2 and 7), and a
+	// second batch removes r0 and the first guest.
+	middle := []byte{managerHead(true, analysis.EDF)}
+	for _, ch := range []int{0, 3, 5, 1} {
+		middle = append(append(middle, opAdmit), encodeGuest(ch, 12, 12, 4)...)
+	}
+	middle = append(middle, opRemove, 2, 1, 2, 7, opRemove, 1, 2, 0)
+	f.Add(middle)
 	f.Fuzz(runManagerOps)
+}
+
+// managerModel is FuzzManagerOps' reference model of the published
+// order: the live tasks and the parked ones, as Tasks and Parked must
+// return them.
+type managerModel struct {
+	live, parked task.Set
+}
+
+// remove deletes the named task in place from whichever list holds it.
+func (md *managerModel) remove(name string) {
+	byName := func(t task.Task) bool { return t.Name == name }
+	md.live = slices.DeleteFunc(md.live, byName)
+	md.parked = slices.DeleteFunc(md.parked, byName)
+}
+
+// held returns the names of every live or parked task, sorted.
+func (md *managerModel) held() []string {
+	names := append(md.live.Names(), md.parked.Names()...)
+	slices.Sort(names)
+	return names
 }
 
 // runManagerOps is FuzzManagerOps' property over one input.
@@ -144,7 +196,7 @@ func runManagerOps(t *testing.T, data []byte) {
 	if len(data) > 256 {
 		data = data[:256]
 	}
-	pr := core.Problem{Tasks: task.PaperTaskSet(), Alg: analysis.EDF, O: core.UniformOverheads(task.PaperOverheadTotal)}
+	pr := core.Problem{Tasks: task.PaperTaskSet(), Alg: fuzzAlgs[int(data[0]/2)%len(fuzzAlgs)], O: core.UniformOverheads(task.PaperOverheadTotal)}
 	if data[0]%2 == 1 {
 		pr.Tasks = lightResidents()
 	}
@@ -164,7 +216,7 @@ func runManagerOps(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inSystem := map[string]bool{}
+	model := &managerModel{live: slices.Clone(pr.Tasks)}
 	next, nguest := 1, 0
 	arg := func() byte {
 		if next >= len(data) {
@@ -188,7 +240,7 @@ func runManagerOps(t *testing.T, data []byte) {
 			g := guest()
 			what = fmt.Sprintf("admit %+v", g)
 			if m.Admit(g) == nil {
-				inSystem[g.Name] = true
+				model.live = append(model.live, g.Normalized())
 			}
 		case opPartial:
 			batch := make(task.Set, 1+int(arg())%3)
@@ -200,50 +252,61 @@ func runManagerOps(t *testing.T, data []byte) {
 			if err != nil {
 				t.Fatalf("step %d (%s): %v", step, what, err)
 			}
-			for _, g := range rep.Admitted {
-				inSystem[g.Name] = true
-			}
+			model.live = append(model.live, rep.Admitted...)
 		case opRemove:
-			i := int(arg())
-			names := make([]string, 0, len(inSystem))
-			for name := range inSystem {
-				names = append(names, name)
-			}
-			if len(names) == 0 {
+			held := model.held()
+			if len(held) == 0 {
 				continue
 			}
-			slices.Sort(names)
-			name := names[i%len(names)]
-			what = "remove " + name
-			if err := m.Remove(name); err != nil {
+			var names []string
+			for n := 1 + int(arg())%3; n > 0; n-- {
+				if name := held[int(arg())%len(held)]; !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
+			what = fmt.Sprintf("remove %v", names)
+			if err := m.RemoveBatch(names); err != nil {
 				t.Fatalf("step %d (%s): %v", step, what, err)
 			}
-			delete(inSystem, name)
+			for _, name := range names {
+				model.remove(name)
+			}
 		case opRevoke:
 			c := float64(1+int(arg())) / 256 * (m.Config().P - m.Revoked())
 			what = fmt.Sprintf("revoke %g", c)
-			if _, err := m.Revoke(c, Policy{}); err != nil {
+			rep, err := m.Revoke(c, Policy{})
+			if err != nil {
 				what += " (rejected)" // more than even the residents' overheads leave
+				break
 			}
+			for _, ev := range rep.Evicted {
+				model.remove(ev.Name)
+			}
+			model.parked = append(model.parked, rep.Evicted...)
 		case opRestore:
 			c := float64(1+int(arg())) / 256 * m.Revoked()
 			if c <= 0 {
 				continue
 			}
 			what = fmt.Sprintf("restore %g", c)
-			if _, err := m.Restore(c, Policy{}); err != nil {
+			rep, err := m.Restore(c, Policy{})
+			if err != nil {
 				t.Fatalf("step %d (%s): %v", step, what, err)
 			}
+			for _, back := range rep.Readmitted {
+				model.remove(back.Name)
+			}
+			model.live = append(model.live, rep.Readmitted...)
 		case opConsolidate:
 			what = "consolidate"
 			m.Consolidate()
 		}
-		checkManager(t, m, pr, inSystem, fmt.Sprintf("step %d (%s)", step, what))
+		checkManager(t, m, pr, model, fmt.Sprintf("step %d (%s)", step, what))
 	}
 }
 
 // checkManager asserts the manager's quiescent-point invariants.
-func checkManager(t *testing.T, m *Manager, pr core.Problem, inSystem map[string]bool, stage string) {
+func checkManager(t *testing.T, m *Manager, pr core.Problem, model *managerModel, stage string) {
 	t.Helper()
 	if err := m.Verify(); err != nil {
 		t.Fatalf("%s: Verify: %v", stage, err)
@@ -251,24 +314,11 @@ func checkManager(t *testing.T, m *Manager, pr core.Problem, inSystem map[string
 	if err := m.CheckProfiles(); err != nil {
 		t.Fatalf("%s: %v", stage, err)
 	}
-	// Conservation: live ∪ parked is exactly residents ∪ in-system
-	// guests, each once.
-	seen := map[string]int{}
-	for _, tk := range append(m.Tasks(), m.Parked()...) {
-		seen[tk.Name]++
+	if got := m.Tasks(); !slices.Equal(got, model.live) {
+		t.Fatalf("%s: Tasks() = %v, the model has %v", stage, got.Names(), model.live.Names())
 	}
-	for _, tk := range pr.Tasks {
-		if seen[tk.Name] != 1 {
-			t.Fatalf("%s: resident %s held %d times", stage, tk.Name, seen[tk.Name])
-		}
-	}
-	for name := range inSystem {
-		if seen[name] != 1 {
-			t.Fatalf("%s: guest %s held %d times", stage, name, seen[name])
-		}
-	}
-	if len(seen) != len(pr.Tasks)+len(inSystem) {
-		t.Fatalf("%s: %d tasks held, want %d residents + %d guests", stage, len(seen), len(pr.Tasks), len(inSystem))
+	if got := m.Parked(); !slices.Equal(got, model.parked) {
+		t.Fatalf("%s: Parked() = %v, the model has %v", stage, got.Names(), model.parked.Names())
 	}
 	configOracle(t, m, pr, stage)
 }

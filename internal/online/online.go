@@ -21,8 +21,10 @@
 //   - Batched: AdmitBatch and RemoveBatch reshape once for a whole
 //     group of arrivals or departures — all-or-nothing, one candidate
 //     set, one profile patch per touched channel
-//     (analysis.Profile.AddTasks/DropTasks in place, one envelope
-//     re-prune for the group instead of one per task), one
+//     (analysis.Profile.AddTasks/DropTasks in place, one demand-row
+//     pass for the group instead of one per task; the channel's slot
+//     is then read with one MinQ scan of that row, so no dominance
+//     envelope is maintained for a value read once), one
 //     configuration swap.
 //     Admit and Remove are the k=1 conveniences.
 //
@@ -34,7 +36,12 @@
 //
 //   - Non-blocking reads: the live core.Config and the admitted task
 //     set are published by one atomic pointer swap per reconfiguration,
-//     so Config, Slack and Tasks never block behind a reshape.
+//     so Config, Slack and Tasks never block behind a reshape. The next
+//     live set is built by bulk copies of the current one: every live
+//     task carries a publication sequence number, ascending along the
+//     live set, so a departing task is located by binary search, and a
+//     reconfiguration's commit costs a copy of the live set plus work
+//     proportional to its batch.
 //
 //   - Bounded memory: a channel's profile keeps one demand row per
 //     deadline point, and a row widened by guests with new deadlines
@@ -114,6 +121,19 @@ type Manager struct {
 	ring    [snapshotRing]*snapshot
 	ringIdx int
 
+	// seqs[seqCur] holds the publication sequence numbers of cur.live,
+	// position for position; the other array is the next publication's
+	// target. Every publication appends its newcomers numbered from
+	// nextSeq up and keeps the survivors' order, so the numbers ascend
+	// along the live set and a departing task — whose registry entry
+	// holds its number — is found by binary search. 64-bit numbers do
+	// not wrap. gone is publishLocked's scratch for the departing
+	// positions. All guarded by commitMu.
+	seqs    [2][]uint64
+	seqCur  int
+	nextSeq uint64
+	gone    []int
+
 	// commitMu serialises the decide-and-swap step of every
 	// reconfiguration: the per-mode worst-quantum comparison against the
 	// available capacity, the snapshot swap and the minq cache
@@ -163,7 +183,12 @@ const snapshotRing = 4
 // Publication is a pooled read-copy-update: the writer (under
 // commitMu) picks a retired ring record — one that is not current and
 // has no reader references — rewrites its fields in place reusing the
-// slice backings, and publishes it with one cur.Store. Readers pin a
+// slice backings, and publishes it with one cur.Store. A batch's live
+// set is written as bulk copies of the current one, split around the
+// departing tasks' positions, which their publication sequence numbers
+// locate by binary search in the commit-side array aligned with the
+// current record (Manager.seqs); the record itself holds no numbers.
+// A backing that must grow is sized to what it holds. Readers pin a
 // record with acquire/release around their copies. The happens-before
 // chain is carried entirely by the atomics: writer field-writes →
 // cur.Store (release) → reader cur.Load (acquire) → reader field-reads
@@ -223,16 +248,56 @@ func (m *Manager) nextSnapLocked() *snapshot {
 }
 
 // storeSnapLocked publishes the given state, copying the slices into a
-// recycled record (the arguments are not retained). Caller holds
-// commitMu.
+// recycled record (the arguments are not retained), and numbers the
+// live set afresh. It is the publication of Revoke and Restore, which
+// hold every lock and rebuild the whole live set anyway. Caller holds
+// commitMu but not nameMu.
 func (m *Manager) storeSnapLocked(cfg core.Config, live task.Set, revoked float64, parked task.Set) {
 	s := m.nextSnapLocked()
 	s.cfg = cfg
-	s.live = append(s.live[:0], live...)
+	s.live = append(sized(s.live, len(live)), live...)
 	s.revoked = revoked
 	s.parked = append(s.parked[:0], parked...)
+	m.renumberLocked(s.live)
 	m.cur.Store(s)
 	m.setStateGauges(s)
+}
+
+// renumberLocked gives every task of live, the set about to be
+// published, the next sequence number in order — in its registry entry
+// (anonymous tasks have none) and in the array that becomes aligned
+// with the new record. Caller holds commitMu (or owns a manager not yet
+// shared) but not nameMu.
+func (m *Manager) renumberLocked(live task.Set) {
+	seqs := sized(m.seqs[1-m.seqCur], len(live))
+	m.nameMu.Lock()
+	for _, t := range live {
+		if e := m.names[t.Name]; e != nil {
+			e.seq = m.nextSeq
+		}
+		seqs = append(seqs, m.nextSeq)
+		m.nextSeq++
+	}
+	m.nameMu.Unlock()
+	m.flipSeqsLocked(seqs)
+}
+
+// flipSeqsLocked makes seqs the array aligned with the record about to
+// be published. Caller holds commitMu.
+func (m *Manager) flipSeqsLocked(seqs []uint64) {
+	m.seqCur = 1 - m.seqCur
+	m.seqs[m.seqCur] = seqs
+}
+
+// sized returns buf emptied, with room for n elements: buf's own
+// backing when it is large enough, else a new one of exactly n, so a
+// recycled backing holds what it publishes rather than a doubling's
+// headroom.
+func sized[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, 0, n)
+	}
+	return buf[:0]
 }
 
 // setStateGauges refreshes the published-state gauges from the record
@@ -276,9 +341,12 @@ type Event struct {
 // conflicting reconfigurations until their batch commits or aborts.
 // parked entries were evicted by Revoke and await Restore: the task is
 // out of the live set but its name stays claimed so readmission cannot
-// collide.
+// collide. seq is a live task's publication sequence number (see
+// Manager.seqs), written under commitMu and nameMu when the task is
+// published.
 type nameEntry struct {
 	t       task.Task
+	seq     uint64
 	pending bool
 	parked  bool
 }
@@ -364,6 +432,7 @@ func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager
 		cfg:  cfg,
 		live: append(task.Set(nil), pr.Tasks...),
 	}
+	m.renumberLocked(first.live)
 	m.ring[0] = first
 	m.cur.Store(first)
 	return m, nil
@@ -478,17 +547,54 @@ func (m *Manager) Verify() error {
 }
 
 // opScratch is one reconfiguration's reusable working storage: the
-// normalized batch, the touched-channel slice and the removal path's
-// re-split buffers. Pooled because the profile layer copies every task
-// value it is handed (AddTasks/DropTasks append values, publish copies
-// values into the snapshot), so nothing here escapes the operation —
-// which is what makes the steady-state admit+remove cycle
+// normalized batch, the touched-channel slice, the batch grouped by
+// channel, and the removal path's re-split buffers with the live
+// victims' sequence numbers. Pooled because the profile layer copies
+// every task value it is handed (AddTasks/DropTasks append values,
+// publish copies values into the snapshot), so nothing here escapes the
+// operation — which is what makes the steady-state admit+remove cycle
 // allocation-free.
 type opScratch struct {
 	norm    task.Set
 	touched []touchedChannel
+	groups  task.Set
 	live    task.Set
+	seqs    []uint64
 	parked  task.Set
+}
+
+// channelGroup returns the members of batch on tc's channel, in batch
+// order: batch itself when the batch touches one channel, else a run
+// appended to the grouping buffer buf, which is returned extended. buf
+// must have capacity for the whole batch, so that the runs taken from
+// it share opScratch.groups' backing and never move.
+func channelGroup(touched []touchedChannel, tc *touchedChannel, batch, buf task.Set) (group, next task.Set) {
+	if len(touched) == 1 {
+		return batch, buf
+	}
+	lo := len(buf)
+	for _, t := range batch {
+		if t.Mode == tc.st.mode && t.Channel == tc.st.ch {
+			buf = append(buf, t)
+		}
+	}
+	return buf[lo:len(buf):len(buf)], buf
+}
+
+// patchRejection is the rejection of a batch whose profile patch failed
+// on tc's channel (an unanalysable horizon, say): that channel's
+// members are invalid with the patch error, and every other member is
+// rejected with them, since nothing of the batch was admitted.
+func patchRejection(batch task.Set, tc *touchedChannel, err error) *Rejection {
+	rej := &Rejection{Verdicts: make([]TaskVerdict, len(batch))}
+	for i, t := range batch {
+		v := TaskVerdict{Task: t, Code: VerdictRejected, Detail: "a batch member's channel could not be analysed"}
+		if t.Mode == tc.st.mode && t.Channel == tc.st.ch {
+			v.Code, v.Detail = VerdictInvalid, err.Error()
+		}
+		rej.Verdicts[i] = v
+	}
+	return rej
 }
 
 var opPool = sync.Pool{New: func() any { return new(opScratch) }}
@@ -567,24 +673,24 @@ func (m *Manager) admitBatch(batch []task.Task) error {
 	if mt != nil {
 		patch0 = time.Now()
 	}
+	sc.groups = slices.Grow(sc.groups[:0], len(norm))
+	buf := sc.groups
 	for i := range touched {
 		tc := &touched[i]
-		group := norm
-		if len(touched) > 1 {
-			group = norm.ByChannel(tc.st.mode, tc.st.ch)
-		}
+		var group task.Set
+		group, buf = channelGroup(touched, tc, norm, buf)
 		tc.thaw()
 		if err := tc.st.prof.AddTasks(group); err != nil {
 			rollbackAdmits(touched) // channels patched before this one
 			m.unreserveAdmit(norm)
-			return &Rejection{Verdicts: []TaskVerdict{{Code: VerdictInvalid, Detail: err.Error()}}}
+			return patchRejection(norm, tc, err)
 		}
 		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
 	}
 	if mt != nil {
 		mt.PatchLatency.ObserveSince(patch0)
 	}
-	if err := m.commit(touched, norm, nil, nil); err != nil {
+	if err := m.commit(touched, norm, nil, nil, nil); err != nil {
 		rollbackAdmits(touched)
 		m.unreserveAdmit(norm)
 		return err
@@ -664,29 +770,31 @@ func (m *Manager) removeBatch(names []string) error {
 	// different work — live victims leave the channel profiles, parked
 	// ones already did when they were evicted. Revoke/Restore hold every
 	// channel lock, so the classification is stable from here on.
+	// The live victims' sequence numbers are read here too: only Revoke
+	// and Restore renumber, and they are locked out from here on.
 	m.nameMu.Lock()
-	live := sc.live[:0]
+	live, seqs := sc.live[:0], sc.seqs[:0]
 	parked = parked[:0]
 	for _, t := range all {
-		if m.names[t.Name].parked {
+		if e := m.names[t.Name]; e.parked {
 			parked = append(parked, t)
 		} else {
-			live = append(live, t)
+			live, seqs = append(live, t), append(seqs, e.seq)
 		}
 	}
-	sc.live, sc.parked = live, parked
+	sc.live, sc.seqs, sc.parked = live, seqs, parked
 	m.nameMu.Unlock()
 	mt := m.met.Load()
 	var patch0 time.Time
 	if mt != nil {
 		patch0 = time.Now()
 	}
+	sc.groups = slices.Grow(sc.groups[:0], len(live))
+	buf := sc.groups
 	for i := range touched {
 		tc := &touched[i]
-		group := live
-		if len(touched) > 1 {
-			group = live.ByChannel(tc.st.mode, tc.st.ch)
-		}
+		var group task.Set
+		group, buf = channelGroup(touched, tc, live, buf)
 		if len(group) == 0 {
 			continue // a parked-only channel: nothing leaves its profile
 		}
@@ -701,7 +809,7 @@ func (m *Manager) removeBatch(names []string) error {
 	if mt != nil {
 		mt.PatchLatency.ObserveSince(patch0)
 	}
-	if err := m.commit(touched, nil, live, parked); err != nil {
+	if err := m.commit(touched, nil, live, seqs, parked); err != nil {
 		rollbackRemoves(touched)
 		m.unreserveRemove(live, parked)
 		return err // cannot happen: shrinking always fits; defensive
@@ -727,8 +835,8 @@ func (m *Manager) newEntryLocked(t task.Task, pending bool) *nameEntry {
 }
 
 // freeEntryLocked removes name from the registry and recycles its
-// entry. Entry pointers never escape the registry (lookups copy the
-// task value out under nameMu), so recycling is safe. Caller holds
+// entry. Entry pointers never escape the registry (lookups copy what
+// they need out under nameMu), so recycling is safe. Caller holds
 // nameMu.
 func (m *Manager) freeEntryLocked(name string) {
 	e, ok := m.names[name]
@@ -991,10 +1099,11 @@ func (m *Manager) fits(next core.Config, revoked float64) bool {
 // values for the touched channels), check the slot total against the
 // available capacity, and — on acceptance — publish the new
 // configuration, task snapshot, profiles and name-registry state in one
-// swap. removedParked names leave the parked set and the registry
-// without profile work (their demand left when they were evicted). The
-// caller holds the touched channels' locks.
-func (m *Manager) commit(touched []touchedChannel, added, removed, removedParked task.Set) error {
+// swap. removed are live tasks leaving, removedSeqs their sequence
+// numbers in the same order; removedParked names leave the parked set
+// and the registry without profile work (their demand left when they
+// were evicted). The caller holds the touched channels' locks.
+func (m *Manager) commit(touched []touchedChannel, added, removed task.Set, removedSeqs []uint64, removedParked task.Set) error {
 	mt := m.met.Load()
 	var t0 time.Time
 	if mt != nil {
@@ -1020,7 +1129,7 @@ func (m *Manager) commit(touched []touchedChannel, added, removed, removedParked
 	if err := next.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	m.publishLocked(touched, added, removed, removedParked, next, old)
+	m.publishLocked(touched, added, removed, removedSeqs, removedParked, next, old)
 	return nil
 }
 
@@ -1029,19 +1138,41 @@ func (m *Manager) commit(touched []touchedChannel, added, removed, removedParked
 // parked set and the name registry. The new state is built directly
 // into a recycled snapshot record (see nextSnapLocked), so the
 // steady-state publication reuses its slice backings and allocates
-// nothing. Caller holds commitMu and the touched channels' locks; old
-// is the current record.
-func (m *Manager) publishLocked(touched []touchedChannel, added, removed, removedParked task.Set, next core.Config, old *snapshot) {
+// nothing. The live set is the current one minus the departing tasks,
+// located by binary search on their sequence numbers (removedSeqs) and
+// cut out between bulk copies of the survivors, plus added in batch
+// order, numbered from nextSeq up. Caller holds commitMu and the
+// touched channels' locks; old is the current record.
+func (m *Manager) publishLocked(touched []touchedChannel, added, removed task.Set, removedSeqs []uint64, removedParked task.Set, next core.Config, old *snapshot) {
 	m.installProfiles(touched)
+	cur := m.seqs[m.seqCur]
+	gone := m.gone[:0]
+	for _, seq := range removedSeqs {
+		p, ok := slices.BinarySearch(cur, seq)
+		if !ok {
+			panic("online: a departing task is missing from the published live set")
+		}
+		gone = append(gone, p)
+	}
+	slices.Sort(gone)
+	m.gone = gone
 	s := m.nextSnapLocked()
 	s.cfg = next
-	s.live = s.live[:0]
-	for _, t := range old.live {
-		if _, gone := removed.Find(t.Name); !gone || t.Name == "" {
-			s.live = append(s.live, t)
-		}
+	n := len(old.live) - len(gone) + len(added)
+	live, seqs := sized(s.live, n), sized(m.seqs[1-m.seqCur], n)
+	lo := 0
+	for _, p := range gone {
+		live, seqs = append(live, old.live[lo:p]...), append(seqs, cur[lo:p]...)
+		lo = p + 1
 	}
-	s.live = append(s.live, added...)
+	live, seqs = append(live, old.live[lo:]...), append(seqs, cur[lo:]...)
+	s.live = append(live, added...)
+	first := m.nextSeq
+	for range added {
+		seqs = append(seqs, m.nextSeq)
+		m.nextSeq++
+	}
+	m.flipSeqsLocked(seqs)
 	s.revoked = old.revoked
 	s.parked = s.parked[:0]
 	if len(removedParked) > 0 {
@@ -1056,8 +1187,9 @@ func (m *Manager) publishLocked(touched []touchedChannel, added, removed, remove
 	m.cur.Store(s)
 	m.setStateGauges(s)
 	m.nameMu.Lock()
-	for _, t := range added {
-		m.names[t.Name].pending = false
+	for i, t := range added {
+		e := m.names[t.Name]
+		e.pending, e.seq = false, first+uint64(i)
 	}
 	for _, t := range removed {
 		m.freeEntryLocked(t.Name)

@@ -88,6 +88,11 @@ func (r *AdmitReport) Err() error {
 // not fit next to the final admitted set would not fit next to any
 // superset either).
 //
+// A batch whose profile patch fails on some channel (an unanalysable
+// hyperperiod, say) is rejected whole: that channel's members are
+// invalid with the analysis error, the other reserved members are
+// rejected with them.
+//
 // The returned report lists the admitted members and a verdict for
 // every other one; report.Err() converts it to a typed *Rejection.
 // The error return is reserved for internal failures; a batch that was
@@ -139,19 +144,23 @@ func (m *Manager) admitBatchPartial(batch []task.Task, pol Policy) (*AdmitReport
 	if len(reserved) == 0 {
 		return report, nil
 	}
-	touched := m.lockChannels(reserved, nil)
+	sc := opPool.Get().(*opScratch)
+	defer opPool.Put(sc)
+	touched := m.lockChannels(reserved, sc.touched[:0])
+	sc.touched = touched
 	defer unlockChannels(touched)
+	sc.groups = slices.Grow(sc.groups[:0], len(reserved))
+	buf := sc.groups
 	for i := range touched {
 		tc := &touched[i]
-		group := reserved
-		if len(touched) > 1 {
-			group = reserved.ByChannel(tc.st.mode, tc.st.ch)
-		}
+		var group task.Set
+		group, buf = channelGroup(touched, tc, reserved, buf)
 		tc.thaw()
 		if err := tc.st.prof.AddTasks(group); err != nil {
 			rollbackAdmits(touched)
 			m.unreserveAdmit(reserved)
-			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
+			report.Rejected = append(report.Rejected, patchRejection(reserved, tc, err).Verdicts...)
+			return report, nil
 		}
 		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
 	}
@@ -314,6 +323,6 @@ func (m *Manager) commitPartial(touched []touchedChannel, reserved task.Set, pol
 		// admit nothing rather than publish a broken configuration.
 		return nil, append(shed, admitted...), overflows
 	}
-	m.publishLocked(touched, admitted, nil, nil, next, old)
+	m.publishLocked(touched, admitted, nil, nil, nil, next, old)
 	return admitted, shed, overflows
 }

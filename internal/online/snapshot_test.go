@@ -153,6 +153,45 @@ func TestSnapshotZeroAllocCycle(t *testing.T) {
 	}
 }
 
+// TestMultiChannelBatchZeroAlloc extends the zero-allocation contract
+// to batches that span channels: one AdmitBatch of a guest on every
+// channel and one RemoveBatch of them in reverse order, with metrics
+// installed. The batch is grouped per channel in pooled scratch, so the
+// cycle allocates nothing.
+func TestMultiChannelBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts gate only the plain build")
+	}
+	m := maxFlexManager(t)
+	m.SetMetrics(NewMetrics(metrics.New()))
+	// Each guest clones the period and deadline of its channel's first
+	// resident, so every patch stays on the channel's deadline grid.
+	var batch []task.Task
+	for _, r := range m.Tasks() {
+		if !slices.ContainsFunc(batch, func(g task.Task) bool { return g.Mode == r.Mode && g.Channel == r.Channel }) {
+			batch = append(batch, task.Task{Name: "g-" + r.Name, C: r.C / 100, T: r.T, D: r.D, Mode: r.Mode, Channel: r.Channel})
+		}
+	}
+	names := make([]string, len(batch))
+	for i, g := range batch {
+		names[len(batch)-1-i] = g.Name
+	}
+	cycle := func() {
+		if err := m.AdmitBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveBatch(names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm pools, ring and map tombstones
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
+		t.Fatalf("%d-channel AdmitBatch+RemoveBatch cycle allocates %.2f allocs/op with metrics enabled, want 0", len(batch), allocs)
+	}
+}
+
 // TestMetricsCountsCycle checks the instrument arithmetic over a mixed
 // workload against hand-kept tallies.
 func TestMetricsCountsCycle(t *testing.T) {
@@ -176,12 +215,12 @@ func TestMetricsCountsCycle(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"online.admit.batches":  1,
-		"online.admit.rejected": 1,
-		"online.remove.batches": 1,
+		"online.admit.batches":   1,
+		"online.admit.rejected":  1,
+		"online.remove.batches":  1,
 		"online.remove.rejected": 1,
-		"online.tasks.admitted": 2,
-		"online.tasks.removed":  2,
+		"online.tasks.admitted":  2,
+		"online.tasks.removed":   2,
 	} {
 		if got := s.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -248,6 +248,43 @@ func TestHyperperiodEmpty(t *testing.T) {
 	}
 }
 
+// TestHyperperiodFigures pins the exact fold of scaled periods: integer
+// and fractional periods, and the periods and denominators it rejects.
+func TestHyperperiodFigures(t *testing.T) {
+	set := func(periods ...float64) Set {
+		s := make(Set, len(periods))
+		for i, p := range periods {
+			s[i] = Task{C: 0.1, T: p}
+		}
+		return s
+	}
+	for _, c := range []struct {
+		s    Set
+		den  int64
+		want float64
+	}{
+		{set(6, 8, 12), 1, 24},
+		{set(0.5, 0.75), 4, 1.5},
+	} {
+		if h, err := c.s.Hyperperiod(c.den); err != nil || h != c.want {
+			t.Errorf("Hyperperiod(%d) of periods %v = %g, %v; want %g", c.den, c.s, h, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		s   Set
+		den int64
+		why string
+	}{
+		{set(math.Pi), 1000, "an irrational period"},
+		{set(-2), 1, "a negative period"},
+		{set(2), 0, "a zero denominator"},
+	} {
+		if h, err := c.s.Hyperperiod(c.den); err == nil {
+			t.Errorf("Hyperperiod with %s = %g, want an error", c.why, h)
+		}
+	}
+}
+
 func TestHyperperiodOverflowIsAnError(t *testing.T) {
 	// Three valid periods whose scaled LCM, 7000001·5000003·3000007,
 	// exceeds int64; and one period whose scaled value alone does.

@@ -83,10 +83,11 @@ func AlmostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // ScaledPeriod converts a float64 period to its integer numerator over
 // the given denominator: the period must be an integral multiple of
 // 1/den to within 1e-9 relative, positive, and its numerator must fit
-// in an int64. It is the per-period
-// validation step of Hyperperiod, exposed so incremental consumers can
-// fold one more period into an integer hyperperiod without re-parsing
-// the whole set.
+// in an int64 (a denominator that is not positive makes the numerator
+// not positive). Folding the numerators with LCM gives an exact integer
+// hyperperiod, which task.Set.Hyperperiod and the compiled EDF
+// profiles do; an incremental consumer folds one more period into it
+// without re-parsing the whole set.
 func ScaledPeriod(p float64, den int64) (int64, error) {
 	scaled := p * float64(den)
 	r := math.Round(scaled)
@@ -100,38 +101,4 @@ func ScaledPeriod(p float64, den int64) (int64, error) {
 		return 0, fmt.Errorf("timeu: period %g is beyond the int64 range over 1/%d", p, den)
 	}
 	return int64(r), nil
-}
-
-// HyperperiodInt returns the least common multiple of the given float64
-// periods as an integer numerator over den (see ScaledPeriod). Integer
-// LCM is associative and commutative, so the result is independent of
-// the period order — the exactness anchor for incremental hyperperiod
-// updates.
-func HyperperiodInt(periods []float64, den int64) (int64, error) {
-	if den <= 0 {
-		return 0, fmt.Errorf("timeu: denominator must be positive, got %d", den)
-	}
-	h := int64(1)
-	for _, p := range periods {
-		r, err := ScaledPeriod(p, den)
-		if err != nil {
-			return 0, err
-		}
-		if h, err = LCM(h, r); err != nil {
-			return 0, err
-		}
-	}
-	return h, nil
-}
-
-// Hyperperiod returns the least common multiple of the given float64
-// periods interpreted as rationals with the given denominator (periods
-// are multiplied by den and must then be integral to within 1e-9).
-// It returns an error if any period is not representable.
-func Hyperperiod(periods []float64, den int64) (float64, error) {
-	h, err := HyperperiodInt(periods, den)
-	if err != nil {
-		return 0, err
-	}
-	return float64(h) / float64(den), nil
 }

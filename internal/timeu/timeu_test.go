@@ -2,6 +2,7 @@ package timeu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,18 +45,6 @@ func TestLCM(t *testing.T) {
 	}
 }
 
-func TestLCMAll(t *testing.T) {
-	// The LCM fold over no periods is 1, the identity of the fold.
-	if got, err := HyperperiodInt(nil, 1); got != 1 || err != nil {
-		t.Errorf("HyperperiodInt(nil, 1) = %d, %v; want 1", got, err)
-	}
-	// Hyperperiod of the paper's Table 1 periods.
-	paper := []float64{6, 8, 12, 10, 24, 10, 15, 20, 4, 12, 15, 20, 30}
-	if got, err := HyperperiodInt(paper, 1); got != 120 || err != nil {
-		t.Errorf("HyperperiodInt(paper periods, 1) = %d, %v; want 120", got, err)
-	}
-}
-
 func TestLCMOverflowErrors(t *testing.T) {
 	if l, err := LCM(math.MaxInt64-1, math.MaxInt64-2); err == nil {
 		t.Fatalf("LCM of two huge coprimes = %d, want an overflow error", l)
@@ -77,6 +66,21 @@ func TestScaledPeriodRange(t *testing.T) {
 	for _, p := range []float64{1e13, 1e300, math.Inf(1), math.NaN()} {
 		if r, err := ScaledPeriod(p, 1_000_000); err == nil {
 			t.Errorf("ScaledPeriod(%g, 1e6) = %d, want an error", p, r)
+		}
+	}
+}
+
+// TestScaledPeriodNotPositive pins the rejection of a period that is
+// not positive and of a zero denominator, which scales every period to
+// zero.
+func TestScaledPeriodNotPositive(t *testing.T) {
+	for _, c := range []struct {
+		p   float64
+		den int64
+	}{{-2, 1}, {0, 1}, {2, 0}} {
+		r, err := ScaledPeriod(c.p, c.den)
+		if err == nil || !strings.Contains(err.Error(), "not positive") {
+			t.Errorf("ScaledPeriod(%g, %d) = %d, %v; want a not-positive error", c.p, c.den, r, err)
 		}
 	}
 }
@@ -123,32 +127,6 @@ func TestTicksRoundingDirections(t *testing.T) {
 func TestTicksString(t *testing.T) {
 	if got := FromUnits(2.966).String(); got != "2.966000000" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestHyperperiod(t *testing.T) {
-	h, err := Hyperperiod([]float64{6, 8, 12}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 24 {
-		t.Errorf("Hyperperiod = %g, want 24", h)
-	}
-	h, err = Hyperperiod([]float64{0.5, 0.75}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 1.5 {
-		t.Errorf("fractional Hyperperiod = %g, want 1.5", h)
-	}
-	if _, err := Hyperperiod([]float64{math.Pi}, 1000); err == nil {
-		t.Error("irrational period should be rejected")
-	}
-	if _, err := Hyperperiod([]float64{-2}, 1); err == nil {
-		t.Error("negative period should be rejected")
-	}
-	if _, err := Hyperperiod([]float64{2}, 0); err == nil {
-		t.Error("zero denominator should be rejected")
 	}
 }
 
