@@ -20,37 +20,33 @@
 //     task's jobs the way the deadline generator emits their deadlines
 //     and charges each job its WCET rounded up to whole simulator ticks
 //     — the work the sim engine executes — summed as integers;
-//   - internal/envelope: the incremental dominance-envelope index the
-//     analysis layer is built on. Demand curves cross at most once, so
-//     a pair is retained iff it is undominated at one of the two
-//     extremes (P→0⁺ rank w/t, P→∞ rank w−t); envelope.Index keeps the
-//     point stream sorted under packed order-preserving float keys and
-//     maintains that Pareto order under point insertion and removal —
-//     each event re-examines only the touched points and the envelope
-//     span they dominate or release, not the whole stream — with
-//     owner counts so tasks sharing a deadline merge and unmerge
-//     exactly. Pruning never decides MinQ (the 1e-9 relative margin
-//     keeps every near-tie), so every layer above stays bit-identical
-//     to the from-scratch oracle (envelope.Prune), which
-//     envelope.Check re-verifies in full wherever the chaos harness
-//     reaches a quiescent point;
+//   - internal/envelope: the dominance pruning the analysis layer is
+//     built on. Demand curves cross at most once, so a pair is retained
+//     iff it is undominated at one of the two extremes (P→0⁺ rank w/t,
+//     P→∞ rank w−t); envelope.Prune sorts the points under packed
+//     order-preserving float keys and drops, in one walk, every point
+//     another dominates at both. Pruning never decides MinQ (the 1e-9
+//     relative margin keeps every near-tie), so every layer above stays
+//     bit-identical to the naive MinQ, and Profile.Check compares a
+//     profile's stream, demand row and pruned pairs with a fresh
+//     Compile wherever the chaos harness reaches a quiescent point;
 //   - internal/core: the paper's integration conditions (Eqs. 12–15);
 //     Problem.Compile caches per-channel demand profiles
 //     (analysis.Profile) — the P-independent half of Eq. (15) — so
 //     repeated LHS evaluations run allocation-free; every search below
 //     uses this compiled path, with the naive methods kept as the
 //     reference oracle. Profiles update incrementally through one
-//     patch algorithm, analysis.Profile.AddTasks/DropTasks: it merges
-//     a batch's deadline streams into the profile's envelope.Index (or
-//     walks them out), adds or subtracts the batch's jobs in the
-//     channel's one integer demand row, and stays identical to a fresh
-//     compile, so "what if these tasks joined channel i" costs the
-//     newcomers' own deadlines and one pass over the row rather than a
-//     channel recompilation. The in-place patch leaves the dominance
-//     envelope unsettled: until the profile is frozen or audited,
-//     MinQ scans the exact demand row with the naive oracle's
-//     arithmetic, and the envelope is settled once, re-ranking the
-//     span the patches changed.
+//     patch algorithm, analysis.Profile.AddTasks/DropTasks: it splices
+//     a batch's new deadline points into the profile's retained stream
+//     (or walks them out), adds or subtracts the batch's owner counts
+//     along the stream and its jobs in the channel's one integer demand
+//     row, and stays identical to a fresh compile, so "what if these
+//     tasks joined channel i" costs the newcomers' own deadlines and one
+//     pass over the row rather than a channel recompilation. The
+//     in-place patch leaves the pruned pairs unsettled: until the
+//     profile is frozen or audited, MinQ scans the exact demand row with
+//     the naive oracle's arithmetic, and the row is then pruned once
+//     with envelope.Prune.
 //     The what-ifs WithTasks/WithoutTasks (on both analysis.Profile and
 //     core.CompiledProblem) run that patch on a clone of the receiver
 //     and settle and freeze the result; a hyperperiod change falls back
@@ -92,9 +88,9 @@
 //   - internal/chaos: a seeded concurrency harness storming the manager
 //     — admissions, partial admissions, removals, fault-driven
 //     revocations — and checking conservation, Verify, bit-identity to
-//     a from-scratch solve and the full envelope audit
+//     a from-scratch solve and the full profile audit
 //     (Manager.CheckProfiles) at every quiescent point, while tallying
-//     envelope fallbacks and consolidation rebuilds (ftsim -chaos);
+//     patch fallbacks and consolidation rebuilds (ftsim -chaos);
 //     RunClosedLoop then closes the analysis → execution loop: it
 //     replays a seeded workload storm through the scenario runtime
 //     under fault injection and asserts the headline invariant
@@ -154,23 +150,26 @@
 // and exclusive, and the loops around it reuse per-owner scratch:
 //
 //   - Frozen, shared: compiled profiles (Compile, Problem.Compile) and
-//     what-if results (WithTasks/WithoutTasks) with their
-//     envelope.Index snapshots. A frozen profile is settled and never
-//     written again, so an ancestor and its descendants can be read
-//     concurrently forever. A what-if is a clone, the patch, a settle
-//     and a freeze: the clone takes the index copy-on-write and copies
-//     the receiver's demand row, one int64 per deadline point.
+//     what-if results (WithTasks/WithoutTasks). A frozen profile is
+//     settled and never written again, so an ancestor and its
+//     descendants can be read concurrently forever. A what-if is a
+//     clone, the patch, a settle and a freeze: the clone copies the
+//     receiver's deadline stream, owner counts and demand row (a
+//     float64, an int32 and an int64 per deadline point) and shares its
+//     pruned pairs, which no profile writes in place; the settle prunes
+//     the patched row once into an exactly sized slice.
 //   - Exclusive, single-owner: Profile.Thawed and
 //     analysis.CompileMutable produce profiles that AddTasks/DropTasks
-//     patch in place: the demand row grows when new deadlines widen
-//     the stream and keeps that capacity, so a steady-state
-//     admit+remove cycle is allocation-free. An EDF patch leaves the
-//     profile unsettled — only an exclusive profile ever is — and its
-//     owner's reads (MinQ, Pairs, MemStats) never settle it; Equal and
-//     Check do, and a thaw copies it unsettled. The online manager
-//     thaws each touched channel's profile on first patch;
-//     consolidation recompiles a channel whose row capacity has grown
-//     well past its live points, so the memory-ratio trigger converges.
+//     patch in place: the stream, its owner counts and the demand row
+//     grow when new deadlines widen the stream and keep that capacity,
+//     so a steady-state admit+remove cycle is allocation-free. An EDF
+//     patch leaves the profile unsettled — only an exclusive profile
+//     ever is — and its owner's reads (MinQ, Pairs, MemStats) never
+//     settle it; Equal and Check do, and a thaw copies it unsettled.
+//     The online manager thaws each touched channel's profile on first
+//     patch; consolidation recompiles a channel whose row capacity has
+//     grown well past its live points, so the memory-ratio trigger
+//     converges.
 //   - Published, recycled: the manager's snapshot ring. A commit
 //     rewrites a retired record's live set as bulk copies of the
 //     current one, and the commit-side sequence-number arrays
@@ -187,7 +186,7 @@
 //
 // The bit-identity contract constrains all of it: every incremental or
 // in-place path must produce exactly the result of the from-scratch
-// oracle (envelope.Prune, a fresh Compile, the sim engine's linear-scan
+// oracle (a fresh Compile, the naive MinQ, the sim engine's linear-scan
 // release path). EDF demand is an integer tick sum, so its terms may be
 // added and removed in any order; everywhere else buffers may be reused
 // but floating-point operation order may not change.

@@ -12,20 +12,18 @@ import (
 // task changed. There is one patch algorithm, AddTasks/DropTasks
 // (mutate.go), which rewrites an exclusive profile in place:
 //
-//   - EDF: the profile's envelope.Index retains the pre-pruning deadline
-//     stream with per-point owner counts, and the profile keeps one
-//     demand row W in integer ticks along it. Admitting tasks merges the
-//     newcomers' deadline streams into the index (Merge), gives each
-//     brand-new point its predecessor's demand and adds each newcomer's
-//     jobs in one walk. Releasing tasks walks owner counts down
-//     (RemoveOwners), subtracts the leavers' jobs, and compacts the
-//     solely-owned points out of the stream and the row (Compact).
+//   - EDF: the profile retains the pre-pruning deadline stream with
+//     per-point owner counts and one demand row W in integer ticks
+//     along it, three aligned slices. Admitting tasks splices the
+//     newcomers' brand-new points into the slices, each with its
+//     predecessor's demand, and adds the newcomers' owners and jobs in
+//     one walk. Releasing tasks subtracts the leavers' owners and jobs
+//     in that walk, which also drops the points no task owns any more.
 //     Integer sums do not depend on their order, so the patched row is
-//     identical to a fresh Compile of the same set. The patch leaves the
-//     envelope unsettled: MinQ scans the row until the profile is
-//     frozen or audited, which hands the row back to the index once
-//     (SetDemand, re-ranking only the points whose demand changed since
-//     the last settle), so the settled envelope is identical too.
+//     identical to a fresh Compile of the same set. The patch leaves
+//     the pruned pairs unsettled: MinQ scans the row until the profile
+//     is frozen or audited, which prunes it once with envelope.Prune,
+//     so the settled pairs are identical too.
 //
 //   - RM/DM: priority levels above the changed tasks keep their
 //     higher-priority sets, so their rows are kept unchanged; only the
@@ -33,23 +31,24 @@ import (
 //     through the same compileFPRow used by Compile.
 //
 // The what-if constructors WithTasks and WithoutTasks are that same
-// patch applied to a clone: Thawed's copy-on-write index clone plus a
-// copy of the demand row, patched in place, then settled and frozen.
-// The receiver is unchanged.
+// patch applied to a clone: Thawed's copies of the stream, owner counts
+// and demand row, patched in place, then settled and frozen. The
+// receiver is unchanged.
 //
 // The retained stream and row are the memory-for-latency trade called
-// out in the package comment: one int64 per deadline point. The patch
-// falls back to a fresh Compile when patching has no advantage (empty
-// profiles, or an EDF hyperperiod change, where every stream would
-// extend anyway); each such bail bumps the profile's fallback counter
-// (Fallbacks), and the fallback is also the property-test oracle (see
-// incremental_test.go).
+// out in the package comment: a float64, an int32 and an int64 per
+// deadline point. The patch falls back to a fresh Compile when patching
+// has no advantage (empty profiles, or an EDF hyperperiod change, where
+// every stream would extend anyway) or when it finds the compiled state
+// corrupted; a bail for a hyperperiod change or a corrupted state bumps
+// the profile's fallback counter (Fallbacks), and the fallback is also
+// the property-test oracle (see incremental_test.go).
 
 // WithTasks returns a new profile for the compiled set plus every task
 // in add, in order, identical (retained streams included) to a fresh
 // Compile of the extended set. The batch pays the expensive steps once:
-// the newcomers' deadline streams are merged into the retained index in
-// one pass, the demand row is patched once, and the envelope re-ranks
+// the newcomers' deadline streams are spliced into the retained stream
+// in one pass, the demand row is patched once, and the row is pruned
 // once (EDF); for RM/DM the priority suffix below the highest-priority
 // newcomer is rebuilt once. The receiver is unchanged. An empty batch
 // returns the receiver.
@@ -66,8 +65,8 @@ func (pf *Profile) WithTasks(add []task.Task) (*Profile, error) {
 
 // WithoutTasks returns a new profile for the compiled set minus every
 // task in rem, equivalent to a fresh Compile of the survivors, with one
-// owner-count walk, one stream compaction, one demand-row patch and one
-// envelope re-rank for the whole batch. Every task must be present
+// walk over the stream (owner counts, demand row and compaction) and
+// one prune for the whole batch. Every task must be present
 // (exact field equality; a value listed twice must be present twice).
 // The receiver is unchanged; an empty batch returns it.
 func (pf *Profile) WithoutTasks(rem []task.Task) (*Profile, error) {

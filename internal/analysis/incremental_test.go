@@ -32,23 +32,18 @@ func assertProfileIdentical(t *testing.T, stage string, got, want *Profile) {
 	if got.horizonInt != want.horizonInt {
 		t.Fatalf("%s: horizonInt %d, want %d", stage, got.horizonInt, want.horizonInt)
 	}
-	if (got.idx == nil) != (want.idx == nil) {
-		t.Fatalf("%s: index presence differs from fresh Compile", stage)
+	gotTs, wantTs := got.ts, want.ts
+	gotOwn, wantOwn := got.owners, want.owners
+	if len(gotTs) != len(wantTs) || len(gotOwn) != len(wantOwn) {
+		t.Fatalf("%s: %d stream points and %d owner counts, want %d and %d", stage, len(gotTs), len(gotOwn), len(wantTs), len(wantOwn))
 	}
-	if got.idx != nil {
-		gotTs, wantTs := got.idx.Ts(), want.idx.Ts()
-		gotOwn, wantOwn := got.idx.Owners(), want.idx.Owners()
-		if len(gotTs) != len(wantTs) {
-			t.Fatalf("%s: %d stream points, want %d", stage, len(gotTs), len(wantTs))
+	for k := range gotTs {
+		if gotTs[k] != wantTs[k] {
+			t.Fatalf("%s: stream point %d is %x, want %x", stage, k, gotTs[k], wantTs[k])
 		}
-		for k := range gotTs {
-			if gotTs[k] != wantTs[k] {
-				t.Fatalf("%s: stream point %d is %x, want %x", stage, k, gotTs[k], wantTs[k])
-			}
-			if gotOwn[k] != wantOwn[k] {
-				t.Fatalf("%s: owner count at point %d is %d, want %d",
-					stage, k, gotOwn[k], wantOwn[k])
-			}
+		if gotOwn[k] != wantOwn[k] {
+			t.Fatalf("%s: owner count at point %d is %d, want %d",
+				stage, k, gotOwn[k], wantOwn[k])
 		}
 	}
 	if len(got.w) != len(want.w) {

@@ -18,59 +18,49 @@ import (
 //
 //   - Frozen: Compile results and what-if results (WithTasks,
 //     WithoutTasks). Immutable, settled and safe for concurrent reads; a
-//     frozen profile's index and demand row are never written again, so
-//     clones may share the index.
+//     frozen profile's slices are never written again.
 //   - Exclusive: Thawed and CompileMutable results, owned by a single
 //     goroutine (the online manager holds each under its channel lock)
 //     and patched in place. Exclusivity is a single-owner contract, not
 //     a lock.
 //
-// A thaw copies the demand row W — one int64 per stream point — and
-// clones the index copy-on-write from a frozen receiver (deeply from an
-// exclusive one, which keeps mutating), so its own machinery privatizes
-// whatever the patch touches. An exclusive profile patches W in place:
-// a stream that widens grows the row, reusing its capacity once it has
-// grown, so steady-state admit+remove cycles never allocate.
+// A thaw copies the EDF stream, its owner counts and the demand row W —
+// a float64, an int32 and an int64 per stream point — and shares the
+// receiver's pruned pairs, which no profile writes in place. An
+// exclusive profile patches the three slices in place: a stream that
+// widens grows them, reusing their capacity once they have grown, so
+// steady-state admit+remove cycles never allocate.
 //
-// The EDF patch keeps the index's stream and owner counts current but
-// leaves its demands and dominance flags behind: the profile is
-// unsettled, and MinQ scans W directly. settle re-ranks the points
-// whose demand changed since the last settle, once, when the profile
-// is frozen (the what-ifs) or audited (Equal, Check), so only exclusive
-// profiles are ever unsettled and no reader writes to a shared one.
-// Thawing an unsettled profile gives an unsettled copy.
+// The EDF patch keeps the stream, owner counts and W exact but leaves
+// the pruned pairs behind: the profile is unsettled, and MinQ scans W
+// directly. settle prunes the row once, when the profile is frozen (the
+// what-ifs) or audited (Equal, Check), so only exclusive profiles are
+// ever unsettled and no reader writes to a shared one. Thawing an
+// unsettled profile gives an unsettled copy.
 //
 // Rejection rollback is the inverse patch: AddTasks followed by
-// DropTasks of the same tasks restores the profile exactly, because W
-// gains and loses the same integer terms and the index is a pure
-// function of its points.
+// DropTasks of the same tasks restores the profile exactly, because the
+// stream and owner counts gain and lose the same points, W gains and
+// loses the same integer terms, and the pruned pairs are a function of
+// the row.
 
-// patchScratch holds the per-operation scratch buffers of the patch.
-// Pooled at package level: profiles are patched under their channel
-// lock, but distinct channels patch concurrently.
+// patchScratch holds the per-operation scratch buffers of the patch and
+// of pruneRow. Pooled at package level: profiles are patched under
+// their channel lock, but distinct channels patch concurrently.
 type patchScratch struct {
 	scaled  []int64
 	union   []float64
 	charges []int64
+	counts  []int32
 	dls     []float64
 	tmp     []float64
 	tmpC    []int64
+	tmpO    []int32
 	used    []bool
-	ws      []float64
+	pairs   []envelope.Pair
 }
 
 var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
-
-// demands converts a demand row to the time units the envelope ranks,
-// W/timeu.Scale as DemandBound returns it, in the scratch buffer.
-func (sc *patchScratch) demands(w []int64) []float64 {
-	ws := slices.Grow(sc.ws[:0], len(w))[:len(w)]
-	for k, v := range w {
-		ws[k] = timeu.Ticks(v).Units()
-	}
-	sc.ws = ws
-	return ws
-}
 
 // Exclusive reports whether the profile is in exclusive (mutable)
 // mode, i.e. it was produced by Thawed or CompileMutable and may be
@@ -87,26 +77,19 @@ func (pf *Profile) Thawed() *Profile { return pf.thaw(4) }
 func (pf *Profile) thaw(extra int) *Profile {
 	n := len(pf.tasks)
 	c := &Profile{
-		alg: pf.alg, horizon: pf.horizon, horizonInt: pf.horizonInt,
+		alg: pf.alg, edf: pf.edf, horizon: pf.horizon, horizonInt: pf.horizonInt,
 		streamLen: pf.streamLen, fallbacks: pf.fallbacks, exclusive: true,
+		unsettled: pf.unsettled,
 	}
 	c.tasks = append(make(task.Set, 0, n+extra), pf.tasks...)
 	if pf.scaled != nil {
 		c.scaled = append(make([]int64, 0, n+extra), pf.scaled...)
 	}
 	switch {
-	case pf.idx != nil:
-		if pf.exclusive {
-			c.idx = pf.idx.DeepClone()
-		} else {
-			c.idx = pf.idx.Clone()
-		}
-		c.w = make([]int64, len(pf.w))
-		copy(c.w, pf.w)
-		c.unsettled = pf.unsettled
-		if !c.unsettled {
-			c.edf = c.idx.Kept()
-		}
+	case pf.alg == EDF:
+		c.ts = append(make([]float64, 0, len(pf.ts)), pf.ts...)
+		c.owners = append(make([]int32, 0, len(pf.owners)), pf.owners...)
+		c.w = append(make([]int64, 0, len(pf.w)), pf.w...)
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe (patches
 		// replace row pointers, never row contents).
@@ -123,26 +106,14 @@ func (pf *Profile) freeze() *Profile {
 	return pf
 }
 
-// settle brings an unsettled profile's envelope up to date with its
-// demand row: the index re-ranks exactly the points whose demand
-// changed since the last settle and materializes the pruned pairs.
-// Only an exclusive profile is ever unsettled, so settle writes only
-// to a profile its caller owns.
+// settle brings an unsettled profile's pruned pairs up to date with its
+// demand row by pruning the row once. Only an exclusive profile is ever
+// unsettled, so settle writes only to a profile its caller owns.
 func (pf *Profile) settle() {
 	if !pf.unsettled {
 		return
 	}
-	sc := patchPool.Get().(*patchScratch)
-	err := pf.idx.SetDemand(sc.demands(pf.w))
-	patchPool.Put(sc)
-	if err != nil {
-		// Impossible unless the compiled state is corrupted (a row and a
-		// stream of different lengths); degrade to a rebuild, which
-		// comes out settled.
-		_ = pf.adoptCompiled(pf.tasks, true)
-		return
-	}
-	pf.edf = pf.idx.Kept()
+	pf.edf = pruneRow(pf.ts, pf.w)
 	pf.unsettled = false
 }
 
@@ -231,45 +202,125 @@ func (pf *Profile) adoptCompiled(s task.Set, bump bool) error {
 	return nil
 }
 
-// mergeCharges merges a task's deadline stream dls, each deadline
-// charging c ticks, into the charged union (ts, cs) of a batch's
-// streams, adding up the charges of shared points. It writes to sc's
-// spare buffers and swaps them with the union's.
-func (sc *patchScratch) mergeCharges(dls []float64, c int64) {
-	ts, cs := sc.union, sc.charges
-	dts := slices.Grow(sc.tmp[:0], len(ts)+len(dls))
-	dcs := slices.Grow(sc.tmpC[:0], len(ts)+len(dls))
+// mergeCharges merges a task's deadline stream dls into the charged
+// union (union, charges, counts) of a batch's streams: each deadline
+// charges c ticks and o owners, and a shared point adds both up. It
+// writes to sc's spare buffers and swaps them with the union's.
+func (sc *patchScratch) mergeCharges(dls []float64, c int64, o int32) {
+	ts, cs, ns := sc.union, sc.charges, sc.counts
+	n := len(ts) + len(dls)
+	dts := slices.Grow(sc.tmp[:0], n)
+	dcs := slices.Grow(sc.tmpC[:0], n)
+	dns := slices.Grow(sc.tmpO[:0], n)
 	i, j := 0, 0
 	for i < len(ts) || j < len(dls) {
 		switch {
 		case j == len(dls) || i < len(ts) && ts[i] < dls[j]:
-			dts, dcs = append(dts, ts[i]), append(dcs, cs[i])
+			dts, dcs, dns = append(dts, ts[i]), append(dcs, cs[i]), append(dns, ns[i])
 			i++
 		case i == len(ts) || dls[j] < ts[i]:
-			dts, dcs = append(dts, dls[j]), append(dcs, c)
+			dts, dcs, dns = append(dts, dls[j]), append(dcs, c), append(dns, o)
 			j++
 		default:
-			dts, dcs = append(dts, ts[i]), append(dcs, cs[i]+c)
+			dts, dcs, dns = append(dts, ts[i]), append(dcs, cs[i]+c), append(dns, ns[i]+o)
 			i++
 			j++
 		}
 	}
-	sc.union, sc.charges, sc.tmp, sc.tmpC = dts, dcs, ts, cs
+	sc.union, sc.charges, sc.counts = dts, dcs, dns
+	sc.tmp, sc.tmpC, sc.tmpO = ts, cs, ns
 }
 
-// addCharges adds the batch's charges to W in one walk, carrying each
-// forward, so every point gains the charges of the jobs due by it. Every
-// point of the union must be in the stream.
-func (pf *Profile) addCharges(sc *patchScratch) {
+// applyUnion applies the batch's charged union to the stream in one
+// walk: each union point gains its owner counts, every point gains the
+// charges of the union points up to it (the jobs due by it), and the
+// columns left without owners drop out. It reports false, leaving the
+// three slices unspecified, when a union point is missing from the
+// stream or an owner count falls below zero — impossible unless the
+// compiled state is corrupted.
+func (pf *Profile) applyUnion(sc *patchScratch) bool {
+	ts := pf.ts
+	owners, w := pf.owners[:len(ts)], pf.w[:len(ts)]
+	u := sc.union
+	cs, ns := sc.charges[:len(u)], sc.counts[:len(u)]
 	var d int64
-	j := 0
-	for p, x := range pf.idx.Ts() {
-		if j < len(sc.union) && sc.union[j] == x {
-			d += sc.charges[j]
+	j, q := 0, 0
+	for p, x := range ts {
+		own := owners[p]
+		if j < len(u) && u[j] <= x {
+			if u[j] < x {
+				return false
+			}
+			d += cs[j]
+			own += ns[j]
 			j++
+			if own < 0 {
+				return false
+			}
 		}
-		pf.w[p] += d
+		if own == 0 {
+			continue
+		}
+		ts[q], owners[q], w[q] = x, own, w[p]+d
+		q++
 	}
+	if j < len(u) {
+		return false
+	}
+	pf.ts, pf.owners, pf.w = ts[:q], owners[:q], w[:q]
+	return true
+}
+
+// splice inserts the points of u (ascending) that the stream lacks into
+// the three slices in place, each with no owners and its predecessor's
+// demand, since no resident has a deadline between the two. A slice
+// whose capacity is short is reallocated to exactly the merged length.
+func (pf *Profile) splice(u []float64) {
+	n := len(pf.ts)
+	m, i := n, 0
+	for _, t := range u {
+		for i < n && pf.ts[i] < t {
+			i++
+		}
+		if i < n && pf.ts[i] == t {
+			i++
+		} else {
+			m++
+		}
+	}
+	if m == n {
+		return
+	}
+	ts, owners, w := resize(pf.ts, m), resize(pf.owners, m), resize(pf.w, m)
+	// Merge from the back: every column moves once, to a position at or
+	// after its own, and the loop ends when the last point has been
+	// inserted, where the columns still unmoved are already in place.
+	i, k := n-1, m-1
+	for j := len(u) - 1; k > i; j-- {
+		for i >= 0 && ts[i] > u[j] {
+			ts[k], owners[k], w[k] = ts[i], owners[i], w[i]
+			i--
+			k--
+		}
+		if i >= 0 && ts[i] == u[j] {
+			continue
+		}
+		ts[k], owners[k], w[k] = u[j], 0, 0
+		if i >= 0 {
+			w[k] = w[i]
+		}
+		k--
+	}
+	pf.ts, pf.owners, pf.w = ts, owners, w
+}
+
+// resize returns s resliced to length n, reallocated to capacity
+// exactly n when its capacity is short.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		s = append(make([]E, 0, n), s...)
+	}
+	return s[:n]
 }
 
 func (pf *Profile) addTasksEDF(add []task.Task) error {
@@ -317,7 +368,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	if len(pf.w) > 0 {
 		total = pf.w[len(pf.w)-1]
 	}
-	sc.union, sc.charges = sc.union[:0], sc.charges[:0]
+	sc.union, sc.charges, sc.counts = sc.union[:0], sc.charges[:0], sc.counts[:0]
 	for _, t := range add {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		c, ok := wcetTicks(t.C)
@@ -327,55 +378,19 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		if !ok {
 			return errOverflow
 		}
-		sc.mergeCharges(sc.dls, c)
+		sc.mergeCharges(sc.dls, c, 1)
 	}
-	// Merge splices the brand-new scheduling points in as zero-demand,
-	// zero-owner placeholders; each takes its predecessor's demand,
-	// since no resident has a deadline between the two.
-	pf.widen(pf.idx.Merge(sc.union))
-	// Bump owner counts for each newcomer's own stream; every inserted
-	// placeholder belongs to at least one newcomer, so no zero-owner
-	// point survives.
-	for _, t := range add {
-		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
-		if err := pf.idx.AddOwners(sc.dls); err != nil {
-			// Impossible unless the compiled state is corrupted;
-			// degrade to a rebuild rather than panic.
-			return pf.adoptCompiled(append(pf.tasks, add...), true)
-		}
+	// Splice the brand-new scheduling points in, then add the batch's
+	// owners and jobs in one walk.
+	pf.splice(sc.union)
+	if !pf.applyUnion(sc) {
+		return pf.adoptCompiled(append(pf.tasks, add...), true)
 	}
-	pf.addCharges(sc)
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
 	pf.streamLen = streamLen
 	pf.unsettled = true
 	return nil
-}
-
-// widen opens a W column at each inserted stream position (ascending,
-// in the merged coordinates) and fills it with the demand of the point
-// before it.
-func (pf *Profile) widen(inserted []int) {
-	n0, n := len(pf.w), len(pf.w)+len(inserted)
-	if cap(pf.w) < n {
-		w := make([]int64, n0, n)
-		copy(w, pf.w)
-		pf.w = w
-	}
-	w := pf.w[:n]
-	hi := n0
-	for k := len(inserted) - 1; k >= 0; k-- {
-		lo := inserted[k] - k
-		copy(w[lo+k+1:hi+k+1], w[lo:hi])
-		hi = lo
-	}
-	for _, p := range inserted {
-		w[p] = 0
-		if p > 0 {
-			w[p] = w[p-1]
-		}
-	}
-	pf.w = w
 }
 
 func (pf *Profile) dropTasksEDF(rem []task.Task) error {
@@ -421,34 +436,18 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.streamLen -= points.StreamLen(rem, pf.horizon)
-	// Walk owner counts down once per departing stream and take back
-	// their jobs in one walk, then compact: points owned solely by the
-	// departing tasks drop out of the stream, and Compact reports their
-	// pre-compaction positions. A violated invariant (a deadline not in
-	// the stream — impossible unless the compiled state is corrupted)
-	// degrades to a rebuild.
-	sc.union, sc.charges = sc.union[:0], sc.charges[:0]
+	// Take the leavers' owners and jobs back in one walk, which drops the
+	// points only they owned. A violated invariant (a departing deadline
+	// missing from the stream, or an owner count below zero — impossible
+	// unless the compiled state is corrupted) degrades to a rebuild.
+	sc.union, sc.charges, sc.counts = sc.union[:0], sc.charges[:0], sc.counts[:0]
 	for _, t := range rem {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
-		if err := pf.idx.RemoveOwners(sc.dls); err != nil {
-			return pf.adoptCompiled(pf.tasks, true)
-		}
 		c, _ := wcetTicks(t.C)
-		sc.mergeCharges(sc.dls, -c)
+		sc.mergeCharges(sc.dls, -c, -1)
 	}
-	pf.addCharges(sc)
-	// No survivor has a deadline at a dropped point, so its column only
-	// repeats its predecessor's demand.
-	if dropped := pf.idx.Compact(); len(dropped) > 0 {
-		k := 0
-		for p, v := range pf.w {
-			if k < len(dropped) && dropped[k] == p {
-				k++
-				continue
-			}
-			pf.w[p-k] = v
-		}
-		pf.w = pf.w[:len(pf.w)-len(dropped)]
+	if !pf.applyUnion(sc) {
+		return pf.adoptCompiled(pf.tasks, true)
 	}
 	pf.unsettled = true
 	return nil

@@ -207,6 +207,57 @@ func TestMutableErrors(t *testing.T) {
 	assertProfileIdentical(t, "after failed add", mu, pf)
 }
 
+// dropCorrupted damages an exclusive EDF profile of churnPool's a, c
+// and d at the stream point dl, a deadline of resident, with corrupt,
+// then drops resident: the patch must notice, rebuild from scratch and
+// count the fallback. The hyperperiod, 20, stays when a or c leaves, so
+// no hyperperiod fallback hides the corruption path.
+func dropCorrupted(t *testing.T, resident task.Task, dl float64, corrupt func(pf *Profile, at int)) {
+	t.Helper()
+	pool := churnPool()
+	pf, err := CompileMutable(task.Set{pool[0], pool[2], pool[3]}, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, ok := slices.BinarySearch(pf.ts, dl)
+	if !ok {
+		t.Fatalf("deadline %g not in the stream", dl)
+	}
+	corrupt(pf, at)
+	before := pf.Fallbacks()
+	if err := pf.DropTasks([]task.Task{resident}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pf.Fallbacks(); got != before+1 {
+		t.Fatalf("fallbacks %d after the drop, want %d", got, before+1)
+	}
+	if err := pf.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDropRebuildsOnZeroedOwnerCount: the owner count of c's first
+// deadline, c's alone, would fall below zero.
+func TestDropRebuildsOnZeroedOwnerCount(t *testing.T) {
+	c := churnPool()[2]
+	dropCorrupted(t, c, c.D, func(pf *Profile, at int) { pf.owners[at] = 0 })
+}
+
+// TestDropRebuildsOnMissingStreamPoint: a departing deadline is not in
+// the stream, once inside it (c's first deadline, 4) and once at its
+// end (a's deadline at the horizon, 20), where the walk meets the
+// first at a later point and the second only after the last one.
+func TestDropRebuildsOnMissingStreamPoint(t *testing.T) {
+	remove := func(pf *Profile, at int) {
+		pf.ts = slices.Delete(pf.ts, at, at+1)
+		pf.owners = slices.Delete(pf.owners, at, at+1)
+		pf.w = slices.Delete(pf.w, at, at+1)
+	}
+	pool := churnPool()
+	dropCorrupted(t, pool[2], pool[2].D, remove)
+	dropCorrupted(t, pool[0], 20, remove)
+}
+
 // TestPatchEmptyStream patches a profile whose stream is empty: the
 // task's period is a hair above its scaled value, so its deadline falls
 // past the hyperperiod and the compiled stream has no points.
@@ -289,16 +340,16 @@ func lineageSeed(seed int64) []byte {
 	return out
 }
 
-// FuzzProfileLineages is the copy-on-write isolation property: the input
+// FuzzProfileLineages is the lineage isolation property: the input
 // drives interleaved churn across lineages of one root profile — frozen
 // lineages patched through WithTasks/WithoutTasks, exclusive (thawed)
 // lineages patched in place by AddTasks/DropTasks, and thaw or frozen
 // forks taken from either kind — under EDF, RM and DM, with every
 // lineage compared to an independent fresh Compile after every step.
-// Any state leaking between lineages (a shared demand row or index slab
-// written in place, observed across a fork) shows up as a divergence
-// from that lineage's own oracle. `go test` replays the seed
-// corpus; `go test -fuzz=FuzzProfileLineages` explores mutations.
+// Any state leaking between lineages (a shared stream, demand row or
+// pruned-pair slice written in place, observed across a fork) shows up
+// as a divergence from that lineage's own oracle. `go test` replays the
+// seed corpus; `go test -fuzz=FuzzProfileLineages` explores mutations.
 func FuzzProfileLineages(f *testing.F) {
 	// The two randomized schedules the property has always run.
 	f.Add(lineageSeed(int64(EDF) + 97))

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/envelope"
 	"repro/internal/points"
@@ -23,26 +24,25 @@ import (
 // the result. The dominance argument — two qNeeded curves cross at most
 // once on P > 0, so a pair ranked at or below another at both the P → 0⁺
 // and P → ∞ extremes is below it for every P — lives in
-// internal/envelope, together with the machinery that maintains the
-// surviving set under churn. The profile holds an envelope.Index over
-// its pre-pruning EDF demand stream: Compile builds it once, and the
-// index is settled — re-ranked where the demand changed, in place of a
-// full re-prune — only when a patched profile is frozen or audited.
-// Between settles, an exclusive profile that the in-place patch
-// (mutate.go) left unsettled answers MinQ from its exact demand row,
-// scanning every stream point with the naive oracle's own arithmetic;
-// an admission controller that reads MinQ once per patch pays for the
-// stream, not for an envelope it would read once. Dominance is applied
-// with a relative margin (envelope.PruneMargin) far above float64
-// noise, so the pruned scan returns bit-identical results to the naive
-// oracle MinQ.
+// internal/envelope. The profile keeps its pre-pruning EDF deadline
+// stream, the per-point owner counts and the demand row in three
+// aligned slices and prunes them with envelope.Prune: once when Compile
+// builds the profile, and once more when a profile that the in-place
+// patch (mutate.go) changed is frozen or audited. Between those, an
+// exclusive profile that the patch left unsettled answers MinQ from its
+// exact demand row, scanning every stream point with the naive oracle's
+// own arithmetic; an admission controller that reads MinQ once per
+// patch pays for the stream, not for an envelope it would read once.
+// Dominance is applied with a relative margin (envelope.PruneMargin)
+// far above float64 noise, so the pruned scan returns bit-identical
+// results to the naive oracle MinQ.
 //
 // The EDF demand itself is exact. The profile keeps one row W of
 // integer ticks along the stream — each job charges its WCET rounded
-// up to ticks, as the simulator executes it — and hands the index
-// W/timeu.Scale, the value DemandBound returns. Integer addition is
-// associative, so a patch adds or subtracts one task's jobs in any
-// order and still matches a fresh Compile exactly.
+// up to ticks, as the simulator executes it — and prunes the pairs
+// (t, W/timeu.Scale), W in the units DemandBound returns. Integer
+// addition is associative, so a patch adds or subtracts one task's jobs
+// in any order and still matches a fresh Compile exactly.
 
 // Profile is a task set's demand structure compiled for one scheduling
 // algorithm: everything minQ needs that does not depend on the period P.
@@ -54,21 +54,21 @@ import (
 type Profile struct {
 	alg Alg
 	// edf holds the surviving (t, W(t)) pairs of Eq. (11), ascending in
-	// t — the materialized envelope of idx. Used when alg == EDF.
+	// t: envelope.Prune of the demand row, exactly sized and never
+	// written in place, so thawed copies share it. Used when alg == EDF.
 	edf []envelope.Pair
 	// fp holds, per task in priority order, the surviving
 	// (t, W_i(t)) pairs of that task's scheduling-point search in
 	// Eq. (6), ascending in t. Used when alg is RM or DM.
 	fp [][]envelope.Pair
 
-	// idx is the incremental envelope index over the pre-pruning EDF
-	// deadline stream: the stream itself, per-point owner counts, the
-	// demand W(t) in time units and the maintained dominance envelope.
-	// nil for FP and empty profiles. A frozen profile's index is an
-	// immutable snapshot; thawing clones it copy-on-write, so what-if
-	// probes (core's compiled clones, online's first-touch thaw) share
-	// it.
-	idx *envelope.Index
+	// ts is the pre-pruning EDF deadline stream, strictly ascending.
+	// owners[k] counts the tasks with a deadline at ts[k], and w[k] is
+	// DemandBound at ts[k] in ticks (times timeu.Scale). The three
+	// slices are aligned; they are empty for FP and empty profiles.
+	ts     []float64
+	owners []int32
+	w      []int64
 
 	// The fields below are the incremental-update state. tasks is the
 	// compiled set — in declaration order for EDF and in priority order
@@ -86,9 +86,6 @@ type Profile struct {
 	// points.MaxStream bounds, kept so that AddTasks checks a batch
 	// against the bound without recounting the residents.
 	streamLen float64
-	// w is the EDF demand row in ticks, aligned with idx's stream: w[k]
-	// is DemandBound at the k-th point times timeu.Scale.
-	w []int64
 	// fallbacks counts how many times this profile's incremental
 	// lineage bailed to a full recompile (hyperperiod change, or a
 	// violated stream invariant); carried across updates so online
@@ -98,10 +95,9 @@ type Profile struct {
 	// place (mutate.go).
 	exclusive bool
 	// unsettled marks an exclusive EDF profile patched in place since
-	// its envelope was last settled: w is exact, but idx's demands and
-	// flags, and so edf, still describe an earlier row. MinQ scans w
-	// instead; settle brings the envelope up to date. A frozen profile
-	// is never unsettled.
+	// its row was last pruned: ts, owners and w are exact, but edf still
+	// describes an earlier row. MinQ scans w instead; settle prunes the
+	// row again. A frozen profile is never unsettled.
 	unsettled bool
 }
 
@@ -141,14 +137,8 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		pf.horizon = h
 		pf.horizonInt = hInt
 		pf.streamLen = points.StreamLen(s, h)
-		pf.w = w
-		sc := patchPool.Get().(*patchScratch)
-		pf.idx, err = envelope.Build(false, dls, sc.demands(w), owners)
-		patchPool.Put(sc)
-		if err != nil {
-			return nil, err
-		}
-		pf.edf = pf.idx.Kept()
+		pf.ts, pf.owners, pf.w = dls, owners, w
+		pf.edf = pruneRow(dls, w)
 	case RM, DM:
 		ordered := alg.sorted(s)
 		pf.tasks = ordered
@@ -163,10 +153,11 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 }
 
 // demandRow enumerates the EDF deadline stream of s up to the horizon h,
-// with per-point owner counts and the demand row in ticks: each task
-// charges its WCET at its own deadlines, and the prefix sum holds, at
-// every point, the jobs due by it — exactly DemandBound there. A demand
-// beyond the int64 tick range is errOverflow.
+// with per-point owner counts and the demand row in ticks, all three
+// exactly sized: each task charges its WCET at its own deadlines, and
+// the prefix sum holds, at every point, the jobs due by it — exactly
+// DemandBound there. A demand beyond the int64 tick range is
+// errOverflow.
 func demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
 	dls, err := points.Deadlines(s, h)
 	if err != nil {
@@ -198,7 +189,24 @@ func demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
 	for k := 1; k < len(w); k++ {
 		w[k] += w[k-1]
 	}
-	return dls, owners, w, nil
+	// points.Deadlines reserves room for every task's deadlines, shared
+	// ones included; the profile keeps the stream without that slack.
+	return append(make([]float64, 0, len(dls)), dls...), owners, w, nil
+}
+
+// pruneRow returns the EDF envelope of a demand row in an exactly sized
+// slice: envelope.Prune of the pairs (ts[k], W), W the row's demand in
+// the units DemandBound returns, built in pooled scratch.
+func pruneRow(ts []float64, w []int64) []envelope.Pair {
+	sc := patchPool.Get().(*patchScratch)
+	defer patchPool.Put(sc)
+	all := slices.Grow(sc.pairs[:0], len(ts))[:len(ts)]
+	sc.pairs = all
+	for k, t := range ts {
+		all[k] = envelope.Pair{T: t, W: timeu.Ticks(w[k]).Units()}
+	}
+	kept := envelope.Prune(all, false)
+	return append(make([]envelope.Pair, 0, len(kept)), kept...)
 }
 
 // compileFPRow builds one priority level of the FP profile: the pruned
@@ -241,13 +249,11 @@ func (pf *Profile) Fallbacks() uint64 { return pf.fallbacks }
 // MemStats describes the memory retained by a profile's incremental
 // state, in units that expose over-allocation rather than bytes.
 type MemStats struct {
-	// RetainedPoints is the pre-pruning scheduling-point count (the
-	// envelope index's stream length; 0 for FP profiles).
+	// RetainedPoints is the pre-pruning scheduling-point count (the EDF
+	// deadline stream's length; 0 for FP profiles).
 	RetainedPoints int
 	// LivePairs is the pair count MinQ scans (Profile.Pairs).
 	LivePairs int
-	// OwnerTable is the per-point owner-count table size.
-	OwnerTable int
 	// LiveCells is the number of demand-row cells (EDF: one per stream
 	// point) or fixed-priority pair cells (RM/DM) the profile reads.
 	LiveCells int
@@ -276,9 +282,8 @@ func (m MemStats) Ratio() float64 {
 func (pf *Profile) MemStats() MemStats {
 	var m MemStats
 	m.LivePairs = pf.Pairs()
-	if pf.idx != nil {
-		m.RetainedPoints = pf.idx.Len()
-		m.OwnerTable = pf.idx.Len()
+	if pf.alg == EDF {
+		m.RetainedPoints = len(pf.ts)
 		m.LiveCells = len(pf.w)
 		m.PinnedCells = cap(pf.w)
 		return m
@@ -290,17 +295,13 @@ func (pf *Profile) MemStats() MemStats {
 	return m
 }
 
-// Check audits the profile against the full-compile oracle: the
-// envelope index's own invariants (envelope.Check) plus an exact
-// comparison of the retained stream, owner counts, demand row and
-// pruned pairs against a fresh Compile of the same set. It is the
-// profile-level quiescent-point audit internal/chaos runs; it settles
-// an unsettled profile first.
+// Check audits the profile against the full-compile oracle: an exact
+// comparison of the retained stream, owner counts, demand row, stream
+// count and pruned pairs against a fresh Compile of the same set. It is
+// the profile-level quiescent-point audit internal/chaos runs; it
+// settles an unsettled profile first.
 func (pf *Profile) Check() error {
 	pf.settle()
-	if err := envelope.Check(pf.idx); err != nil {
-		return fmt.Errorf("analysis: profile check: %w", err)
-	}
 	fresh, err := Compile(pf.tasks, pf.alg)
 	if err != nil {
 		return fmt.Errorf("analysis: profile check: recompile: %w", err)
@@ -311,26 +312,19 @@ func (pf *Profile) Check() error {
 	if pf.streamLen != fresh.streamLen {
 		return fmt.Errorf("analysis: profile check: stream count %g, fresh Compile has %g", pf.streamLen, fresh.streamLen)
 	}
-	if pf.idx != nil {
-		ts, want := pf.idx.Ts(), fresh.idx.Ts()
-		if len(ts) != len(want) || len(pf.w) != len(ts) {
-			return fmt.Errorf("analysis: profile check: %d stream points and %d demands, fresh Compile has %d", len(ts), len(pf.w), len(want))
+	n := len(fresh.ts)
+	if len(pf.ts) != n || len(pf.owners) != n || len(pf.w) != n {
+		return fmt.Errorf("analysis: profile check: %d stream points, %d owner counts and %d demands, fresh Compile has %d", len(pf.ts), len(pf.owners), len(pf.w), n)
+	}
+	for k := range pf.ts {
+		if math.Float64bits(pf.ts[k]) != math.Float64bits(fresh.ts[k]) {
+			return fmt.Errorf("analysis: profile check: stream point %d is %v, fresh Compile has %v", k, pf.ts[k], fresh.ts[k])
 		}
-		for k := range ts {
-			if math.Float64bits(ts[k]) != math.Float64bits(want[k]) {
-				return fmt.Errorf("analysis: profile check: stream point %d is %v, fresh Compile has %v", k, ts[k], want[k])
-			}
+		if pf.owners[k] != fresh.owners[k] {
+			return fmt.Errorf("analysis: profile check: owner count at point %d is %d, fresh Compile has %d", k, pf.owners[k], fresh.owners[k])
 		}
-		owners, wantOwners := pf.idx.Owners(), fresh.idx.Owners()
-		for k := range owners {
-			if owners[k] != wantOwners[k] {
-				return fmt.Errorf("analysis: profile check: owner count at point %d is %d, fresh Compile has %d", k, owners[k], wantOwners[k])
-			}
-		}
-		for k := range pf.w {
-			if pf.w[k] != fresh.w[k] {
-				return fmt.Errorf("analysis: profile check: demand at point %d is %d ticks, fresh Compile has %d", k, pf.w[k], fresh.w[k])
-			}
+		if pf.w[k] != fresh.w[k] {
+			return fmt.Errorf("analysis: profile check: demand at point %d is %d ticks, fresh Compile has %d", k, pf.w[k], fresh.w[k])
 		}
 	}
 	return nil
@@ -361,7 +355,7 @@ func (pf *Profile) MinQ(p float64) float64 {
 		// slices have one length; bounding the walk by both drops the
 		// index checks, whose panic calls would give MinQ a stack frame,
 		// and the settled scan above is the period searches' inner loop.
-		ts, w := pf.idx.Ts(), pf.w
+		ts, w := pf.ts, pf.w
 		for k := range min(len(ts), len(w)) {
 			if v := qNeeded(ts[k], p, timeu.Ticks(w[k]).Units()); v > q {
 				q = v

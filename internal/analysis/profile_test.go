@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/task"
@@ -171,9 +172,6 @@ func TestProfilePruning(t *testing.T) {
 // still passes Check while its ratio grows past 1 (the columns a
 // departed guest's deadlines opened stay allocated), and a recompile
 // resets the ratio.
-// (The packed-key width boundary itself — beyond which the index takes
-// a comparator fallback — is pinned by TestIndexBigFallback in
-// internal/envelope.)
 func TestProfileCheckAndMemStats(t *testing.T) {
 	s := task.PaperTaskSet().ByMode(task.FT)
 	pf, err := Compile(s, EDF)
@@ -235,6 +233,67 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 	}
 	if err := back.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProfileLongStream compiles and patches a channel whose deadline
+// stream is longer than envelope.Prune's packed keys can index (2^16
+// points), so every prune takes Prune's comparator path: Compile, an
+// in-place AddTasks and DropTasks, and a frozen WithTasks must each
+// equal a fresh Compile and answer MinQ like the naive oracle.
+func TestProfileLongStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 70000-point stream is slow under -short")
+	}
+	base := task.Set{
+		{Name: "fast", C: 0.0001, T: 0.001, D: 0.001},
+		{Name: "slow", C: 7, T: 70, D: 70},
+	}
+	// Off the fast task's grid, so the patch splices new points in.
+	guest := task.Task{Name: "guest", C: 1, T: 35, D: 20.0005}
+	grownSet := append(slices.Clone(base), guest)
+	matches := func(stage string, pf *Profile, live task.Set) {
+		t.Helper()
+		// MinQ first: Equal settles an unsettled profile.
+		for _, p := range []float64{0.5, 2, 7} {
+			want, err := MinQ(live, EDF, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pf.MinQ(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MinQ(%g) = %v, naive MinQ = %v", stage, p, got, want)
+			}
+		}
+		fresh, err := Compile(live, EDF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertProfileIdentical(t, stage, pf, fresh)
+	}
+	pf, err := Compile(base, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pf.MemStats().RetainedPoints; n <= 1<<16 {
+		t.Fatalf("stream has %d points, want more than %d", n, 1<<16)
+	}
+	matches("compile", pf, base)
+	mu := pf.Thawed()
+	if err := mu.AddTasks([]task.Task{guest}); err != nil {
+		t.Fatal(err)
+	}
+	matches("in-place add", mu, grownSet)
+	if err := mu.DropTasks([]task.Task{guest}); err != nil {
+		t.Fatal(err)
+	}
+	matches("in-place drop", mu, base)
+	grown, err := pf.WithTasks([]task.Task{guest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches("what-if", grown, grownSet)
+	if grown.Fallbacks() != 0 || mu.Fallbacks() != 0 {
+		t.Fatalf("fallbacks: what-if %d, in place %d; want 0", grown.Fallbacks(), mu.Fallbacks())
 	}
 }
 

@@ -23,10 +23,10 @@
 //   - Capacity: the slots fit the period minus the currently revoked
 //     capacity.
 //
-//   - Envelope audit: every channel's incremental profile passes the
-//     full analysis.Profile.Check — the envelope index's structural
-//     invariants plus a bitwise comparison of its retained streams and
-//     pruned pairs against a fresh compile.
+//   - Profile audit: every channel's incremental profile passes the
+//     full analysis.Profile.Check — a bitwise comparison of its
+//     retained stream, owner counts, demand row and pruned pairs
+//     against a fresh compile.
 //
 // Runs are seeded and deterministic in their op sequence (the
 // interleaving is whatever the scheduler does — that is the point);
@@ -267,7 +267,7 @@ func Run(m *online.Manager, pr core.Problem, opts Options) (*Result, error) {
 	m.SetMetrics(online.NewMetrics(reg))
 	defer m.SetMetrics(nil)
 
-	// Count the envelope-maintenance events the manager reports while
+	// Count the profile-maintenance events the manager reports while
 	// the storm runs: patches that bailed to a full recompile and
 	// channels rebuilt by consolidation.
 	var fallbacks, rebuilds atomic.Int64

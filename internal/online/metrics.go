@@ -25,9 +25,9 @@ import "repro/internal/metrics"
 //   - TasksEvicted / TasksReadmitted count the Revoke/Restore park
 //     cycle, separate from admit/remove.
 //   - EnvelopePatches / EnvelopeFallbacks / Consolidations mirror the
-//     incremental-envelope housekeeping the trace events report:
-//     incremental updates applied, full-recompile bailouts, and
-//     from-scratch channel rebuilds.
+//     profile-patch housekeeping the trace events report: in-place
+//     patches applied, full-recompile bailouts, and from-scratch
+//     channel rebuilds.
 type Metrics struct {
 	AdmitBatches   *metrics.Counter
 	AdmitRejected  *metrics.Counter

@@ -23,9 +23,8 @@
 //     set, one profile patch per touched channel
 //     (analysis.Profile.AddTasks/DropTasks in place, one demand-row
 //     pass for the group instead of one per task; the channel's slot
-//     is then read with one MinQ scan of that row, so no dominance
-//     envelope is maintained for a value read once), one
-//     configuration swap.
+//     is then read with one MinQ scan of that row, so the row is not
+//     pruned for a value read once), one configuration swap.
 //     Admit and Remove are the k=1 conveniences.
 //
 //   - Sharded: each channel carries its own lock, so batches touching
@@ -394,8 +393,8 @@ func NewManager(pr core.Problem, cfg core.Config) (*Manager, error) {
 // caller's CompiledProblem: the source stays bit-identical however the
 // manager churns, and several sibling managers may be built from one
 // compilation. (The shared profiles start frozen; the first
-// reconfiguration of a channel thaws an exclusive copy, which shares
-// their envelope index copy-on-write and is then patched in place.)
+// reconfiguration of a channel thaws an exclusive copy, which copies
+// their deadline stream and demand row and is then patched in place.)
 func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager, error) {
 	pr := cp.Problem()
 	if err := pr.Validate(); err != nil {
@@ -1339,9 +1338,9 @@ func (m *Manager) consolidateLocked(st *channelState) bool {
 }
 
 // CheckProfiles audits every channel's compiled profile against the
-// full-compile oracle (analysis.Profile.Check): the envelope index's
-// own invariants plus a bitwise comparison of the retained streams and
-// pruned pairs against a fresh Compile. Full recompilation cost, one
+// full-compile oracle (analysis.Profile.Check): a bitwise comparison of
+// the retained stream, owner counts, demand row and pruned pairs
+// against a fresh Compile. Full recompilation cost, one
 // channel lock at a time — a quiescent-point audit for harnesses
 // (internal/chaos), not a per-reshape check.
 func (m *Manager) CheckProfiles() error {

@@ -54,8 +54,8 @@ const (
 	Restored
 	// EnvelopeFallback marks a channel whose incremental profile patch
 	// bailed to a full recompile (a hyperperiod change on admit or
-	// release), so the event paid the oracle's cost instead of the
-	// envelope index's.
+	// release, or a violated stream invariant), so the event paid the
+	// oracle's cost instead of the patch's.
 	EnvelopeFallback
 	// Consolidated marks a channel whose retained analysis state was
 	// rebuilt from scratch to unpin shared backing memory.
