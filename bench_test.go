@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -266,6 +267,50 @@ func BenchmarkAblationPartitionHeuristics(b *testing.B) {
 	}
 }
 
+// BenchmarkAutoPartition times AutoPartition (worst-fit decreasing,
+// EDF admission), the partition rung under design-space planning and
+// the online manager's setup. The design sub-benchmark cycles through
+// a fixed pool of design-space-shaped sets — 10–24 tasks, utilisation
+// climbing 0.8–2.6, periods {5, 10, 15, 20, 30, 60}, modes cycling over
+// the seven channels; residents=300 partitions the 300 residents of
+// the live=300 churn rung, about 43 per channel.
+func BenchmarkAutoPartition(b *testing.B) {
+	const poolSize = 64
+	pool := make([]TaskSet, poolSize)
+	for k := range pool {
+		s, err := workload.Generate(workload.Config{
+			N:                10 + k%15,
+			TotalUtilization: 0.8 + 1.8*(float64(k)+0.5)/poolSize,
+			Periods:          []float64{5, 10, 15, 20, 30, 60},
+			Seed:             int64(k),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range s {
+			s[i].Mode, s[i].Channel = modeCycle[i%7], 0
+		}
+		pool[k] = s
+	}
+	b.Run("design", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := AutoPartition(pool[i%poolSize], EDF); err != nil && !errors.Is(err, partition.ErrUnplaceable) {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("residents=300", func(b *testing.B) {
+		src := churnResidents(300)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := AutoPartition(src, EDF); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkAblationSchedPoints compares Theorem 1 feasibility checking
 // over the minimal Bini–Buttazzo point set against a dense grid, the
 // design decision behind internal/points.
@@ -452,27 +497,29 @@ func churnChannel(b *testing.B, n int) TaskSet {
 // admission workload's grid, whose hyperperiod is 120.
 var churnGrid = []float64{4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120}
 
-// churnDesign builds a max-flexibility manager over n residents spread
-// over all seven channels: modes cycle FT, FS, FS, NF, NF, NF, NF,
-// periods cycle churnGrid, and the total utilisation is 1.2, each task
-// within ±25 % of the mean.
-func churnDesign(b *testing.B, n int) (*OnlineManager, TaskSet) {
-	b.Helper()
+// churnResidents draws n residents spread over all seven channels:
+// modes cycle FT, FS, FS, NF, NF, NF, NF, periods cycle churnGrid, and
+// the total utilisation is 1.2, each task within ±25 % of the mean.
+func churnResidents(n int) TaskSet {
 	rng := rand.New(rand.NewSource(2007))
 	src := make(TaskSet, n)
 	for i := range src {
-		mode := NF
-		switch i % 7 {
-		case 0:
-			mode = FT
-		case 1, 2:
-			mode = FS
-		}
 		T := churnGrid[i%len(churnGrid)]
 		u := 1.2 / float64(n) * (0.75 + 0.5*rng.Float64())
-		src[i] = Task{Name: fmt.Sprintf("r%03d", i), C: u * T, T: T, D: T, Mode: mode}
+		src[i] = Task{Name: fmt.Sprintf("r%03d", i), C: u * T, T: T, D: T, Mode: modeCycle[i%7]}
 	}
-	parted, err := AutoPartition(src, EDF)
+	return src
+}
+
+// modeCycle gives one task to each channel in turn: FT has one channel,
+// FS two and NF four.
+var modeCycle = [7]Mode{FT, FS, FS, NF, NF, NF, NF}
+
+// churnDesign builds a max-flexibility manager over the n residents of
+// churnResidents.
+func churnDesign(b *testing.B, n int) (*OnlineManager, TaskSet) {
+	b.Helper()
+	parted, err := AutoPartition(churnResidents(n), EDF)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -60,7 +60,16 @@
 //     only the samples no such bound rules out are evaluated. Results
 //     match a scan of every sample bit for bit;
 //   - internal/partition, internal/workload: automatic channel
-//     assignment and synthetic workload generation;
+//     assignment and synthetic workload generation. Every heuristic
+//     probes a mode's channels in its order of preference and stops at
+//     the first that fits — worst-fit by ascending and best-fit by
+//     descending channel utilisation, ties to the lower index — which
+//     is the channel a scan of every channel would pick (a test keeps
+//     that scan as the reference). Channels are written back by
+//     position, so unnamed tasks place correctly. The EDF admission
+//     test is analysis.FeasibleEDF at α = 1, Δ = 0, the Theorem 2 test
+//     core's Verify runs too; it builds Compile's demand row in pooled
+//     scratch and allocates nothing on a warm pool;
 //   - internal/online: the run-time admission controller of the paper's
 //     second design goal, built on the incremental profiles so each
 //     admit or release costs the change, not the channel. The manager

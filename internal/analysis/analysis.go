@@ -218,7 +218,11 @@ func FeasibleFP(s task.Set, alg Alg, sp Supply) (bool, error) {
 
 // FeasibleEDF implements Theorem 2: the task set is schedulable by EDF
 // on supply (α, Δ) iff every deadline t up to the hyperperiod satisfies
-// Δ ≤ t − W(t)/α.
+// Δ ≤ t − W(t)/α. The partitioner's admission probes (α = 1, Δ = 0)
+// and core's Verify run it. The demand row is the one Compile builds
+// (demandRow), so W is exact at every point without a division per
+// task and point; it is built and scanned in pooled scratch, and a call
+// allocates nothing once the pool is warm (sets of up to 64 tasks).
 func FeasibleEDF(s task.Set, sp Supply) (bool, error) {
 	if err := sp.Validate(); err != nil {
 		return false, err
@@ -233,9 +237,9 @@ func FeasibleEDF(s task.Set, sp Supply) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// One sweep over the deadline stream gives DemandBound at every
-	// point, exactly, without a division per task and point.
-	dls, _, w, err := demandRow(s, h)
+	sc := patchPool.Get().(*patchScratch)
+	defer patchPool.Put(sc)
+	dls, _, w, err := sc.demandRow(s, h)
 	if errors.Is(err, errOverflow) {
 		return false, nil // a demand beyond the tick range
 	}

@@ -44,9 +44,10 @@ import (
 // loses the same integer terms, and the pruned pairs are a function of
 // the row.
 
-// patchScratch holds the per-operation scratch buffers of the patch and
-// of pruneRow. Pooled at package level: profiles are patched under
-// their channel lock, but distinct channels patch concurrently.
+// patchScratch holds the per-operation scratch buffers of the patch,
+// of demandRow and of pruneRow. Pooled at package level: profiles are
+// patched under their channel lock, but distinct channels patch
+// concurrently, and FeasibleEDF runs on any goroutine.
 type patchScratch struct {
 	scaled  []int64
 	union   []float64
@@ -58,6 +59,10 @@ type patchScratch struct {
 	tmpO    []int32
 	used    []bool
 	pairs   []envelope.Pair
+	// The stream, owner counts and demand row demandRow builds.
+	rowTs     []float64
+	rowOwners []int32
+	rowW      []int64
 }
 
 var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
@@ -87,9 +92,7 @@ func (pf *Profile) thaw(extra int) *Profile {
 	}
 	switch {
 	case pf.alg == EDF:
-		c.ts = append(make([]float64, 0, len(pf.ts)), pf.ts...)
-		c.owners = append(make([]int32, 0, len(pf.owners)), pf.owners...)
-		c.w = append(make([]int64, 0, len(pf.w)), pf.w...)
+		c.ts, c.owners, c.w = exact(pf.ts), exact(pf.owners), exact(pf.w)
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe (patches
 		// replace row pointers, never row contents).

@@ -129,7 +129,12 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		}
 		pf.scaled = scaled
 		h := float64(hInt) / float64(HyperperiodDenominator)
-		dls, owners, w, err := demandRow(s, h)
+		sc := patchPool.Get().(*patchScratch)
+		dls, owners, w, err := sc.demandRow(s, h)
+		if err == nil {
+			pf.ts, pf.owners, pf.w = exact(dls), exact(owners), exact(w)
+		}
+		patchPool.Put(sc)
 		if err != nil {
 			return nil, err
 		}
@@ -137,8 +142,7 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		pf.horizon = h
 		pf.horizonInt = hInt
 		pf.streamLen = points.StreamLen(s, h)
-		pf.ts, pf.owners, pf.w = dls, owners, w
-		pf.edf = pruneRow(dls, w)
+		pf.edf = pruneRow(pf.ts, pf.w)
 	case RM, DM:
 		ordered := alg.sorted(s)
 		pf.tasks = ordered
@@ -152,32 +156,37 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 	return pf, nil
 }
 
-// demandRow enumerates the EDF deadline stream of s up to the horizon h,
-// with per-point owner counts and the demand row in ticks, all three
-// exactly sized: each task charges its WCET at its own deadlines, and
-// the prefix sum holds, at every point, the jobs due by it — exactly
-// DemandBound there. A demand beyond the int64 tick range is
-// errOverflow.
-func demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
-	dls, err := points.Deadlines(s, h)
+// demandRow builds the EDF deadline stream of s up to the horizon h in
+// sc's row buffers, with per-point owner counts and the demand row in
+// ticks: each task charges its WCET at its own deadlines, and the
+// prefix sum holds, at every point, the jobs due by it — exactly
+// DemandBound there. The stream is points.AppendDeadlines' k-way merge,
+// and each task's own stream is walked along it to find its points.
+// The three slices alias sc and hold until sc's next demandRow. Errors
+// keep points' precedence: a stream beyond points.MaxStream is its
+// error, and a demand beyond the int64 tick range is errOverflow.
+func (sc *patchScratch) demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
+	dls, err := points.AppendDeadlines(sc.rowTs[:0], s, h)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	owners := make([]int32, len(dls))
-	w := make([]int64, len(dls))
+	owners := slices.Grow(sc.rowOwners[:0], len(dls))[:len(dls)]
+	w := slices.Grow(sc.rowW[:0], len(dls))[:len(dls)]
+	sc.rowTs, sc.rowOwners, sc.rowW = dls, owners, w
+	clear(owners)
+	clear(w)
 	var total int64
-	own := make([]float64, 0, len(dls)) // no task has more deadlines
 	for _, tk := range s {
-		own = points.AppendTaskDeadlines(own[:0], tk, h)
+		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], tk, h)
 		c, ok := wcetTicks(tk.C)
 		if ok {
-			total, ok = addJobs(total, int64(len(own)), c)
+			total, ok = addJobs(total, int64(len(sc.dls)), c)
 		}
 		if !ok {
 			return nil, nil, nil, errOverflow
 		}
 		i := 0
-		for _, x := range own {
+		for _, x := range sc.dls {
 			for dls[i] != x {
 				i++
 			}
@@ -189,10 +198,11 @@ func demandRow(s task.Set, h float64) ([]float64, []int32, []int64, error) {
 	for k := 1; k < len(w); k++ {
 		w[k] += w[k-1]
 	}
-	// points.Deadlines reserves room for every task's deadlines, shared
-	// ones included; the profile keeps the stream without that slack.
-	return append(make([]float64, 0, len(dls)), dls...), owners, w, nil
+	return dls, owners, w, nil
 }
+
+// exact returns a copy of s whose capacity is its length.
+func exact[E any](s []E) []E { return append(make([]E, 0, len(s)), s...) }
 
 // pruneRow returns the EDF envelope of a demand row in an exactly sized
 // slice: envelope.Prune of the pairs (ts[k], W), W the row's demand in
@@ -206,7 +216,7 @@ func pruneRow(ts []float64, w []int64) []envelope.Pair {
 		all[k] = envelope.Pair{T: t, W: timeu.Ticks(w[k]).Units()}
 	}
 	kept := envelope.Prune(all, false)
-	return append(make([]envelope.Pair, 0, len(kept)), kept...)
+	return exact(kept)
 }
 
 // compileFPRow builds one priority level of the FP profile: the pruned

@@ -6,16 +6,23 @@
 //
 // A channel assignment is admissible when every channel passes the exact
 // full-processor schedulability test for the chosen algorithm — a
-// necessary condition for any slot size to exist. Among admissible
-// placements the heuristics differ in how they balance utilisation,
-// which in turn drives max_i minQ(T_k^i, alg, P) and therefore the
-// feasible-period region.
+// necessary condition for any slot size to exist: analysis.FeasibleEDF
+// at α = 1, Δ = 0 for EDF, which allocates nothing, and response-time
+// analysis for RM and DM. Among admissible placements the heuristics
+// differ in how they balance utilisation, which in turn drives
+// max_i minQ(T_k^i, alg, P) and therefore the feasible-period region.
+//
+// A placement costs one admission test per channel probed. Every
+// heuristic probes a mode's channels in its order of preference and
+// takes the first that fits; best- and worst-fit rank the channels by
+// utilisation (see packer.place).
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/task"
@@ -87,33 +94,27 @@ func Assign(s task.Set, opts Options) (task.Set, error) {
 	if err := validateAlg(opts.Alg); err != nil {
 		return nil, err
 	}
-	s = s.Normalized()
-	out := append(task.Set(nil), s...)
-	index := make(map[string]int, len(out))
-	for i, t := range out {
-		index[t.Name] = i
-	}
+	out := s.Normalized()
+	pk := packer{opts: opts}
+	var pos []int
 	for _, m := range task.Modes() {
-		sub := s.ByMode(m)
-		if len(sub) == 0 {
+		pos = modePositions(pos[:0], out, m)
+		if len(pos) == 0 {
 			continue
 		}
 		if opts.Decreasing {
-			sub = append(task.Set(nil), sub...)
-			sort.SliceStable(sub, func(i, j int) bool {
-				return sub[i].Utilization() > sub[j].Utilization()
+			slices.SortStableFunc(pos, func(a, b int) int {
+				return cmp.Compare(out[b].Utilization(), out[a].Utilization())
 			})
 		}
-		bins := make([]task.Set, m.Channels())
-		cursor := 0
-		for _, tk := range sub {
-			ch, err := place(tk, bins, opts, &cursor)
+		pk.reset(m.Channels())
+		for _, i := range pos {
+			ch, err := pk.place(out[i])
 			if err != nil {
-				return nil, fmt.Errorf("%w: %s in mode %s", ErrUnplaceable, tk.Name, m)
+				return nil, fmt.Errorf("%w: %s in mode %s", ErrUnplaceable, out[i].Name, m)
 			}
-			tk.Channel = ch
-			bins[ch] = append(bins[ch], tk)
-			out[index[tk.Name]].Channel = ch
+			out[i].Channel = ch
+			pk.bins[ch] = append(pk.bins[ch], out[i])
 		}
 	}
 	if err := out.Validate(); err != nil {
@@ -122,47 +123,88 @@ func Assign(s task.Set, opts Options) (task.Set, error) {
 	return out, nil
 }
 
-// place picks the channel for one task according to the heuristic.
-func place(tk task.Task, bins []task.Set, opts Options, cursor *int) (int, error) {
-	admissible := func(ch int) bool {
-		trial := append(append(task.Set(nil), bins[ch]...), tk)
-		ok, err := analysis.Schedulable(trial, opts.Alg)
-		return err == nil && ok
+// modePositions appends to dst the positions of the tasks of mode m in
+// s, ascending. Channels are written back by position, so tasks need
+// not be named.
+func modePositions(dst []int, s task.Set, m task.Mode) []int {
+	for i, tk := range s {
+		if tk.Mode == m {
+			dst = append(dst, i)
+		}
 	}
-	n := len(bins)
-	switch opts.Heuristic {
+	return dst
+}
+
+// packer is one Assign's packing state, reused across probes and
+// modes: the bins of the current mode, the next-fit cursor, and the
+// trial channel and preference order of a probe.
+type packer struct {
+	opts   Options
+	bins   []task.Set
+	cursor int
+	trial  task.Set
+	order  []int
+	util   []float64
+}
+
+// reset empties the bins for a mode with n channels.
+func (pk *packer) reset(n int) {
+	pk.bins = slices.Grow(pk.bins[:0], n)[:n]
+	for ch := range pk.bins {
+		pk.bins[ch] = pk.bins[ch][:0]
+	}
+	pk.cursor = 0
+}
+
+// fits reports whether channel ch stays schedulable with tk added.
+func (pk *packer) fits(ch int, tk task.Task) bool {
+	pk.trial = append(append(pk.trial[:0], pk.bins[ch]...), tk)
+	ok, err := analysis.Schedulable(pk.trial, pk.opts.Alg)
+	return err == nil && ok
+}
+
+// place picks the channel for one task according to the heuristic.
+// Every heuristic probes channels in its order of preference and takes
+// the first that fits. For best- and worst-fit that order is descending
+// and ascending channel utilisation, ties to the lower index, so the
+// first fit is the admissible channel of greatest (least) utilisation,
+// the lowest-indexed of equals, and the channels after it are never
+// probed.
+func (pk *packer) place(tk task.Task) (int, error) {
+	n := len(pk.bins)
+	switch pk.opts.Heuristic {
 	case FirstFit:
 		for ch := 0; ch < n; ch++ {
-			if admissible(ch) {
+			if pk.fits(ch, tk) {
 				return ch, nil
 			}
 		}
 	case NextFit:
 		for k := 0; k < n; k++ {
-			ch := (*cursor + k) % n
-			if admissible(ch) {
-				*cursor = ch
+			ch := (pk.cursor + k) % n
+			if pk.fits(ch, tk) {
+				pk.cursor = ch
 				return ch, nil
 			}
 		}
 	case BestFit, WorstFit:
-		best, bestU := -1, 0.0
-		for ch := 0; ch < n; ch++ {
-			if !admissible(ch) {
-				continue
-			}
-			u := bins[ch].Utilization()
-			if best == -1 ||
-				(opts.Heuristic == BestFit && u > bestU) ||
-				(opts.Heuristic == WorstFit && u < bestU) {
-				best, bestU = ch, u
-			}
+		order, util := pk.order[:0], pk.util[:0]
+		for ch, b := range pk.bins {
+			order, util = append(order, ch), append(util, b.Utilization())
 		}
-		if best >= 0 {
-			return best, nil
+		pk.order, pk.util = order, util
+		sign := 1
+		if pk.opts.Heuristic == BestFit {
+			sign = -1
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return sign * cmp.Compare(util[a], util[b]) })
+		for _, ch := range order {
+			if pk.fits(ch, tk) {
+				return ch, nil
+			}
 		}
 	default:
-		return 0, fmt.Errorf("partition: unknown heuristic %d", int(opts.Heuristic))
+		return 0, fmt.Errorf("partition: unknown heuristic %d", int(pk.opts.Heuristic))
 	}
 	return 0, ErrUnplaceable
 }
@@ -179,29 +221,25 @@ func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
 	if err := validateAlg(alg); err != nil {
 		return nil, err
 	}
-	s = s.Normalized()
-	out := append(task.Set(nil), s...)
-	index := make(map[string]int, len(out))
-	for i, t := range out {
-		index[t.Name] = i
-	}
+	out := s.Normalized()
+	var pos []int
 	for _, m := range task.Modes() {
-		sub := s.ByMode(m)
-		if len(sub) == 0 {
+		pos = modePositions(pos[:0], out, m)
+		if len(pos) == 0 {
 			continue
 		}
-		if len(sub) > maxOptimalTasksPerMode {
+		if len(pos) > maxOptimalTasksPerMode {
 			return nil, fmt.Errorf("partition: %d tasks in mode %s exceed the optimal-search bound %d",
-				len(sub), m, maxOptimalTasksPerMode)
+				len(pos), m, maxOptimalTasksPerMode)
 		}
 		best, bestMax := []int(nil), math.Inf(1)
-		assign := make([]int, len(sub))
+		assign := make([]int, len(pos))
 		var rec func(i int)
 		rec = func(i int) {
-			if i == len(sub) {
+			if i == len(pos) {
 				bins := make([]task.Set, m.Channels())
 				for j, ch := range assign {
-					bins[ch] = append(bins[ch], sub[j])
+					bins[ch] = append(bins[ch], out[pos[j]])
 				}
 				worst := 0.0
 				for _, b := range bins {
@@ -232,7 +270,7 @@ func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
 			return nil, fmt.Errorf("%w: no admissible placement for mode %s", ErrUnplaceable, m)
 		}
 		for j, ch := range best {
-			out[index[sub[j].Name]].Channel = ch
+			out[pos[j]].Channel = ch
 		}
 	}
 	if err := out.Validate(); err != nil {

@@ -16,6 +16,7 @@ package points
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/task"
 )
@@ -98,30 +99,49 @@ const MaxStream = 1 << 22
 // normally the hyperperiod of the set. The result is sorted ascending
 // and duplicate-free. A set with more than MaxStream deadlines in the
 // horizon is an error, reported before anything is allocated.
+func Deadlines(s task.Set, horizon float64) ([]float64, error) {
+	return AppendDeadlines(nil, s, horizon)
+}
+
+// mergeCursors is how many tasks AppendDeadlines merges with its
+// cursors on the stack; a larger set keeps them on the heap.
+const mergeCursors = 64
+
+// AppendDeadlines appends the points Deadlines returns to dst and
+// returns the extended slice, growing dst at most once, by the count
+// StreamLen bounds. A caller that recycles dst builds the stream
+// without allocating for sets of up to 64 tasks. On error dst is
+// returned unchanged.
 //
 // Each task's deadline stream is already ascending, so the set is built
 // by a k-way merge of the streams instead of hashing and sorting. A task
 // with a non-positive period has a deadline stream that never advances;
 // such tasks are rejected here (they are also rejected at task.Set
-// construction by Validate, but Deadlines must not spin forever on
+// construction by Validate, but the merge must not spin forever on
 // unvalidated input).
-func Deadlines(s task.Set, horizon float64) ([]float64, error) {
+func AppendDeadlines(dst []float64, s task.Set, horizon float64) ([]float64, error) {
 	if len(s) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	for _, t := range s {
 		if t.T <= 0 {
-			return nil, fmt.Errorf("points: task %s has non-positive period T = %g", t.Name, t.T)
+			return dst, fmt.Errorf("points: task %s has non-positive period T = %g", t.Name, t.T)
 		}
 	}
 	total := StreamLen(s, horizon)
 	if err := CheckStreamLen(total, horizon); err != nil {
-		return nil, err
+		return dst, err
 	}
 	// head[i] is task i's next unconsumed deadline in (0, horizon],
-	// +Inf once the stream is exhausted.
-	head := make([]float64, len(s))
-	kidx := make([]int, len(s))
+	// +Inf once the stream is exhausted; kidx[i] is the index of the
+	// job after it.
+	var headBuf [mergeCursors]float64
+	var kidxBuf [mergeCursors]int
+	head, kidx := headBuf[:], kidxBuf[:]
+	if len(s) > mergeCursors {
+		head, kidx = make([]float64, len(s)), make([]int, len(s))
+	}
+	head, kidx = head[:len(s)], kidx[:len(s)]
 	exhausted := 0
 	advance := func(i int) {
 		t := s[i]
@@ -142,7 +162,7 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 	for i := range s {
 		advance(i)
 	}
-	out := make([]float64, 0, int(total))
+	dst = slices.Grow(dst, int(total))
 	for exhausted < len(s) {
 		next := math.Inf(1)
 		for _, h := range head {
@@ -150,14 +170,14 @@ func Deadlines(s task.Set, horizon float64) ([]float64, error) {
 				next = h
 			}
 		}
-		out = append(out, next)
+		dst = append(dst, next)
 		for i, h := range head {
 			if h == next {
 				advance(i)
 			}
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // StreamLen returns how many deadlines the tasks of s have in

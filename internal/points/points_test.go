@@ -3,6 +3,7 @@ package points
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -363,5 +364,33 @@ func TestFixedPriorityFloorDirection(t *testing.T) {
 			hp[i].T = fourDecimal(400000)
 		}
 		inRange(hp, fourDecimal(1200000))
+	}
+}
+
+// TestAppendDeadlines checks that AppendDeadlines appends exactly
+// Deadlines' points after dst's own, on sets below and above the
+// merge's stack cursors, and returns dst unchanged on error.
+func TestAppendDeadlines(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	prefix := []float64{-2, -1}
+	for trial := 0; trial < 200; trial++ {
+		s := make(task.Set, 1+rng.Intn(2*mergeCursors))
+		for i := range s {
+			T := float64(rng.Intn(20) + 1)
+			s[i] = task.Task{T: T, D: float64(rng.Intn(int(T))) + 1}
+		}
+		horizon := float64(rng.Intn(200) + 1)
+		want := mustDeadlines(t, s, horizon)
+		got, err := AppendDeadlines(append([]float64(nil), prefix...), s, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, append(append([]float64(nil), prefix...), want...)) {
+			t.Fatalf("set %v horizon %g: got %v, want %v after %v", s, horizon, got, want, prefix)
+		}
+	}
+	bad := task.Set{{Name: "bad", C: 1, T: 0, D: 3}}
+	if got, err := AppendDeadlines(prefix, bad, 100); err == nil || len(got) != len(prefix) {
+		t.Errorf("AppendDeadlines with T = 0: %v, %v; want an error and dst unchanged", got, err)
 	}
 }
