@@ -185,6 +185,7 @@ func BenchmarkSimulateHyperperiod(b *testing.B) {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var misses int
 			for i := 0; i < b.N; i++ {
 				res, err := Simulate(sol.Config, PaperTaskSet(), EDF, SimOptions{Parallel: parallel})
@@ -206,6 +207,7 @@ func BenchmarkSimulateWithFaults(b *testing.B) {
 		b.Fatal(err)
 	}
 	inj := PoissonFaults{Rate: 0.05, Duration: timeu.FromUnits(0.05), Seed: 7}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(sol.Config, PaperTaskSet(), EDF, SimOptions{Injector: inj, Parallel: true}); err != nil {
 			b.Fatal(err)

@@ -103,7 +103,7 @@ func TestCompareTolerancesAndZeroAllocRule(t *testing.T) {
 // gateRuns mirror the CI perf gate: the benchmarks it runs, per
 // package, before feeding the output to benchgate.
 var gateRuns = []struct{ pkg, bench string }{
-	{"repro", "AdmitRemoveChurn|AutoPartition|BatchAdmission|ShardedChurn|ScenarioReplay|Table2MaxPeriod|Table2MaxSlack"},
+	{"repro", "AdmitRemoveChurn|AutoPartition|BatchAdmission|ShardedChurn|ScenarioReplay|SimulateHyperperiod|SimulateWithFaults|Table2MaxPeriod|Table2MaxSlack"},
 	{"repro/internal/online", "PartialAdmission|RevokeRestore"},
 }
 

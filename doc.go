@@ -117,7 +117,11 @@
 //     Figure 2), in-flight jobs carry across each reshape, and per-task
 //     statistics are kept per residency (one admission-to-departure
 //     tenure). Simulator.Run, the static validation of one design, is
-//     the one-epoch case. The invariant Replay checks is the
+//     the one-epoch case. The engines are pooled across runs, like
+//     analysis's patchScratch: a warm run reuses their window buffers,
+//     heaps, task registry and job records, nothing a run returns
+//     aliases them, and a warm run's allocations do not grow with its
+//     horizon. The invariant Replay checks is the
 //     executable analogue of the admission guarantee: every task the
 //     manager admits meets every deadline released during its
 //     residency. Reshapes that shrink or shift a channel's windows
@@ -187,11 +191,19 @@
 //   - Scratch, per-owner, reused: the manager's touched-channel slice
 //     and per-channel batch groups;
 //     the sim engine's epoch buffers (service windows, fault and
-//     corruption overlays), its job records (recycled through a
-//     freelist at each job's terminal event) and its concrete,
-//     non-boxing heaps. Scratch results are valid until the owner's
-//     next cycle or epoch, never across it, and never escape to
-//     readers.
+//     corruption overlays, the epoch's joins and leaves), its job
+//     records (recycled through a freelist at each job's terminal
+//     event and at the horizon), its task registry and its concrete,
+//     non-boxing heaps. The engines themselves are pooled across runs
+//     like patchScratch: a run takes one per channel and returns it
+//     emptied, dropping the run's log, recovery policy and stats and
+//     clearing the task names it held. Nothing a run returns (its
+//     Result, Replay's residencies, the trace) aliases an engine, so a
+//     warm Simulator.Run allocates the same few dozen objects at any
+//     horizon: its Result, one slab of residency stats per channel and
+//     the run's bookkeeping. Scratch results are
+//     valid until the owner's next cycle or epoch, never across it,
+//     and never escape to readers.
 //
 // The bit-identity contract constrains all of it: every incremental or
 // in-place path must produce exactly the result of the from-scratch

@@ -94,7 +94,13 @@ func Assign(s task.Set, opts Options) (task.Set, error) {
 	if err := validateAlg(opts.Alg); err != nil {
 		return nil, err
 	}
-	out := s.Normalized()
+	if err := validateHeuristic(opts.Heuristic); err != nil {
+		return nil, err
+	}
+	out, err := normalizedInput(s)
+	if err != nil {
+		return nil, err
+	}
 	pk := packer{opts: opts}
 	var pos []int
 	for _, m := range task.Modes() {
@@ -116,6 +122,19 @@ func Assign(s task.Set, opts Options) (task.Set, error) {
 			out[i].Channel = ch
 			pk.bins[ch] = append(pk.bins[ch], out[i])
 		}
+	}
+	return out, nil
+}
+
+// normalizedInput returns the normalised copy of s that Assign and
+// AssignOptimal place, after validating it. The input's channels are
+// ignored, so they are zeroed before the check and then chosen in
+// range; every other parameter is checked before any placement, so an
+// invalid task is reported as invalid, not as unplaceable.
+func normalizedInput(s task.Set) (task.Set, error) {
+	out := s.Normalized()
+	for i := range out {
+		out[i].Channel = 0
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err
@@ -163,7 +182,8 @@ func (pk *packer) fits(ch int, tk task.Task) bool {
 	return err == nil && ok
 }
 
-// place picks the channel for one task according to the heuristic.
+// place picks the channel for one task according to the heuristic,
+// which Assign has validated.
 // Every heuristic probes channels in its order of preference and takes
 // the first that fits. For best- and worst-fit that order is descending
 // and ascending channel utilisation, ties to the lower index, so the
@@ -203,8 +223,6 @@ func (pk *packer) place(tk task.Task) (int, error) {
 				return ch, nil
 			}
 		}
-	default:
-		return 0, fmt.Errorf("partition: unknown heuristic %d", int(pk.opts.Heuristic))
 	}
 	return 0, ErrUnplaceable
 }
@@ -221,7 +239,10 @@ func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
 	if err := validateAlg(alg); err != nil {
 		return nil, err
 	}
-	out := s.Normalized()
+	out, err := normalizedInput(s)
+	if err != nil {
+		return nil, err
+	}
 	var pos []int
 	for _, m := range task.Modes() {
 		pos = modePositions(pos[:0], out, m)
@@ -273,9 +294,6 @@ func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
 			out[pos[j]].Channel = ch
 		}
 	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -289,6 +307,15 @@ func MaxChannelUtilization(s task.Set) float64 {
 		}
 	}
 	return worst
+}
+
+// validateHeuristic rejects a heuristic outside the four rules. The
+// error does not wrap ErrUnplaceable: no task was tried.
+func validateHeuristic(h Heuristic) error {
+	if h < FirstFit || h > NextFit {
+		return fmt.Errorf("partition: unknown heuristic %d", int(h))
+	}
+	return nil
 }
 
 func validateAlg(a analysis.Alg) error {

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -199,5 +201,27 @@ func TestAssignIgnoresInputChannels(t *testing.T) {
 	}
 	if src[0].Channel != 3 {
 		t.Error("Assign must not mutate its input")
+	}
+}
+
+// TestAssignRejectsUnknownHeuristic checks that a heuristic outside
+// the four rules is refused before any placement, for every input
+// including the empty set, with an error that names it and does not
+// claim a task fits no channel.
+func TestAssignRejectsUnknownHeuristic(t *testing.T) {
+	sets := []task.Set{nil, {{Name: "a", C: 1, T: 5, Mode: task.NF}}}
+	for _, h := range []Heuristic{9, -1} {
+		for _, s := range sets {
+			_, err := Assign(s, Options{Heuristic: h, Alg: analysis.EDF})
+			if err == nil {
+				t.Fatalf("heuristic %d on %d tasks: no error", int(h), len(s))
+			}
+			if errors.Is(err, ErrUnplaceable) {
+				t.Errorf("heuristic %d on %d tasks: %v wraps ErrUnplaceable", int(h), len(s), err)
+			}
+			if want := fmt.Sprintf("unknown heuristic %d", int(h)); !strings.Contains(err.Error(), want) {
+				t.Errorf("heuristic %d on %d tasks: %q does not say %q", int(h), len(s), err, want)
+			}
+		}
 	}
 }

@@ -85,28 +85,37 @@ func UpperBound(s task.Set) (float64, error) {
 	if len(s) == 0 {
 		return 0, task.ErrEmptySet
 	}
-	sum := 0.0
-	active := 0
-	for _, m := range task.Modes() {
-		sub := s.ByMode(m)
-		if len(sub) == 0 {
+	// Fold each mode's minimum deadline in one pass; a mode is active
+	// when it has a task.
+	var (
+		minD   [task.NumModes]float64
+		active [task.NumModes]bool
+	)
+	for _, t := range s {
+		if t.Mode < 0 || int(t.Mode) >= task.NumModes {
 			continue
 		}
-		active++
-		minD := math.Inf(1)
-		for _, t := range sub {
-			if t.D < minD {
-				minD = t.D
-			}
+		if !active[t.Mode] {
+			active[t.Mode], minD[t.Mode] = true, math.Inf(1)
 		}
-		sum += minD
+		if t.D < minD[t.Mode] {
+			minD[t.Mode] = t.D
+		}
 	}
-	if active <= 1 {
+	sum := 0.0
+	n := 0
+	for m, ok := range active {
+		if ok {
+			n++
+			sum += minD[m]
+		}
+	}
+	if n <= 1 {
 		// With a single active mode the slot can span the whole period;
 		// the binding constraint is the smallest deadline itself.
 		return sum, nil
 	}
-	return sum / float64(active-1), nil
+	return sum / float64(n-1), nil
 }
 
 // Point is one sample of the Figure 4 curve.

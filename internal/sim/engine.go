@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/task"
@@ -114,6 +115,13 @@ func (h releaseHeap) min() timeu.Ticks { return h[0].at }
 // jobs across each reshape while the service windows, the fault
 // overlays and the task membership change under it. The static
 // simulator is the one-epoch special case.
+//
+// Engines are pooled across runs: getEngine is the only way to make
+// one and putEngine returns it with its buffers, heaps, registry and
+// job records emptied but kept, so a warm run allocates none of them.
+// What a run hands out (its Result, Replay's residencies, the trace)
+// is copied out of the engine or allocated apart from it, never
+// aliased.
 type engine struct {
 	id       ChannelID
 	alg      analysis.Alg
@@ -126,7 +134,7 @@ type engine struct {
 	// path's bit-identity test.
 	linearReleases bool
 
-	queue    *jobQueue
+	queue    jobQueue
 	releases releaseHeap
 
 	tasks  []engineTask
@@ -141,16 +149,21 @@ type engine struct {
 	// Epoch provisioning scratch, reused across reshapes. serviceFor and
 	// corruptFor build each epoch's windows in these; the results stay
 	// valid until the next provisioning, the exact lifetime an epoch
-	// needs. svcBuf and corruptBuf back the installed service/corrupt
-	// slices; winBuf and faultBuf are intermediates.
+	// needs. svcBuf, blockBuf and corruptBuf back the installed
+	// service, block and corrupt tables; winBuf and faultBuf are
+	// intermediates. joinBuf and leaveBuf hold the epoch's joins and
+	// leaves on this channel.
 	svcBuf     []interval
+	blockBuf   map[timeu.Ticks]bool
 	winBuf     []interval
 	corruptBuf []interval
 	faultBuf   []interval
+	joinBuf    task.Set
+	leaveBuf   task.Set
 
 	// freeJobs recycles Job records: a job never outlives its terminal
-	// event (complete, abort, cancel), so the steady state re-releases
-	// from the pool instead of allocating per release.
+	// event (complete, abort, cancel, the horizon), so the steady state
+	// re-releases from the freelist instead of allocating per release.
 	freeJobs []*Job
 
 	// period is the slot-cycle period; excuses are the instants of
@@ -161,20 +174,60 @@ type engine struct {
 
 	now   timeu.Ticks
 	seq   uint64
-	stats *channelResult
+	stats channelResult
 }
 
-func newEngine(id ChannelID, alg analysis.Alg, horizon timeu.Ticks, rec Recovery, log *trace.Log) *engine {
-	return &engine{
-		id:       id,
-		alg:      alg,
-		horizon:  horizon,
-		recovery: rec,
-		log:      log,
-		queue:    newJobQueue(alg, nil),
-		byName:   make(map[string]int),
-		stats:    newChannelResult(id, log),
+// enginePool keeps emptied engines between runs, as analysis's
+// patchPool keeps patch scratch.
+var enginePool = sync.Pool{New: func() any { return &engine{byName: make(map[string]int)} }}
+
+// getEngine takes an engine from the pool and binds it to one channel
+// of a run: the algorithm, the horizon, the slot-cycle period and the
+// options' recovery policy, trace log and release path.
+func getEngine(id ChannelID, alg analysis.Alg, horizon, period timeu.Ticks, opts Options) *engine {
+	e := enginePool.Get().(*engine)
+	e.id, e.alg, e.horizon, e.period = id, alg, horizon, period
+	e.recovery, e.log = opts.Recovery, opts.newEngineLog()
+	e.linearReleases = opts.linearReleases
+	e.queue.alg = alg
+	e.stats.id, e.stats.log = id, e.log
+	return e
+}
+
+// putEngine returns e to the pool. It drops every reference to the
+// caller's memory (the trace log, the recovery policy, the residencies'
+// stats) and clears every task name e holds, so a pooled engine keeps
+// nothing of a finished run alive; the buffers are kept, emptied. A
+// field the literal below does not list is zeroed, so a field added to
+// engine is dropped on every Put unless it is listed there.
+func putEngine(e *engine) {
+	e.queue.reset()
+	clear(e.tasks)
+	clear(e.byName)
+	clear(e.blockBuf)
+	clear(e.joinBuf)
+	clear(e.leaveBuf)
+	clear(e.stats.residencies)
+	for _, j := range e.freeJobs {
+		j.TaskName = ""
 	}
+	*e = engine{
+		queue:      e.queue,
+		releases:   e.releases[:0],
+		tasks:      e.tasks[:0],
+		byName:     e.byName,
+		svcBuf:     e.svcBuf[:0],
+		blockBuf:   e.blockBuf,
+		winBuf:     e.winBuf[:0],
+		corruptBuf: e.corruptBuf[:0],
+		faultBuf:   e.faultBuf[:0],
+		joinBuf:    e.joinBuf[:0],
+		leaveBuf:   e.leaveBuf[:0],
+		freeJobs:   e.freeJobs,
+		excuses:    e.excuses[:0],
+		stats:      channelResult{residencies: e.stats.residencies[:0]},
+	}
+	enginePool.Put(e)
 }
 
 // freeJob returns a finished job record to the pool. The caller must be
@@ -226,8 +279,12 @@ func (e *engine) provision(from timeu.Ticks, svc serviceWindows, corrupt []inter
 		e.retire(idx, from)
 		delete(e.byName, t.Name)
 	}
-	for _, t := range joins {
-		if err := e.register(t, from); err != nil {
+	// One slab holds the new residencies' stats. It is allocated per
+	// provisioning, apart from the pooled engine, because Replay hands
+	// the residencies to its caller.
+	stats := make([]TaskStats, len(joins))
+	for i, t := range joins {
+		if err := e.register(t, from, &stats[i]); err != nil {
 			return err
 		}
 	}
@@ -255,8 +312,9 @@ func (e *engine) transitionExcused(j *Job, late timeu.Ticks) bool {
 	return n > 0 && late < e.period*n
 }
 
-// register adds a task at instant `from`, opening a fresh residency.
-func (e *engine) register(t task.Task, from timeu.Ticks) error {
+// register adds a task at instant `from`, opening a fresh residency
+// whose jobs are tallied in ts.
+func (e *engine) register(t task.Task, from timeu.Ticks, ts *TaskStats) error {
 	period := timeu.FromUnits(t.T)
 	deadline := timeu.FromUnits(t.D)
 	wcet := timeu.FromUnitsUp(t.C) // never under-charge work
@@ -274,7 +332,7 @@ func (e *engine) register(t task.Task, from timeu.Ticks) error {
 		res:         len(e.stats.residencies),
 	})
 	e.stats.residencies = append(e.stats.residencies, Residency{
-		Task: t, From: from, To: e.horizon, Stats: &TaskStats{},
+		Task: t, From: from, To: e.horizon, Stats: ts,
 	})
 	if t.Name != "" {
 		e.byName[t.Name] = idx
@@ -530,6 +588,9 @@ func (e *engine) abort(j *Job, now timeu.Ticks) {
 // mid-flight, so its final lateness is unknowable; the classification
 // uses the lower bound horizon-Deadline, giving the truncation the
 // benefit of the doubt when reshapes could explain it.
+//
+// The drained jobs go back to the freelist. The returned result is
+// the engine's own and valid until putEngine.
 func (e *engine) finish() *channelResult {
 	for _, j := range e.queue.drain() {
 		if j.Deadline <= e.horizon && j.Remaining > 0 {
@@ -539,12 +600,13 @@ func (e *engine) finish() *channelResult {
 				e.stats.recordLate(e.horizon-j.Deadline, e.period)
 				e.log.Add(trace.Event{At: j.Deadline, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
 					Detail: "unfinished at horizon (transition-late)"})
-				continue
+			} else {
+				ts.Missed++
+				e.log.Add(trace.Event{At: j.Deadline, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
+					Detail: "unfinished at horizon"})
 			}
-			ts.Missed++
-			e.log.Add(trace.Event{At: j.Deadline, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-				Detail: "unfinished at horizon"})
 		}
+		e.freeJob(j)
 	}
-	return e.stats
+	return &e.stats
 }

@@ -57,8 +57,8 @@ func TestLatenessHistogramBuckets(t *testing.T) {
 func TestEngineRecordsTransitionLateness(t *testing.T) {
 	u := timeu.FromUnits
 	horizon := u(60)
-	eng := newEngine(ChannelID{Mode: task.NF, Ch: 0}, analysis.EDF, horizon, nil, nil)
-	eng.period = u(10)
+	eng := getEngine(ChannelID{Mode: task.NF, Ch: 0}, analysis.EDF, horizon, u(10), Options{})
+	defer putEngine(eng)
 	tk := task.Task{Name: "x", C: 10, T: 20, D: 20, Mode: task.NF}
 
 	// Epoch 1 [0, 20): full service. The job released at 0 (deadline 20,
@@ -97,8 +97,8 @@ func TestEngineRecordsTransitionLateness(t *testing.T) {
 	}
 
 	// The merged result carries the histogram through.
-	r := newResult(horizon, false)
-	r.merge(cr)
+	r := newResult(horizon, 1, len(cr.residencies), false)
+	r.merge(cr, new(ChannelStats))
 	if r.TransitionLateness.Count != 1 || r.TransitionLateness.Count != r.TotalTransitionLate() {
 		t.Fatalf("merged histogram count = %d, TotalTransitionLate = %d",
 			r.TransitionLateness.Count, r.TotalTransitionLate())

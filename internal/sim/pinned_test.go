@@ -96,15 +96,23 @@ func resultDigest(r *sim.Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRunPinnedOutput pins Simulator.Run's exact output across the
-// inputs a static run can take: RM, DM and EDF designs from New and a
-// multi-quantum layout from NewWindows; no faults and Poisson faults
-// that abort FS jobs and corrupt NF ones; no recovery and a re-issuing
-// one; the default horizon; and a trace cap. Each case runs
-// sequentially and in parallel, and both must hash to the digest
-// recorded when the test was written. A changed digest means a change
-// in what the executor computes, not only in how it is organised.
-func TestRunPinnedOutput(t *testing.T) {
+// pinnedCase is one input of TestRunPinnedOutput with the digest its
+// Run output hashed to when the test was written.
+type pinnedCase struct {
+	name  string
+	build func(t *testing.T) *sim.Simulator
+	opts  sim.Options
+	// faulty demands FS aborts and NF corruptions; recovered demands
+	// re-issued jobs — so the digest covers those paths.
+	faulty, recovered bool
+	want              string
+}
+
+// pinnedCases covers the inputs a static run can take: RM, DM and EDF
+// designs from New and a multi-quantum layout from NewWindows; no
+// faults and Poisson faults that abort FS jobs and corrupt NF ones; no
+// recovery and a re-issuing one; the default horizon; and a trace cap.
+func pinnedCases() []pinnedCase {
 	problem := func(alg analysis.Alg) core.Problem {
 		return core.Problem{
 			Tasks: task.PaperTaskSet(),
@@ -140,15 +148,7 @@ func TestRunPinnedOutput(t *testing.T) {
 		return s
 	}
 	poisson := faults.Poisson{Rate: 0.2, Duration: timeu.FromUnits(0.3), Seed: 5}
-	cases := []struct {
-		name  string
-		build func(t *testing.T) *sim.Simulator
-		opts  sim.Options
-		// faulty demands FS aborts and NF corruptions; recovered demands
-		// re-issued jobs — so the digest covers those paths.
-		faulty, recovered bool
-		want              string
-	}{
+	return []pinnedCase{
 		{name: "edf/min-overhead/fault-free", build: designed(analysis.EDF, design.MinOverheadBandwidth),
 			opts: sim.Options{Horizon: timeu.FromUnits(240), CollectTrace: true},
 			want: "b2957816b11b72fbbba1c48a3252e8b5a295887c7c3cfce94c0c17570809b5bd"},
@@ -171,35 +171,52 @@ func TestRunPinnedOutput(t *testing.T) {
 			opts:   sim.Options{Horizon: timeu.FromUnits(240), Injector: poisson, CollectTrace: true, MaxTraceEvents: 300},
 			faulty: true, want: "0cb885fd8b9e6a96fbdf5775c5666e0b7946a3a06bdf811c693a5eb0a23aab9a"},
 	}
-	for _, c := range cases {
+}
+
+// run executes the case with the given Parallel setting and checks
+// that the run took the paths the case demands and hashes to the
+// pinned digest.
+func (c pinnedCase) run(t *testing.T, s *sim.Simulator, parallel bool) *sim.Result {
+	t.Helper()
+	opts := c.opts
+	opts.Parallel = parallel
+	res, err := s.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.faulty && (res.Silenced == 0 || res.Corruptions == 0) {
+		t.Fatalf("parallel=%v: faults must abort FS jobs and corrupt NF ones, got %d aborts, %d corruptions",
+			parallel, res.Silenced, res.Corruptions)
+	}
+	if opts.MaxTraceEvents > 0 && !res.Trace.Truncated() {
+		t.Fatalf("parallel=%v: the trace cap of %d dropped nothing", parallel, opts.MaxTraceEvents)
+	}
+	if c.recovered {
+		rec := 0
+		for _, ts := range res.Tasks {
+			rec += ts.Recovered
+		}
+		if rec == 0 {
+			t.Fatalf("parallel=%v: recovery re-issued no job", parallel)
+		}
+	}
+	if got := resultDigest(res); got != c.want {
+		t.Errorf("parallel=%v: digest %s, want %s\n%s", parallel, got, c.want, res.Summary())
+	}
+	return res
+}
+
+// TestRunPinnedOutput pins Simulator.Run's exact output over
+// pinnedCases. Each case runs sequentially and in parallel, and both
+// must hash to the digest recorded when the test was written. A
+// changed digest means a change in what the executor computes, not
+// only in how it is organised.
+func TestRunPinnedOutput(t *testing.T) {
+	for _, c := range pinnedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			s := c.build(t)
 			for _, parallel := range []bool{false, true} {
-				opts := c.opts
-				opts.Parallel = parallel
-				res, err := s.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.faulty && (res.Silenced == 0 || res.Corruptions == 0) {
-					t.Fatalf("parallel=%v: faults must abort FS jobs and corrupt NF ones, got %d aborts, %d corruptions",
-						parallel, res.Silenced, res.Corruptions)
-				}
-				if opts.MaxTraceEvents > 0 && !res.Trace.Truncated() {
-					t.Fatalf("parallel=%v: the trace cap of %d dropped nothing", parallel, opts.MaxTraceEvents)
-				}
-				if c.recovered {
-					rec := 0
-					for _, ts := range res.Tasks {
-						rec += ts.Recovered
-					}
-					if rec == 0 {
-						t.Fatalf("parallel=%v: recovery re-issued no job", parallel)
-					}
-				}
-				if got := resultDigest(res); got != c.want {
-					t.Errorf("parallel=%v: digest %s, want %s\n%s", parallel, got, c.want, res.Summary())
-				}
+				c.run(t, s, parallel)
 			}
 		})
 	}

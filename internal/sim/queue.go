@@ -31,17 +31,17 @@ type jobQueue struct {
 	keys []queueKey // one per registered task index, append-only
 	jobs []*Job
 
-	victims []*Job // removeTask scratch, reused across reshapes
+	victims []*Job // removeTask and drain scratch, reused across reshapes
 }
 
-// newJobQueue builds the queue for a channel's initial task list; later
-// arrivals register with addTask.
-func newJobQueue(alg analysis.Alg, tasks task.Set) *jobQueue {
-	q := &jobQueue{alg: alg, keys: make([]queueKey, 0, len(tasks))}
-	for _, t := range tasks {
-		q.addTask(t)
-	}
-	return q
+// reset empties the queue for another run, keeping its buffers. The
+// keys' task names and the jobs' pointers are cleared, so a pooled
+// queue keeps neither alive.
+func (q *jobQueue) reset() {
+	clear(q.keys)
+	clear(q.jobs)
+	clear(q.victims)
+	q.keys, q.jobs, q.victims = q.keys[:0], q.jobs[:0], q.victims[:0]
 }
 
 // addTask registers a task and returns its index. Indices are assigned
@@ -195,14 +195,15 @@ func (q *jobQueue) removeTask(idx int) []*Job {
 	return q.victims
 }
 
-// drain empties the queue, returning the jobs in priority order.
+// drain empties the queue, returning the jobs in priority order. Like
+// removeTask's, the returned slice aliases the queue's scratch buffer.
 func (q *jobQueue) drain() []*Job {
-	var out []*Job
+	q.victims = q.victims[:0]
 	for {
 		j := q.pop()
 		if j == nil {
-			return out
+			return q.victims
 		}
-		out = append(out, j)
+		q.victims = append(q.victims, j)
 	}
 }

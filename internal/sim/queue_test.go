@@ -8,6 +8,15 @@ import (
 	"repro/internal/timeu"
 )
 
+// newJobQueue builds a queue for a channel's initial task list.
+func newJobQueue(alg analysis.Alg, tasks task.Set) *jobQueue {
+	q := &jobQueue{alg: alg}
+	for _, t := range tasks {
+		q.addTask(t)
+	}
+	return q
+}
+
 func nfTasks(names ...string) task.Set {
 	s := make(task.Set, len(names))
 	for i, n := range names {

@@ -373,14 +373,11 @@ func Replay(m *online.Manager, sc Scenario, opts ScenarioOptions) (*ScenarioResu
 
 	// ---- Phase 2: execute the epochs; list residencies and the driver's trace. ----
 
-	r, channels, err := execute(alg, epochs, horizon, schedule, opts.Options)
+	r, residencies, err := execute(alg, epochs, horizon, schedule, opts.Options, true)
 	if err != nil {
 		return nil, err
 	}
-	res := &ScenarioResult{Result: *r, Epochs: len(epochs), Outcomes: outcomes}
-	for _, cr := range channels {
-		res.Residencies = append(res.Residencies, cr.residencies...)
-	}
+	res := &ScenarioResult{Result: *r, Epochs: len(epochs), Outcomes: outcomes, Residencies: residencies}
 	slices.SortStableFunc(res.Residencies, func(a, b Residency) int {
 		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Task.Mode, b.Task.Mode),
 			cmp.Compare(a.Task.Channel, b.Task.Channel), strings.Compare(a.Task.Name, b.Task.Name))

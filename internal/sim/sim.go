@@ -32,6 +32,11 @@
 // so each channel is simulated independently; with Options.Parallel the
 // seven channels (1 FT + 2 FS + 4 NF) run on separate goroutines and
 // the merged result is still deterministic.
+//
+// The channel engines are pooled across runs: a warm run reuses their
+// window buffers, heaps, task registry and job records instead of
+// building them anew, and nothing it returns aliases them, so its
+// allocations do not grow with the horizon.
 package sim
 
 import (
@@ -212,7 +217,7 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := execute(s.alg, []epoch{{from: 0, to: horizon, spec: s.spec, joins: s.tasks}}, horizon, schedule, opts)
+	res, _, err := execute(s.alg, []epoch{{from: 0, to: horizon, spec: s.spec, joins: s.tasks}}, horizon, schedule, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -268,14 +273,15 @@ type epoch struct {
 
 // execute runs alg over the epochs, which tile [0, horizon), under one
 // fault schedule. Every channel that some epoch joins a task to gets
-// one engine, provisioned at each epoch boundary and run to the next;
-// the engines run in turn or, with opts.Parallel, on goroutines.
-// execute merges their results in canonical channel order and accounts
-// platform time and faults over the epochs. The merged trace is not
-// yet finished (opts.finishTrace), so a caller can add its own events
-// first. The channel results are returned too, in the same order, for
-// the residencies only Replay reports.
-func execute(alg analysis.Alg, epochs []epoch, horizon timeu.Ticks, schedule []faults.Fault, opts Options) (*Result, []*channelResult, error) {
+// one engine from the pool, provisioned at each epoch boundary and run
+// to the next; the engines run in turn or, with opts.Parallel, on
+// goroutines. execute merges their results in canonical channel order,
+// accounts platform time and faults over the epochs and returns the
+// engines to the pool. The merged trace is not yet finished
+// (opts.finishTrace), so a caller can add its own events first. With
+// residencies set, every channel's residencies are returned too, in
+// the same order, for Replay to report.
+func execute(alg analysis.Alg, epochs []epoch, horizon timeu.Ticks, schedule []faults.Fault, opts Options, residencies bool) (*Result, []Residency, error) {
 	n := 0
 	for _, ep := range epochs {
 		n += len(ep.joins)
@@ -291,74 +297,107 @@ func execute(alg analysis.Alg, epochs []epoch, horizon timeu.Ticks, schedule []f
 	})
 	ids = slices.Compact(ids)
 
-	runOne := func(id ChannelID) (*channelResult, error) {
-		eng := newEngine(id, alg, horizon, opts.Recovery, opts.newEngineLog())
-		eng.linearReleases = opts.linearReleases
-		eng.period = epochs[0].spec.period
+	runOne := func(id ChannelID) (*engine, error) {
+		eng := getEngine(id, alg, horizon, epochs[0].spec.period, opts)
 		for i, ep := range epochs {
 			svc := eng.serviceFor(ep.spec, schedule, ep.from, ep.to)
 			corrupt := eng.corruptFor(ep.spec, schedule, ep.from, ep.to)
-			leaves := ep.leaves.ByChannel(id.Mode, id.Ch)
-			joins := ep.joins.ByChannel(id.Mode, id.Ch)
+			eng.leaveBuf = appendChannel(eng.leaveBuf[:0], ep.leaves, id)
+			eng.joinBuf = appendChannel(eng.joinBuf[:0], ep.joins, id)
 			// A reshape perturbs this channel when the mode's new
 			// windows do not cover the old ones: pure growth keeps every
 			// old-epoch supply instant, shrinks and shifts do not.
 			perturbed := i > 0 && !coversOffsets(epochs[i-1].spec.usable[id.Mode], ep.spec.usable[id.Mode])
-			if err := eng.provision(ep.from, svc, corrupt, leaves, joins, perturbed); err != nil {
-				return nil, err
+			err := eng.provision(ep.from, svc, corrupt, eng.leaveBuf, eng.joinBuf, perturbed)
+			if err == nil {
+				err = eng.runUntil(ep.to)
 			}
-			if err := eng.runUntil(ep.to); err != nil {
+			if err != nil {
+				putEngine(eng)
 				return nil, err
 			}
 		}
-		return eng.finish(), nil
+		eng.finish()
+		return eng, nil
 	}
-	channels, err := runChannels(ids, opts.Parallel, runOne)
+	engines, err := runChannels(ids, opts.Parallel, runOne)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	res := newResult(horizon, opts.CollectTrace)
-	for _, cr := range channels {
-		res.merge(cr)
+	n = 0
+	for _, eng := range engines {
+		n += len(eng.stats.residencies)
+	}
+	res := newResult(horizon, len(engines), n, opts.CollectTrace)
+	var kept []Residency
+	if residencies && n > 0 {
+		kept = make([]Residency, 0, n)
+	}
+	slots := make([]ChannelStats, len(engines))
+	for i, eng := range engines {
+		res.merge(&eng.stats, &slots[i])
+		if residencies {
+			kept = append(kept, eng.stats.residencies...)
+		}
+		putEngine(eng)
 	}
 	res.accountFaults(schedule, epochs)
 	res.accountPlatform(epochs, horizon)
 	res.TotalFaults = len(schedule)
-	return res, channels, nil
+	return res, kept, nil
 }
 
-// runChannels executes one engine per channel, sequentially or on
-// goroutines, and returns the results in the canonical channel order.
-func runChannels(ids []ChannelID, parallel bool, runOne func(ChannelID) (*channelResult, error)) ([]*channelResult, error) {
-	results := make([]*channelResult, len(ids))
+// appendChannel appends to dst the tasks of s on channel id, in set
+// order: task.Set.ByChannel into a buffer the caller reuses.
+func appendChannel(dst, s task.Set, id ChannelID) task.Set {
+	for _, t := range s {
+		if t.Mode == id.Mode && t.Channel == id.Ch {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
+// runChannels runs one engine per channel, sequentially or on
+// goroutines, and returns the finished engines in the canonical channel
+// order. On an error every engine already taken goes back to the pool.
+func runChannels(ids []ChannelID, parallel bool, runOne func(ChannelID) (*engine, error)) ([]*engine, error) {
+	engines := make([]*engine, len(ids))
+	var err error
 	if !parallel {
 		for i, id := range ids {
-			cr, err := runOne(id)
-			if err != nil {
-				return nil, err
+			if engines[i], err = runOne(id); err != nil {
+				break
 			}
-			results[i] = cr
 		}
-		return results, nil
-	}
-	errs := make([]error, len(ids))
-	done := make(chan int, len(ids))
-	for i := range ids {
-		go func(i int) {
-			results[i], errs[i] = runOne(ids[i])
-			done <- i
-		}(i)
-	}
-	for range ids {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	} else {
+		errs := make([]error, len(ids))
+		done := make(chan int, len(ids))
+		for i := range ids {
+			go func(i int) {
+				engines[i], errs[i] = runOne(ids[i])
+				done <- i
+			}(i)
+		}
+		for range ids {
+			<-done
+		}
+		for _, err = range errs {
+			if err != nil {
+				break
+			}
 		}
 	}
-	return results, nil
+	if err != nil {
+		for _, eng := range engines {
+			if eng != nil {
+				putEngine(eng)
+			}
+		}
+		return nil, err
+	}
+	return engines, nil
 }
 
 // coversOffsets reports whether every old per-period window is

@@ -169,16 +169,15 @@ func (h *LatenessHistogram) String() string {
 	return b.String()
 }
 
-// channelResult is the per-channel piece produced by the engine.
+// channelResult is the per-channel piece produced by the engine. It
+// lives in the pooled engine: execute merges it before the engine goes
+// back, and the residencies' Stats point into slabs allocated apart
+// from the engine.
 type channelResult struct {
 	ChannelStats
 	id          ChannelID
 	residencies []Residency
 	log         *trace.Log
-}
-
-func newChannelResult(id ChannelID, log *trace.Log) *channelResult {
-	return &channelResult{id: id, log: log}
 }
 
 // recordLate adds one transition-late observation to the channel's
@@ -245,11 +244,13 @@ func (r *Result) accountPlatform(epochs []epoch, horizon timeu.Ticks) {
 	r.SlackTime = horizon - used - r.OverheadTime
 }
 
-func newResult(horizon timeu.Ticks, collectTrace bool) *Result {
+// newResult returns an empty result whose maps are sized for the given
+// numbers of channels and task residencies.
+func newResult(horizon timeu.Ticks, channels, residencies int, collectTrace bool) *Result {
 	r := &Result{
 		Horizon:  horizon,
-		Tasks:    make(map[string]*TaskStats),
-		Channels: make(map[ChannelID]*ChannelStats),
+		Tasks:    make(map[string]*TaskStats, residencies),
+		Channels: make(map[ChannelID]*ChannelStats, channels),
 	}
 	if collectTrace {
 		r.Trace = &trace.Log{}
@@ -257,9 +258,12 @@ func newResult(horizon timeu.Ticks, collectTrace bool) *Result {
 	return r
 }
 
-func (r *Result) merge(cr *channelResult) {
-	cs := cr.ChannelStats
-	r.Channels[cr.id] = &cs
+// merge folds one channel's result into r, copying its accounting into
+// slot, and its residencies' stats into per-task stats of r's own, so r
+// aliases nothing of cr.
+func (r *Result) merge(cr *channelResult, slot *ChannelStats) {
+	*slot = cr.ChannelStats
+	r.Channels[cr.id] = slot
 	r.Silenced += cr.Silenced
 	r.Corruptions += cr.Corruptions
 	r.TransitionLateness.merge(&cr.TransitionLateness)

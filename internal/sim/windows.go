@@ -146,9 +146,9 @@ func channelFaults(dst []interval, id ChannelID, schedule []faults.Fault, from, 
 // through faults (majority vote); NF channels keep serving too, but
 // corruption is tracked separately (corruptFor).
 //
-// The result's intervals are built in e's epoch scratch buffers, valid
-// until the engine's next provisioning — exactly the lifetime an epoch
-// needs.
+// The result's intervals and block instants are built in e's epoch
+// scratch buffers, valid until the engine's next provisioning —
+// exactly the lifetime an epoch needs.
 func (e *engine) serviceFor(spec windowSpec, schedule []faults.Fault, from, to timeu.Ticks) serviceWindows {
 	id := e.id
 	if id.Mode != task.FS {
@@ -158,6 +158,7 @@ func (e *engine) serviceFor(spec windowSpec, schedule []faults.Fault, from, to t
 	e.winBuf = repeatRange(e.winBuf[:0], spec.usable[id.Mode], spec.period, from, to)
 	windows := e.winBuf
 	sw := serviceWindows{}
+	clear(e.blockBuf)
 	e.faultBuf = channelFaults(e.faultBuf[:0], id, schedule, from, to)
 	blocks := e.faultBuf
 	out := e.svcBuf[:0]
@@ -171,10 +172,11 @@ func (e *engine) serviceFor(spec windowSpec, schedule []faults.Fault, from, to t
 				// The block cuts a serving segment short: whatever job is
 				// executing at b.From must be aborted.
 				out = append(out, interval{From: cur.From, To: b.From})
-				if sw.blockStarts == nil {
-					sw.blockStarts = map[timeu.Ticks]bool{}
+				if e.blockBuf == nil {
+					e.blockBuf = map[timeu.Ticks]bool{}
 				}
-				sw.blockStarts[b.From] = true
+				e.blockBuf[b.From] = true
+				sw.blockStarts = e.blockBuf
 			}
 			if b.To >= cur.To {
 				cur = interval{From: cur.To, To: cur.To} // window fully consumed

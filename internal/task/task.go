@@ -129,15 +129,17 @@ func (t Task) Normalized() Task {
 	return t
 }
 
-// Validate checks the task parameters against the sporadic model.
+// Validate checks the task parameters against the sporadic model. C, T
+// and D must be positive and finite; the positivity checks are written
+// so that NaN fails them.
 func (t Task) Validate() error {
 	switch {
-	case t.C <= 0:
-		return fmt.Errorf("task %s: C = %g must be positive", t.Name, t.C)
-	case t.T <= 0:
-		return fmt.Errorf("task %s: T = %g must be positive", t.Name, t.T)
-	case t.D <= 0:
-		return fmt.Errorf("task %s: D = %g must be positive (or 0 before Normalize)", t.Name, t.D)
+	case !(t.C > 0) || math.IsInf(t.C, 0):
+		return fmt.Errorf("task %s: C = %g must be positive and finite", t.Name, t.C)
+	case !(t.T > 0) || math.IsInf(t.T, 0):
+		return fmt.Errorf("task %s: T = %g must be positive and finite", t.Name, t.T)
+	case !(t.D > 0) || math.IsInf(t.D, 0):
+		return fmt.Errorf("task %s: D = %g must be positive and finite (or 0 before Normalize)", t.Name, t.D)
 	case t.D > t.T:
 		return fmt.Errorf("task %s: D = %g exceeds T = %g (constrained-deadline model requires D ≤ T)", t.Name, t.D, t.T)
 	case t.C > t.D:
@@ -214,10 +216,36 @@ func (s Set) ByChannel(m Mode, ch int) Set {
 	return out
 }
 
+// maxChannels is the most channels any mode has: NF's four.
+const maxChannels = 4
+
 // Channels splits the tasks of mode m into per-channel subsets
-// T_m^1 … T_m^numChannels. Empty channels yield empty (nil) sets.
+// T_m^1 … T_m^numChannels, each in set order. Empty channels yield
+// empty (nil) sets. The subsets share one exactly sized backing, each
+// capped at its own length, so appending to one reallocates it rather
+// than overwriting its neighbour.
 func (s Set) Channels(m Mode) []Set {
 	out := make([]Set, m.Channels())
+	// at[ch+1] counts channel ch's tasks; the prefix sums then make
+	// at[ch] the start of channel ch in the backing.
+	var at [maxChannels + 1]int
+	for _, t := range s {
+		if t.Mode == m && t.Channel >= 0 && t.Channel < len(out) {
+			at[t.Channel+1]++
+		}
+	}
+	for ch := range out {
+		at[ch+1] += at[ch]
+	}
+	if at[len(out)] == 0 {
+		return out
+	}
+	backing := make(Set, at[len(out)])
+	for ch := range out {
+		if lo, hi := at[ch], at[ch+1]; hi > lo {
+			out[ch] = backing[lo:lo:hi]
+		}
+	}
 	for _, t := range s {
 		if t.Mode == m && t.Channel >= 0 && t.Channel < len(out) {
 			out[t.Channel] = append(out[t.Channel], t)

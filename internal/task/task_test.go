@@ -242,6 +242,58 @@ func TestChannelsPartitionInvariant(t *testing.T) {
 	}
 }
 
+// TestChannelsAppendIsolated checks that the per-channel subsets,
+// which share one backing, are capped: appending to one must not
+// overwrite the next channel's tasks. Empty channels stay nil, and the
+// subsets keep set order.
+func TestChannelsAppendIsolated(t *testing.T) {
+	s := PaperTaskSet()
+	nf := s.Channels(NF)
+	want := make([][]string, len(nf))
+	for ch, sub := range nf {
+		want[ch] = sub.Names()
+		if cap(sub) != len(sub) {
+			t.Errorf("NF channel %d: cap %d, want its length %d", ch, cap(sub), len(sub))
+		}
+	}
+	for ch := range nf {
+		nf[ch] = append(nf[ch], Task{Name: "guest", C: 1, T: 100, D: 100, Mode: NF, Channel: ch})
+		for other, sub := range nf {
+			if other == ch {
+				continue
+			}
+			names := sub.Names()
+			if other < ch {
+				names = names[:len(names)-1] // its own guest
+			}
+			if len(names) != len(want[other]) {
+				t.Fatalf("appending to NF channel %d changed channel %d to %v, want %v", ch, other, names, want[other])
+			}
+			for i := range names {
+				if names[i] != want[other][i] {
+					t.Fatalf("appending to NF channel %d changed channel %d to %v, want %v", ch, other, names, want[other])
+				}
+			}
+		}
+	}
+
+	sparse := Set{
+		{Name: "b", C: 1, T: 10, D: 10, Mode: NF, Channel: 2},
+		{Name: "f", C: 1, T: 10, D: 10, Mode: FT},
+		{Name: "a", C: 1, T: 10, D: 10, Mode: NF, Channel: 2},
+	}
+	got := sparse.Channels(NF)
+	if got[0] != nil || got[1] != nil || got[3] != nil {
+		t.Errorf("empty channels must be nil: %v", got)
+	}
+	if names := got[2].Names(); len(names) != 2 || names[0] != "b" || names[1] != "a" {
+		t.Errorf("NF channel 2 = %v, want [b a] in set order", names)
+	}
+	if got := (Set{}).Channels(FS); len(got) != 2 || got[0] != nil || got[1] != nil {
+		t.Errorf("an empty set must split into nil channels, got %v", got)
+	}
+}
+
 func TestHyperperiodEmpty(t *testing.T) {
 	if _, err := (Set{}).Hyperperiod(1); err == nil {
 		t.Error("empty set hyperperiod should error")
