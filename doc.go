@@ -80,26 +80,26 @@
 //     lock-free from atomically swapped snapshots; the next live set
 //     is bulk-copied from the current one around the departing tasks,
 //     which their publication sequence numbers locate by binary
-//     search, so a commit does no per-name work over the live set),
-//     with a
-//     consolidation policy bounding long-run memory under churn
-//     (ratio-triggered by default: Profile.MemStats reports the
-//     retained/live cell ratio and SetConsolidateRatio rebuilds a
-//     channel when its demand row's capacity outweighs its live
-//     points). It is
-//     also overload-resilient: AdmitBatchPartial sheds the
-//     lowest-value members of an overflowing batch under a Policy
-//     (greedy-maximal, one profile patch per shed), Revoke/Restore
-//     model capacity loss and recovery (evict lowest-value tasks, park
-//     them, readmit by value), and every failure is a typed *Rejection
+//     search, so a commit does no per-name work over the live set).
+//     Its memory under churn is bounded by the profiles themselves:
+//     a departure that leaves a demand row's capacity at
+//     analysis.MaxMemRatio times its length trims it, so there is no
+//     policy to tune. It is also overload-resilient: AdmitBatchPartial
+//     sheds the lowest-value members of an overflowing batch under a
+//     Policy (greedy-maximal, one profile patch per shed),
+//     Revoke/Restore model capacity loss and recovery (evict
+//     lowest-value tasks, park them, readmit by value) — partial
+//     admission and Revoke share one shed loop, and the re-add pass and
+//     Restore one readmit loop — and every failure is a typed *Rejection
 //     (per-task verdicts, offending slot overflows, ErrRejected/ErrBusy
 //     sentinels with a Backoff retry helper);
 //   - internal/chaos: a seeded concurrency harness storming the manager
-//     — admissions, partial admissions, removals, fault-driven
+//     — admissions, partial admissions, removals, drains, fault-driven
 //     revocations — and checking conservation, Verify, bit-identity to
 //     a from-scratch solve and the full profile audit
-//     (Manager.CheckProfiles) at every quiescent point, while tallying
-//     patch fallbacks and consolidation rebuilds (ftsim -chaos);
+//     (Manager.CheckProfiles, the row-storage bound included) at every
+//     quiescent point, while tallying patch fallbacks (ftsim -chaos,
+//     under EDF and RM in CI);
 //     RunClosedLoop then closes the analysis → execution loop: it
 //     replays a seeded workload storm through the scenario runtime
 //     under fault injection and asserts the headline invariant
@@ -143,7 +143,7 @@
 // runtime (sim.NewMetrics via ScenarioOptions.Metrics) and the chaos
 // harness register their instruments in one metrics.Registry:
 // reconfiguration outcomes, per-task admit/remove/shed/evict tallies,
-// envelope patches versus fallbacks versus rebuilds, patch and commit
+// envelope patches versus fallbacks, patch and commit
 // latency histograms, live-state gauges, replay throughput. The write
 // side is a single atomic op per instrument, so the instrumented
 // admit+remove cycle keeps its zero-allocation contract (the manager
@@ -179,10 +179,12 @@
 //     patch leaves the profile unsettled — only an exclusive profile
 //     ever is — and its owner's reads (MinQ, Pairs, MemStats) never
 //     settle it; Equal and Check do, and a thaw copies it unsettled.
-//     The online manager thaws each touched channel's profile on first
-//     patch; consolidation recompiles a channel whose row capacity has
-//     grown well past its live points, so the memory-ratio trigger
-//     converges.
+//     A departure whose walk leaves the row's capacity at
+//     analysis.MaxMemRatio times its length reallocates it to exactly
+//     its length, so a profile's storage stays proportional to its live
+//     stream, and Profile.Check fails one that breaks the bound. The
+//     online manager thaws each touched channel's profile on first
+//     patch.
 //   - Published, recycled: the manager's snapshot ring. A commit
 //     rewrites a retired record's live set as bulk copies of the
 //     current one, and the commit-side sequence-number arrays

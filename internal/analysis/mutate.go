@@ -29,7 +29,11 @@ import (
 // receiver's pruned pairs, which no profile writes in place. An
 // exclusive profile patches the three slices in place: a stream that
 // widens grows them, reusing their capacity once they have grown, so
-// steady-state admit+remove cycles never allocate.
+// steady-state admit+remove cycles never allocate. A walk that leaves
+// their capacity at MaxMemRatio times their length or more reallocates
+// them to exactly their length, so a profile's storage stays
+// proportional to its live stream however far departed guests widened
+// it.
 //
 // The EDF patch keeps the stream, owner counts and W exact but leaves
 // the pruned pairs behind: the profile is unsettled, and MinQ scans W
@@ -122,9 +126,8 @@ func (pf *Profile) settle() {
 
 // CompileMutable compiles s and returns the profile already in
 // exclusive mode — the starting point for a lineage that will be
-// patched in place rather than cloned. Compile's demand row is exactly
-// sized, so a consolidation that rebuilds through CompileMutable
-// reports Ratio 1.0 and the ratio trigger converges.
+// patched in place rather than cloned. Compile's rows are exactly
+// sized, so the profile starts at MemStats.Ratio 1.
 func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
 	pf, err := Compile(s, alg)
 	if err != nil {
@@ -237,10 +240,12 @@ func (sc *patchScratch) mergeCharges(dls []float64, c int64, o int32) {
 // applyUnion applies the batch's charged union to the stream in one
 // walk: each union point gains its owner counts, every point gains the
 // charges of the union points up to it (the jobs due by it), and the
-// columns left without owners drop out. It reports false, leaving the
-// three slices unspecified, when a union point is missing from the
-// stream or an owner count falls below zero — impossible unless the
-// compiled state is corrupted.
+// columns left without owners drop out. A slice whose capacity the
+// walk leaves at MaxMemRatio times its length or more is reallocated
+// to exactly its length. It reports false, leaving the three slices
+// unspecified, when a union point is missing from the stream or an
+// owner count falls below zero — impossible unless the compiled state
+// is corrupted.
 func (pf *Profile) applyUnion(sc *patchScratch) bool {
 	ts := pf.ts
 	owners, w := pf.owners[:len(ts)], pf.w[:len(ts)]
@@ -270,8 +275,17 @@ func (pf *Profile) applyUnion(sc *patchScratch) bool {
 	if j < len(u) {
 		return false
 	}
-	pf.ts, pf.owners, pf.w = ts[:q], owners[:q], w[:q]
+	pf.ts, pf.owners, pf.w = trim(ts[:q]), trim(owners[:q]), trim(w[:q])
 	return true
+}
+
+// trim returns s, reallocated to exactly its length when its capacity
+// breaks the MaxMemRatio bound.
+func trim[E any](s []E) []E {
+	if overGrown(len(s), cap(s)) {
+		return exact(s)
+	}
+	return s
 }
 
 // splice inserts the points of u (ascending) that the stream lacks into

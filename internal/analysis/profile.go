@@ -274,10 +274,20 @@ type MemStats struct {
 	PinnedCells int
 }
 
+// MaxMemRatio bounds the storage of an EDF profile's stream, owner
+// counts and demand row: a patch that leaves their capacity at
+// MaxMemRatio times their length or more reallocates them to exactly
+// their length, so an EDF profile's MemStats.Ratio stays below it, and
+// Check fails a profile that breaks the bound.
+const MaxMemRatio = 4
+
+// overGrown reports whether a slice of length n and capacity c breaks
+// the MaxMemRatio bound.
+func overGrown(n, c int) bool { return c != n && c >= MaxMemRatio*n }
+
 // Ratio is PinnedCells over LiveCells: 1 when the profile's backings
 // hold exactly its own state, growing as patches leave capacity behind.
-// online.Manager consolidates a channel when this crosses its
-// configured threshold.
+// An EDF profile's Ratio stays below MaxMemRatio.
 func (m MemStats) Ratio() float64 {
 	if m.LiveCells <= 0 {
 		return 1
@@ -307,10 +317,14 @@ func (pf *Profile) MemStats() MemStats {
 
 // Check audits the profile against the full-compile oracle: an exact
 // comparison of the retained stream, owner counts, demand row, stream
-// count and pruned pairs against a fresh Compile of the same set. It is
-// the profile-level quiescent-point audit internal/chaos runs; it
-// settles an unsettled profile first.
+// count and pruned pairs against a fresh Compile of the same set. It
+// also fails an EDF profile whose row storage breaks the MaxMemRatio
+// bound. It is the profile-level quiescent-point audit internal/chaos
+// runs; it settles an unsettled profile first.
 func (pf *Profile) Check() error {
+	if pf.alg == EDF && (overGrown(len(pf.ts), cap(pf.ts)) || overGrown(len(pf.owners), cap(pf.owners)) || overGrown(len(pf.w), cap(pf.w))) {
+		return fmt.Errorf("analysis: profile check: row capacities %d, %d and %d for %d points reach %d times the length", cap(pf.ts), cap(pf.owners), cap(pf.w), len(pf.ts), MaxMemRatio)
+	}
 	pf.settle()
 	fresh, err := Compile(pf.tasks, pf.alg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -110,6 +111,20 @@ func TestProfileRejectsNonPositivePeriodTask(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsNaNTask compiles unvalidated tasks whose deadline
+// stream cannot be enumerated: each must be an error, not a merge that
+// never advances.
+func TestCompileRejectsNaNTask(t *testing.T) {
+	for _, tk := range []task.Task{
+		{Name: "nanD", C: 1, T: 50, D: math.NaN()},
+		{Name: "nanT", C: 1, T: math.NaN(), D: 50},
+	} {
+		if _, err := Compile(task.Set{tk}, EDF); err == nil {
+			t.Errorf("Compile(%+v): want error, got none", tk)
+		}
+	}
+}
+
 func TestProfileMinQNonPositivePeriod(t *testing.T) {
 	pf, err := Compile(task.PaperTaskSet().ByMode(task.FT), EDF)
 	if err != nil {
@@ -167,7 +182,7 @@ func TestProfilePruning(t *testing.T) {
 }
 
 // TestProfileCheckAndMemStats exercises the audit and accounting
-// surface the online layer consolidates on: a fresh Compile passes
+// surface the online layer reports: a fresh Compile passes
 // Check with a pinned/live ratio of exactly 1, an incremental chain
 // still passes Check while its ratio grows past 1 (the columns a
 // departed guest's deadlines opened stay allocated), and a recompile
@@ -233,6 +248,116 @@ func TestProfileCheckAndMemStats(t *testing.T) {
 	}
 	if err := back.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRowTrimChurn churns an off-grid guest on the paper's NF/0, where
+// tau1 (T = 6) owns one deadline per hyperperiod and the guest's
+// deadlines (T = 2: 1.4321, 3.4321, 5.4321) outnumber it by 3 to 1, so
+// each departure leaves the row's capacity at MaxMemRatio times its
+// length. Both the in-place DropTasks and the WithoutTasks what-if must
+// trim the row to exactly its length; after every patch the ratio stays
+// below MaxMemRatio, the profile is identical to a fresh Compile and
+// passes Check, and MinQ matches the naive oracle bit for bit.
+func TestRowTrimChurn(t *testing.T) {
+	residents := task.PaperTaskSet().ByChannel(task.NF, 0)
+	guest := task.Task{Name: "ghost", C: 0.05, T: 2, D: 1.4321, Mode: task.NF}
+	withGuest := append(slices.Clone(residents), guest)
+	check := func(stage string, pf *Profile, live task.Set) {
+		t.Helper()
+		if r := pf.MemStats().Ratio(); r >= MaxMemRatio {
+			t.Fatalf("%s: memory ratio %g, want below %d", stage, r, MaxMemRatio)
+		}
+		for _, p := range lineagePeriods {
+			want, err := MinQ(live, EDF, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pf.MinQ(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MinQ(%g) = %v, naive MinQ = %v", stage, p, got, want)
+			}
+		}
+		fresh, err := Compile(live, EDF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertProfileIdentical(t, stage, pf, fresh)
+		if err := pf.Check(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	// trimmed asserts that a departure from a row of capacity before
+	// reached the bound and left the row exactly sized.
+	trimmed := func(stage string, pf *Profile, before int) {
+		t.Helper()
+		if n := len(pf.w); before < MaxMemRatio*n || cap(pf.ts) != n || cap(pf.owners) != n || cap(pf.w) != n {
+			t.Fatalf("%s: row of %d points keeps capacities %d, %d and %d (%d before the drop), want it trimmed",
+				stage, n, cap(pf.ts), cap(pf.owners), cap(pf.w), before)
+		}
+	}
+	pf, err := CompileMutable(residents, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := Compile(residents, EDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := pf.AddTasks([]task.Task{guest}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("cycle %d: AddTasks", i), pf, withGuest)
+		before := cap(pf.w)
+		if err := pf.DropTasks([]task.Task{guest}); err != nil {
+			t.Fatal(err)
+		}
+		trimmed(fmt.Sprintf("cycle %d: DropTasks", i), pf, before)
+		check(fmt.Sprintf("cycle %d: DropTasks", i), pf, residents)
+
+		grown, err := root.WithTasks([]task.Task{guest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("cycle %d: WithTasks", i), grown, withGuest)
+		back, err := grown.WithoutTasks([]task.Task{guest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trimmed(fmt.Sprintf("cycle %d: WithoutTasks", i), back, cap(grown.w))
+		check(fmt.Sprintf("cycle %d: WithoutTasks", i), back, residents)
+		root = back
+	}
+	if pf.Fallbacks() != 0 || root.Fallbacks() != 0 {
+		t.Fatalf("churn fell back %d and %d times, want 0", pf.Fallbacks(), root.Fallbacks())
+	}
+}
+
+// TestCheckRejectsOvergrownRow builds EDF profiles whose stream, owner
+// counts or demand row keeps a capacity of MaxMemRatio times its length:
+// Check fails each, and passes the same profile one cell below the
+// bound.
+func TestCheckRejectsOvergrownRow(t *testing.T) {
+	s := append(task.PaperTaskSet().ByChannel(task.NF, 0), task.Task{Name: "ghost", C: 0.05, T: 2, D: 1.4321, Mode: task.NF})
+	for _, row := range []string{"ts", "owners", "w"} {
+		for _, extra := range []int{-1, 0} {
+			pf, err := Compile(s, EDF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := MaxMemRatio*len(pf.ts) + extra
+			switch row {
+			case "ts":
+				pf.ts = append(make([]float64, 0, c), pf.ts...)
+			case "owners":
+				pf.owners = append(make([]int32, 0, c), pf.owners...)
+			case "w":
+				pf.w = append(make([]int64, 0, c), pf.w...)
+			}
+			if err := pf.Check(); (err != nil) != (extra == 0) {
+				t.Errorf("%s of %d points at capacity %d: Check = %v", row, len(pf.ts), c, err)
+			}
+		}
 	}
 }
 

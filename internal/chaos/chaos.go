@@ -1,9 +1,8 @@
 // Package chaos is the robustness proving ground for the online
 // admission manager: it drives a live Manager with concurrent
-// admit/remove/partial-admit storms interleaved with capacity
-// revocations, restores and consolidation sweeps, and after every
-// quiescent point re-derives the whole system state from scratch and
-// compares bit-for-bit.
+// admit/remove/partial-admit/drain storms interleaved with capacity
+// revocations and restores, and after every quiescent point re-derives
+// the whole system state from scratch and compares bit-for-bit.
 //
 // The checks after each round:
 //
@@ -26,7 +25,8 @@
 //   - Profile audit: every channel's incremental profile passes the
 //     full analysis.Profile.Check — a bitwise comparison of its
 //     retained stream, owner counts, demand row and pruned pairs
-//     against a fresh compile.
+//     against a fresh compile, and the analysis.MaxMemRatio bound on
+//     its row storage.
 //
 // Runs are seeded and deterministic in their op sequence (the
 // interleaving is whatever the scheduler does — that is the point);
@@ -100,20 +100,18 @@ func (o Options) withDefaults() Options {
 
 // Result tallies what a chaos run did.
 type Result struct {
-	Rounds       int
-	Ops          int // admission-side operations performed
-	Admits       int // successful AdmitBatch calls
-	Rejects      int // AdmitBatch calls rejected (typed)
-	Partials     int // AdmitBatchPartial calls
-	Shed         int // tasks shed by partial admission
-	Removes      int // successful RemoveBatch calls
-	Revokes      int // successful Revoke calls
-	Restores     int // successful Restore calls
-	Evicted      int // tasks evicted by revocations
-	Readmitted   int // tasks readmitted by restores
-	Consolidates int // Consolidate sweeps
-	Fallbacks    int // envelope-fallback events (patch bailed to full recompile)
-	Rebuilds     int // consolidated events (channel stream rebuilt from scratch)
+	Rounds     int
+	Ops        int // admission-side operations performed
+	Admits     int // successful AdmitBatch calls
+	Rejects    int // AdmitBatch calls rejected (typed)
+	Partials   int // AdmitBatchPartial calls
+	Shed       int // tasks shed by partial admission
+	Removes    int // successful RemoveBatch calls
+	Revokes    int // successful Revoke calls
+	Restores   int // successful Restore calls
+	Evicted    int // tasks evicted by revocations
+	Readmitted int // tasks readmitted by restores
+	Fallbacks  int // envelope-fallback events (patch bailed to full recompile)
 
 	// TasksAdmitted / TasksRemoved count individual tasks through
 	// AdmitBatch (and the admitted part of partial batches) and
@@ -130,9 +128,9 @@ type Result struct {
 
 // String renders the tallies on one line.
 func (r *Result) String() string {
-	return fmt.Sprintf("rounds %d ops %d: admits %d rejects %d partials %d shed %d removes %d | revokes %d restores %d evicted %d readmitted %d | consolidations %d rebuilds %d fallbacks %d",
+	return fmt.Sprintf("rounds %d ops %d: admits %d rejects %d partials %d shed %d removes %d | revokes %d restores %d evicted %d readmitted %d | fallbacks %d",
 		r.Rounds, r.Ops, r.Admits, r.Rejects, r.Partials, r.Shed, r.Removes,
-		r.Revokes, r.Restores, r.Evicted, r.Readmitted, r.Consolidates, r.Rebuilds, r.Fallbacks)
+		r.Revokes, r.Restores, r.Evicted, r.Readmitted, r.Fallbacks)
 }
 
 // writer is one admission storm participant with its own guest
@@ -223,23 +221,26 @@ func (w *writer) step(m *online.Manager, pol online.Policy, rng *rand.Rand) {
 			}
 		}
 	case r < 9: // remove up to 2 in-system guests
-		victims := w.pickVictims(rng, 1+rng.Intn(2))
-		if len(victims) == 0 {
-			return
-		}
-		err := online.Backoff{}.Retry(func() error { return m.RemoveBatch(victims) })
-		if err == nil {
-			w.tally.Removes++
-			w.tally.TasksRemoved += len(victims)
-			for _, name := range victims {
-				delete(w.inSystem, name)
-			}
-		} else {
-			w.failures = append(w.failures, fmt.Errorf("writer %d: remove %v: %w", w.idx, victims, err))
-		}
-	default:
-		m.Consolidate()
-		w.tally.Consolidates++
+		w.remove(m, w.pickVictims(rng, 1+rng.Intn(2)))
+	default: // drain: every in-system guest leaves in one batch
+		w.remove(m, w.pickVictims(rng, len(w.inSystem)))
+	}
+}
+
+// remove takes the named in-system guests out in one batch.
+func (w *writer) remove(m *online.Manager, victims []string) {
+	if len(victims) == 0 {
+		return
+	}
+	err := online.Backoff{}.Retry(func() error { return m.RemoveBatch(victims) })
+	if err != nil {
+		w.failures = append(w.failures, fmt.Errorf("writer %d: remove %v: %w", w.idx, victims, err))
+		return
+	}
+	w.tally.Removes++
+	w.tally.TasksRemoved += len(victims)
+	for _, name := range victims {
+		delete(w.inSystem, name)
 	}
 }
 
@@ -267,22 +268,17 @@ func Run(m *online.Manager, pr core.Problem, opts Options) (*Result, error) {
 	m.SetMetrics(online.NewMetrics(reg))
 	defer m.SetMetrics(nil)
 
-	// Count the profile-maintenance events the manager reports while
-	// the storm runs: patches that bailed to a full recompile and
-	// channels rebuilt by consolidation.
-	var fallbacks, rebuilds atomic.Int64
+	// Count the patches that bailed to a full recompile while the storm
+	// runs.
+	var fallbacks atomic.Int64
 	m.SetEventSink(func(ev online.Event) {
-		switch ev.Kind {
-		case trace.EnvelopeFallback:
+		if ev.Kind == trace.EnvelopeFallback {
 			fallbacks.Add(1)
-		case trace.Consolidated:
-			rebuilds.Add(1)
 		}
 	})
 	defer m.SetEventSink(nil)
 	defer func() {
 		total.Fallbacks = int(fallbacks.Load())
-		total.Rebuilds = int(rebuilds.Load())
 		s := reg.Snapshot()
 		total.Metrics = &s
 	}()
@@ -436,7 +432,7 @@ func Run(m *online.Manager, pr core.Problem, opts Options) (*Result, error) {
 		if err := checkQuiescent(m, pr, writers, residents, round); err != nil {
 			return total, err
 		}
-		if err := checkMetricConservation(reg, total, fallbacks.Load(), rebuilds.Load(), m, round); err != nil {
+		if err := checkMetricConservation(reg, total, fallbacks.Load(), m, round); err != nil {
 			return total, err
 		}
 	}
@@ -485,7 +481,7 @@ func Run(m *online.Manager, pr core.Problem, opts Options) (*Result, error) {
 	if err := checkQuiescent(m, pr, writers, residents, opts.Rounds); err != nil {
 		return total, fmt.Errorf("chaos: after cleanup: %w", err)
 	}
-	if err := checkMetricConservation(reg, total, fallbacks.Load(), rebuilds.Load(), m, opts.Rounds); err != nil {
+	if err := checkMetricConservation(reg, total, fallbacks.Load(), m, opts.Rounds); err != nil {
 		return total, fmt.Errorf("chaos: after cleanup: %w", err)
 	}
 	if got := len(m.Tasks()); got != len(residents) {
@@ -507,7 +503,6 @@ func mergeTally(dst, src *Result) {
 	dst.Partials += src.Partials
 	dst.Shed += src.Shed
 	dst.Removes += src.Removes
-	dst.Consolidates += src.Consolidates
 	dst.TasksAdmitted += src.TasksAdmitted
 	dst.TasksRemoved += src.TasksRemoved
 }
@@ -518,7 +513,7 @@ func mergeTally(dst, src *Result) {
 // metrics lose nothing and invent nothing. RemoveRejected is the one
 // counter with no harness-side twin: each attempt of a Backoff retry
 // loop bumps it, and the harness only tallies final outcomes.
-func checkMetricConservation(reg *metrics.Registry, total *Result, fallbacks, rebuilds int64, m *online.Manager, round int) error {
+func checkMetricConservation(reg *metrics.Registry, total *Result, fallbacks int64, m *online.Manager, round int) error {
 	s := reg.Snapshot()
 	for _, c := range []struct {
 		name string
@@ -535,7 +530,6 @@ func checkMetricConservation(reg *metrics.Registry, total *Result, fallbacks, re
 		{"online.restores", total.Restores},
 		{"online.tasks.evicted", total.Evicted},
 		{"online.tasks.readmitted", total.Readmitted},
-		{"online.consolidations", int(rebuilds)},
 		{"online.envelope.fallbacks", int(fallbacks)},
 	} {
 		if got := s.Counters[c.name]; got != uint64(c.want) {

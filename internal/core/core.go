@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/supply"
@@ -133,18 +134,20 @@ func (c Config) SlotStart(m task.Mode) float64 {
 // goal).
 func (c Config) Slack() float64 { return c.P - c.Q.Total() }
 
-// Validate checks structural sanity: positive period, non-negative
-// overheads, each slot at least as long as its overhead, and the slots
-// fitting within the period.
+// Validate checks structural sanity: positive, finite period,
+// non-negative overheads, each slot at least as long as its overhead,
+// and the slots fitting within the period. Every check is written to
+// fail on NaN, and the fit check bounds the slots and overheads by the
+// finite period.
 func (c Config) Validate() error {
-	if c.P <= 0 {
-		return fmt.Errorf("core: period P = %g must be positive", c.P)
+	if !(c.P > 0) || math.IsInf(c.P, 0) {
+		return fmt.Errorf("core: period P = %g must be positive and finite", c.P)
 	}
 	for _, m := range task.Modes() {
-		if c.O.Of(m) < 0 {
-			return fmt.Errorf("core: overhead O_%s = %g negative", m, c.O.Of(m))
+		if !(c.O.Of(m) >= 0) {
+			return fmt.Errorf("core: overhead O_%s = %g must be non-negative", m, c.O.Of(m))
 		}
-		if c.Q.Of(m) < c.O.Of(m) {
+		if !(c.Q.Of(m) >= c.O.Of(m)) {
 			return fmt.Errorf("core: slot Q_%s = %g shorter than its overhead %g", m, c.Q.Of(m), c.O.Of(m))
 		}
 	}

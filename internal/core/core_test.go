@@ -89,6 +89,14 @@ func TestConfigValidateRejects(t *testing.T) {
 		{P: 4, Q: PerMode{FT: 1}, O: PerMode{FT: -0.1}},
 		{P: 4, Q: PerMode{FT: 0.05}, O: PerMode{FT: 0.1}},
 		{P: 2, Q: PerMode{FT: 1, FS: 1, NF: 1}},
+		// NaN fails no ordered comparison, so each check must be written
+		// to fail on it.
+		{P: math.NaN()},
+		{P: math.Inf(1)},
+		{P: 2, Q: PerMode{FT: math.NaN()}},
+		{P: 2, Q: PerMode{NF: math.Inf(1)}},
+		{P: 2, Q: PerMode{FS: 1}, O: PerMode{FS: math.NaN()}},
+		{P: 2.9, Q: PerMode{FT: math.NaN(), FS: 0.9, NF: 0.9}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/design"
 	"repro/internal/region"
 	"repro/internal/task"
-	"repro/internal/trace"
 )
 
 // checkProfilesFresh asserts every cached channel profile is
@@ -240,87 +239,53 @@ func TestManagerLeavesCompiledProblemUntouched(t *testing.T) {
 	checkProfilesFresh(t, sibling, "sibling after sibling churn")
 }
 
-// TestConsolidationPreservesState checks both consolidation triggers:
-// the explicit Consolidate rebuild and the automatic memory-ratio
-// policy must leave configurations, slack and admission behaviour
-// unchanged (the rebuild is bit-identical), while resetting the patch
-// counters.
-func TestConsolidationPreservesState(t *testing.T) {
+// TestRowTrimPreservesState churns offGridGuest beside c1 on NF/3,
+// whose period stretches tau5's hyperperiod so that channel recompiles
+// on every patch, in two-channel batches each drained by one
+// RemoveBatch: both rows stay below analysis.MaxMemRatio, the patch
+// counters only grow, and every cycle leaves the configuration, the
+// profiles (against a fresh Compile and Check) and the theorem oracle
+// as they were — and the channels still admit.
+func TestRowTrimPreservesState(t *testing.T) {
 	m := maxFlexManager(t)
-	m.SetConsolidateRatio(0) // manual first
-	guest := task.Task{Name: "c1", C: 0.1, T: 10, Mode: task.NF, Channel: 3}
+	cfg0 := m.Config()
+	batch := task.Set{offGridGuest, {Name: "c1", C: 0.1, T: 10, Mode: task.NF, Channel: 3}}
 	for i := 0; i < 6; i++ {
-		if err := m.Admit(guest); err != nil {
-			t.Fatal(err)
+		if err := m.AdmitBatch(batch); err != nil {
+			t.Fatalf("cycle %d: AdmitBatch: %v", i, err)
 		}
-		if err := m.Remove(guest.Name); err != nil {
-			t.Fatal(err)
+		if err := m.RemoveBatch(batch.Names()); err != nil {
+			t.Fatalf("cycle %d: RemoveBatch: %v", i, err)
+		}
+		for _, ch := range []int{0, 3} {
+			if r := m.channels[task.NF][ch].prof.MemStats().Ratio(); r >= analysis.MaxMemRatio {
+				t.Fatalf("cycle %d: NF/%d memory ratio %g, want below %d", i, ch, r, analysis.MaxMemRatio)
+			}
+		}
+		if m.Config() != cfg0 {
+			t.Fatalf("cycle %d: configuration %+v, want %+v", i, m.Config(), cfg0)
+		}
+		checkProfilesFresh(t, m, fmt.Sprintf("cycle %d", i))
+		if err := m.CheckProfiles(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatalf("cycle %d: Verify: %v", i, err)
 		}
 	}
 	if got := m.channels[task.NF][3].patches; got != 12 {
-		t.Fatalf("patch counter %d, want 12", got)
+		t.Fatalf("NF/3 patch counter %d, want 12", got)
 	}
-	cfg0 := m.Config()
-	if n := m.Consolidate(); n == 0 {
-		t.Fatal("Consolidate rebuilt no channels")
-	}
-	if m.channels[task.NF][3].patches != 0 {
-		t.Fatal("Consolidate did not reset the patch counter")
-	}
-	if m.Config() != cfg0 {
-		t.Fatal("Consolidate changed the configuration")
-	}
-	checkProfilesFresh(t, m, "after manual consolidation")
-	if err := m.Admit(guest); err != nil {
-		t.Fatalf("admission after consolidation: %v", err)
-	}
-	if err := m.Remove(guest.Name); err != nil {
-		t.Fatal(err)
-	}
-	// Automatic trigger: with the ratio threshold just above 1, any
-	// incremental patch that leaves the channel's storage larger than
-	// its live row rebuilds it, which keeps the patch counter bounded.
-	// The twin of tau5's period (T = 24) keeps every cycle on the
-	// incremental path, and its off-stream deadline widens the demand
-	// row until it leaves; c1 would fall back to a compact recompile.
-	var rec eventRecorder
-	m.SetEventSink(rec.sink)
-	m.SetConsolidateRatio(1.01)
-	twin := task.Task{Name: "c2", C: 0.1, T: 24, D: 17.3, Mode: task.NF, Channel: 3}
-	for i := 0; i < 10; i++ {
-		if err := m.Admit(twin); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Remove(twin.Name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rec.count(trace.Consolidated) == 0 {
-		t.Fatal("ratio trigger at 1.01 never consolidated")
-	}
-	if got := m.channels[task.NF][3].patches; got >= 3 {
-		t.Fatalf("automatic consolidation did not bound the patch counter: %d", got)
-	}
-	if m.Config() != cfg0 {
-		t.Fatal("automatic consolidation changed the configuration")
-	}
-	checkProfilesFresh(t, m, "after automatic consolidation")
-	if err := m.Admit(guest); err != nil {
-		t.Fatalf("admission after automatic consolidation: %v", err)
-	}
-	if err := m.Remove(guest.Name); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatalf("theorem oracle after consolidation: %v", err)
+	if err := m.Admit(batch[1]); err != nil {
+		t.Fatalf("admission after the churn: %v", err)
 	}
 }
 
 // TestShardedStorm is the concurrency stress test of the sharded
 // manager: parallel AdmitBatch/RemoveBatch writers on independent
-// channels (plus one writer whose batches span two channels and a
-// goroutine hammering Consolidate), interleaved with lock-free
-// Config/Slack/Tasks readers and theorem-level Verify calls, all under
+// channels (plus one writer whose batches span two channels), interleaved
+// with lock-free Config/Slack/Tasks readers, theorem-level Verify calls
+// and CheckProfiles audits, all under
 // the race detector in CI. After the storm every guest has departed, so
 // the surviving set is the paper set — the live configuration must pass
 // Verify and equal the from-scratch solve of that set at the fixed
@@ -443,7 +408,10 @@ func TestShardedStorm(t *testing.T) {
 				return
 			default:
 			}
-			m.Consolidate()
+			if err := m.CheckProfiles(); err != nil {
+				t.Errorf("mid-storm CheckProfiles: %v", err)
+				return
+			}
 		}
 	}()
 

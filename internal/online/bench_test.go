@@ -37,7 +37,6 @@ func BenchmarkPartialAdmission(b *testing.B) {
 		b.Run(fmt.Sprintf("shed=%d", shed), func(b *testing.B) {
 			b.ReportAllocs()
 			m, _, _ := minimalManager(b)
-			m.SetConsolidateRatio(0) // keep the patch counters monotone
 			batch := make([]task.Task, batchSize)
 			for i := range batch {
 				t := task.Task{
@@ -81,7 +80,6 @@ func BenchmarkPartialAdmission(b *testing.B) {
 func BenchmarkRevokeRestore(b *testing.B) {
 	b.ReportAllocs()
 	m, _, _ := minimalManager(b)
-	m.SetConsolidateRatio(0)
 	guests := make([]task.Task, 4)
 	for i := range guests {
 		guests[i] = task.Task{

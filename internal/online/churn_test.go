@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -43,55 +44,55 @@ func (r *eventRecorder) last(k trace.Kind) (Event, bool) {
 	return Event{}, false
 }
 
-// TestConsolidateRatioTrigger pins the memory-ratio policy: a manager
-// with a low ratio threshold rebuilds a churned channel automatically
-// (resetting its patch counter and reporting a Consolidated event for
-// the right channel), stays bit-identical to a fresh compile, and a
-// sibling with the ratio trigger disabled accumulates patches
-// untouched.
-func TestConsolidateRatioTrigger(t *testing.T) {
+// offGridGuest is an off-grid guest for the paper's NF/0, which holds
+// tau1 alone (T = 6, so one deadline per hyperperiod): T = 2 keeps the
+// hyperperiod, so every admit and remove takes the incremental path,
+// and its deadlines 1.4321, 3.4321 and 5.4321 outnumber tau1's by 3 to
+// 1. Its departure leaves the row's capacity at 4 times its length,
+// which is where the profile trims it.
+var offGridGuest = task.Task{Name: "ghost", C: 0.05, T: 2, D: 1.4321, Mode: task.NF, Channel: 0}
+
+// TestRowTrimOnDrain churns offGridGuest through the manager: every
+// departure trims the widened demand row to exactly its length, so the
+// channel's memory ratio stays below analysis.MaxMemRatio with no
+// rebuild, the patch counter grows monotonically, and every cycle ends
+// at the initial configuration with CheckProfiles and Verify passing.
+func TestRowTrimOnDrain(t *testing.T) {
 	m := maxFlexManager(t)
 	var rec eventRecorder
 	m.SetEventSink(rec.sink)
-	m.SetConsolidateRatio(1.2)
-	off := maxFlexManager(t)
-	off.SetConsolidateRatio(0) // trigger disabled, patches accumulate
-
-	// A guest with an on-grid period stays on the incremental path; its
-	// off-stream deadlines widen the channel's demand row, whose capacity
-	// outlives the guest, so the ratio crosses 1.2 when it leaves.
-	guest := task.Task{Name: "ghost", C: 0.05, T: 6, D: 5.4321, Mode: task.NF, Channel: 0}
+	cfg0 := m.Config()
+	st := m.channels[task.NF][0]
 	for i := 0; i < 8; i++ {
-		for _, mgr := range []*Manager{m, off} {
-			if err := mgr.Admit(guest); err != nil {
-				t.Fatalf("cycle %d: Admit: %v", i, err)
-			}
-			if err := mgr.Remove(guest.Name); err != nil {
-				t.Fatalf("cycle %d: Remove: %v", i, err)
-			}
+		if err := m.Admit(offGridGuest); err != nil {
+			t.Fatalf("cycle %d: Admit: %v", i, err)
+		}
+		if ms := st.prof.MemStats(); ms.LiveCells != 4 || ms.Ratio() >= analysis.MaxMemRatio {
+			t.Fatalf("cycle %d: admitted row %d cells, ratio %g; want 4 cells below %d", i, ms.LiveCells, ms.Ratio(), analysis.MaxMemRatio)
+		}
+		if err := m.Remove(offGridGuest.Name); err != nil {
+			t.Fatalf("cycle %d: Remove: %v", i, err)
+		}
+		if ms := st.prof.MemStats(); ms.LiveCells != 1 || ms.PinnedCells != 1 {
+			t.Fatalf("cycle %d: drained row keeps %d cells for %d, want it trimmed to 1", i, ms.PinnedCells, ms.LiveCells)
+		}
+		if got := st.patches; got != 2*(i+1) {
+			t.Fatalf("cycle %d: patch counter %d, want %d", i, got, 2*(i+1))
+		}
+		if m.Config() != cfg0 {
+			t.Fatalf("cycle %d: configuration %+v, want %+v", i, m.Config(), cfg0)
+		}
+		if err := m.CheckProfiles(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatalf("cycle %d: Verify: %v", i, err)
 		}
 	}
-	if rec.count(trace.Consolidated) == 0 {
-		t.Fatal("ratio trigger at 1.2 never consolidated over 8 admit/remove cycles")
+	if n := rec.count(trace.EnvelopeFallback); n != 0 {
+		t.Fatalf("churn fell back to a full recompile %d times, want 0", n)
 	}
-	ev, _ := rec.last(trace.Consolidated)
-	if ev.Mode != task.NF || ev.Channel != 0 {
-		t.Fatalf("Consolidated event on %s/%d, want NF/0", ev.Mode, ev.Channel)
-	}
-	st := m.channels[task.NF][0]
-	if r := st.prof.MemStats().Ratio(); r >= 1.2 {
-		t.Fatalf("post-consolidation ratio = %g, want < 1.2", r)
-	}
-	if off.channels[task.NF][0].patches == 0 {
-		t.Fatal("disabled sibling shows 0 patches: churn did not take the incremental path")
-	}
-	if got, want := m.Config(), off.Config(); got != want {
-		t.Fatalf("consolidation changed the configuration: %+v vs %+v", got, want)
-	}
-	checkProfilesFresh(t, m, "after ratio consolidation")
-	if err := m.CheckProfiles(); err != nil {
-		t.Fatal(err)
-	}
+	checkProfilesFresh(t, m, "after the churn")
 }
 
 // TestEnvelopeFallbackEvent admits a guest whose period stretches the

@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/task"
@@ -56,41 +55,15 @@ func (m *Manager) Revoke(capacity float64, pol Policy) (*DegradeReport, error) {
 		return nil, fmt.Errorf("%w: revoking %.6f leaves capacity %.6f but the mode overheads alone need %.6f",
 			ErrRejected, capacity, m.p-newRevoked, m.over.Total())
 	}
-	live := append(task.Set(nil), old.live...)
-	var evicted task.Set
-	for {
-		next, _, _ := m.candidateLocked(touched)
-		if m.fits(next, newRevoked) {
-			break
-		}
-		if len(live) == 0 {
-			// Cannot happen: an empty candidate holds only the
-			// overheads, which fit. Re-admit the evicted tasks and reject.
-			m.readmitEvicted(touched, evicted)
-			return nil, fmt.Errorf("%w: no eviction makes %.6f fit", ErrRejected, m.p-newRevoked)
-		}
-		victim := 0
-		for i := 1; i < len(live); i++ {
-			if pol.shedBefore(live[i], live[victim]) {
-				victim = i
-			}
-		}
-		t := live[victim]
-		live = append(live[:victim], live[victim+1:]...)
-		tc := findTouched(touched, t)
-		tc.thaw()
-		if err := tc.st.prof.DropTasks(task.Set{t}); err != nil {
-			// Cannot happen: the victim came from the live snapshot.
-			// Re-admit the already-evicted tasks and reject.
-			m.readmitEvicted(touched, evicted)
-			return nil, fmt.Errorf("%w: evicting %q: %v", ErrRejected, t.Name, err)
-		}
-		tc.minq = tc.st.prof.MinQ(m.p)
-		tc.patches++
-		evicted = append(evicted, t)
-	}
+	live, evicted, err := m.shedLocked(touched, append(task.Set(nil), old.live...), pol, newRevoked)
 	next, _, _ := m.candidateLocked(touched)
-	if err := next.Validate(); err != nil {
+	if err == nil {
+		err = next.Validate()
+	}
+	if err != nil {
+		// Cannot happen: the victims come from the live snapshot, and
+		// evicting every task leaves the overheads, which fit.
+		// Re-admit the evicted tasks and reject.
 		m.readmitEvicted(touched, evicted)
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
@@ -148,40 +121,7 @@ func (m *Manager) Restore(capacity float64, pol Policy) (*DegradeReport, error) 
 	if newRevoked < 0 {
 		newRevoked = 0
 	}
-	candidates := append(task.Set(nil), old.parked...)
-	// Readmit highest value first; shedBefore orders lowest first, so
-	// reverse it.
-	slices.SortStableFunc(candidates, func(a, b task.Task) int {
-		switch {
-		case pol.shedBefore(b, a):
-			return -1
-		case pol.shedBefore(a, b):
-			return 1
-		}
-		return 0
-	})
-	var readmitted task.Set
-	stillParked := make(task.Set, 0, len(candidates))
-	for _, t := range candidates {
-		tc := findTouched(touched, t)
-		tc.thaw()
-		if err := tc.st.prof.AddTasks(task.Set{t}); err != nil {
-			stillParked = append(stillParked, t)
-			continue
-		}
-		oldMinq := tc.minq
-		tc.minq = tc.st.prof.MinQ(m.p)
-		if next, _, _ := m.candidateLocked(touched); m.fits(next, newRevoked) {
-			tc.patches++
-			readmitted = append(readmitted, t)
-		} else {
-			// The trial does not fit: the inverse patch restores the
-			// profile bit for bit.
-			_ = tc.st.prof.DropTasks(task.Set{t})
-			tc.minq = oldMinq
-			stillParked = append(stillParked, t)
-		}
-	}
+	readmitted, _ := m.readmitLocked(touched, append(task.Set(nil), old.parked...), pol, newRevoked)
 	next, _, _ := m.candidateLocked(touched)
 	if err := next.Validate(); err != nil {
 		// Cannot happen: the candidate passed the fit check. Undo the
@@ -197,13 +137,9 @@ func (m *Manager) Restore(capacity float64, pol Policy) (*DegradeReport, error) 
 	m.installProfiles(touched)
 	// Keep eviction order for the surviving parked set.
 	live := append(append(task.Set(nil), old.live...), readmitted...)
-	parked := make(task.Set, 0, len(stillParked))
-	back := make(map[string]bool, len(readmitted))
-	for _, t := range readmitted {
-		back[t.Name] = true
-	}
+	parked := make(task.Set, 0, len(old.parked)-len(readmitted))
 	for _, t := range old.parked {
-		if !back[t.Name] {
+		if _, back := readmitted.Find(t.Name); !back {
 			parked = append(parked, t)
 		}
 	}

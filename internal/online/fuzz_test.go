@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -16,12 +17,12 @@ import (
 // Manager op codes of FuzzManagerOps. Each op is an op byte followed by
 // its arguments; a guest takes guestBytes bytes (see decodeGuest).
 const (
-	opAdmit       = iota // guest: Admit
-	opPartial            // count byte (1–3 guests) + guests: AdmitBatchPartial
-	opRemove             // count byte (1–3) + index bytes: RemoveBatch of held tasks
-	opRevoke             // fraction byte: Revoke part of the spare capacity
-	opRestore            // fraction byte: Restore part of the revoked capacity
-	opConsolidate        // Consolidate
+	opAdmit   = iota // guest: Admit
+	opPartial        // count byte (1–3 guests) + guests: AdmitBatchPartial
+	opRemove         // count byte (1–3) + index bytes: RemoveBatch of held tasks
+	opRevoke         // fraction byte: Revoke part of the spare capacity
+	opRestore        // fraction byte: Restore part of the revoked capacity
+	opDrain          // RemoveBatch of every held guest, live or parked
 	managerOps
 )
 
@@ -97,7 +98,7 @@ func managerHead(light bool, alg analysis.Alg) byte {
 
 // managerSeed encodes a random schedule of steps ops from a math/rand
 // source: mostly admissions and removals, with partial batches,
-// revocations, restorations and consolidations mixed in.
+// revocations, restorations and drains mixed in.
 func managerSeed(light bool, alg analysis.Alg, seed int64, steps int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := []byte{managerHead(light, alg)}
@@ -125,7 +126,7 @@ func managerSeed(light bool, alg analysis.Alg, seed int64, steps int) []byte {
 		case op < 9:
 			out = append(out, byte(opRevoke+rng.Intn(2)), byte(rng.Intn(256)))
 		default:
-			out = append(out, opConsolidate)
+			out = append(out, opDrain)
 		}
 	}
 	return out
@@ -133,9 +134,11 @@ func managerSeed(light bool, alg analysis.Alg, seed int64, steps int) []byte {
 
 // FuzzManagerOps drives a Manager through decoded op sequences —
 // admissions, partial admissions, batch removals, revocations,
-// restorations and consolidations, with off-grid guests — and after
-// every op checks the theorem oracle (Verify), the envelope audit
-// (CheckProfiles), bit-identity of the live configuration with a fresh
+// restorations and drains, with off-grid guests — and after every op
+// checks the theorem oracle (Verify), the envelope audit
+// (CheckProfiles, which also holds every EDF row to the
+// analysis.MaxMemRatio bound that drains exercise), bit-identity of the
+// live configuration with a fresh
 // ConfigFor solve, and the published order against a reference model:
 // admissions and readmissions are appended, departures are removed in
 // place, and evictions go to the parked list in eviction order, so
@@ -297,9 +300,23 @@ func runManagerOps(t *testing.T, data []byte) {
 				model.remove(back.Name)
 			}
 			model.live = append(model.live, rep.Readmitted...)
-		case opConsolidate:
-			what = "consolidate"
-			m.Consolidate()
+		case opDrain:
+			var names []string
+			for _, name := range model.held() {
+				if strings.HasPrefix(name, "g") { // guests are g1, g2, …
+					names = append(names, name)
+				}
+			}
+			if len(names) == 0 {
+				continue
+			}
+			what = fmt.Sprintf("drain %v", names)
+			if err := m.RemoveBatch(names); err != nil {
+				t.Fatalf("step %d (%s): %v", step, what, err)
+			}
+			for _, name := range names {
+				model.remove(name)
+			}
 		}
 		checkManager(t, m, pr, model, fmt.Sprintf("step %d (%s)", step, what))
 	}

@@ -24,10 +24,13 @@ import "repro/internal/metrics"
 //     parked); TasksShed counts partial-admission shed verdicts.
 //   - TasksEvicted / TasksReadmitted count the Revoke/Restore park
 //     cycle, separate from admit/remove.
-//   - EnvelopePatches / EnvelopeFallbacks / Consolidations mirror the
-//     profile-patch housekeeping the trace events report: in-place
-//     patches applied, full-recompile bailouts, and from-scratch
-//     channel rebuilds.
+//   - EnvelopePatches / EnvelopeFallbacks mirror the profile-patch
+//     housekeeping the trace events report: in-place patches applied
+//     and full-recompile bailouts.
+//
+// EnvelopeMemRatio reads the last patched channel's
+// analysis.MemStats.Ratio, which an EDF profile keeps below
+// analysis.MaxMemRatio.
 type Metrics struct {
 	AdmitBatches   *metrics.Counter
 	AdmitRejected  *metrics.Counter
@@ -45,7 +48,6 @@ type Metrics struct {
 
 	EnvelopePatches   *metrics.Counter
 	EnvelopeFallbacks *metrics.Counter
-	Consolidations    *metrics.Counter
 
 	PatchLatency  *metrics.Histogram
 	CommitLatency *metrics.Histogram
@@ -78,7 +80,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 
 		EnvelopePatches:   reg.Counter("online.envelope.patches"),
 		EnvelopeFallbacks: reg.Counter("online.envelope.fallbacks"),
-		Consolidations:    reg.Counter("online.consolidations"),
 
 		PatchLatency:  reg.Histogram("online.patch_ns"),
 		CommitLatency: reg.Histogram("online.commit_ns"),

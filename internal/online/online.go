@@ -44,14 +44,11 @@
 //
 //   - Bounded memory: a channel's profile keeps one demand row per
 //     deadline point, and a row widened by guests with new deadlines
-//     keeps its capacity after they leave, so its storage can outgrow
-//     the live points. A consolidation policy (Consolidate on
-//     demand, or the automatic retained/live memory-ratio trigger of
-//     SetConsolidateRatio, fed by analysis.Profile.MemStats) rebuilds a
-//     channel's retained pre-pruning stream from scratch —
-//     bit-identical by the compile properties — so a long-lived
-//     high-churn manager's footprint stays proportional to the live
-//     task set.
+//     keeps its capacity after they leave, until a departure leaves
+//     that capacity at analysis.MaxMemRatio times the live points; the
+//     profile then reallocates the row to exactly its length. A
+//     long-lived high-churn manager's footprint therefore stays
+//     proportional to the live task set with no policy to tune.
 //
 // And it degrades gracefully instead of failing hard:
 //
@@ -80,7 +77,6 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,12 +89,11 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultConsolidateRatio is the automatic consolidation trigger a new
-// manager starts with: a channel is rebuilt from scratch when its
-// profile's retained/live memory ratio (analysis.MemStats.Ratio — the
-// demand-row cells it keeps allocated over the deadline points it
-// reads) reaches this factor. SetConsolidateRatio changes it.
-const DefaultConsolidateRatio = 4.0
+// DefaultConsolidateRatio is analysis.MaxMemRatio.
+//
+// Deprecated: the manager no longer rebuilds channels; a profile trims
+// its own demand row at analysis.MaxMemRatio times its length.
+const DefaultConsolidateRatio = analysis.MaxMemRatio
 
 // Manager tracks a live configuration and reconfigures it in batches.
 // It is safe for concurrent use: batches touching disjoint channels
@@ -148,11 +143,6 @@ type Manager struct {
 	nameFree []*nameEntry
 
 	channels [task.NumModes][]*channelState
-
-	// consolidateRatio is the retained/live memory-ratio consolidation
-	// threshold, stored as float64 bits (atomic so SetConsolidateRatio
-	// needs no lock); 0 disables the ratio trigger.
-	consolidateRatio atomic.Uint64
 
 	// events is the optional robustness-event sink (atomic so
 	// SetEventSink needs no lock).
@@ -313,12 +303,11 @@ func (m *Manager) setStateGauges(s *snapshot) {
 // Event is one robustness notification: tasks shed by partial
 // admission, evicted by a revocation, or readmitted by a restore, the
 // capacity transitions themselves, and the incremental-analysis
-// housekeeping (envelope fallbacks, consolidations). Delivered
-// synchronously to the sink installed with SetEventSink.
+// housekeeping (envelope fallbacks). Delivered synchronously to the
+// sink installed with SetEventSink.
 type Event struct {
 	// Kind is trace.Shed, trace.Evicted, trace.Readmitted,
-	// trace.Degraded, trace.Restored, trace.EnvelopeFallback or
-	// trace.Consolidated.
+	// trace.Degraded, trace.Restored or trace.EnvelopeFallback.
 	Kind trace.Kind
 	// At is the simulated instant of the transition when a scenario
 	// driver is advancing the manager's clock (SetNow); zero otherwise.
@@ -329,7 +318,7 @@ type Event struct {
 	// Revoked is the total capacity withdrawn after the transition.
 	Revoked float64
 	// Mode and Channel identify the affected channel for
-	// EnvelopeFallback and Consolidated events.
+	// EnvelopeFallback events.
 	Mode    task.Mode
 	Channel int
 }
@@ -361,8 +350,7 @@ type channelState struct {
 	// by mu.
 	mu   sync.Mutex
 	prof *analysis.Profile
-	// patches counts incremental updates since the last from-scratch
-	// rebuild; consolidation skips a channel that has none.
+	// patches counts the incremental updates committed to prof.
 	patches int
 
 	// minq caches prof.MinQ(P) for the committed profile. It is written
@@ -409,7 +397,6 @@ func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager
 		p:     cfg.P,
 		names: make(map[string]*nameEntry, len(pr.Tasks)),
 	}
-	m.consolidateRatio.Store(math.Float64bits(DefaultConsolidateRatio))
 	for _, mode := range task.Modes() {
 		profs := cp.ChannelProfiles(mode) // already a copy, and we re-home it
 		m.channels[mode] = make([]*channelState, len(profs))
@@ -694,7 +681,6 @@ func (m *Manager) admitBatch(batch []task.Task) error {
 		m.unreserveAdmit(norm)
 		return err
 	}
-	m.maybeConsolidate(touched)
 	return nil
 }
 
@@ -813,7 +799,6 @@ func (m *Manager) removeBatch(names []string) error {
 		m.unreserveRemove(live, parked)
 		return err // cannot happen: shrinking always fits; defensive
 	}
-	m.maybeConsolidate(touched)
 	return nil
 }
 
@@ -1200,19 +1185,29 @@ func (m *Manager) publishLocked(touched []touchedChannel, added, removed task.Se
 }
 
 // rejectOverflow builds the typed rejection for candidate slots that do
-// not fit: for each reshaped mode, the slot it asked for next to the
-// actual maximum the available capacity could give it — the capacity
-// minus the slots held by the other modes (admissible within
-// core.SlotFitTol) — plus the binding channel and a verdict for every
-// batch member of the all-or-nothing batch.
+// not fit: the slot overflows plus a verdict for every batch member of
+// the all-or-nothing batch.
 func (m *Manager) rejectOverflow(next core.Config, reshaped [task.NumModes]bool, binding [task.NumModes]int, revoked float64, batch task.Set) error {
-	rej := &Rejection{}
+	rej := &Rejection{Overflows: m.slotOverflows(next, reshaped, binding, revoked)}
+	for _, t := range batch {
+		rej.Verdicts = append(rej.Verdicts, TaskVerdict{Task: t, Code: VerdictRejected, Detail: "all-or-nothing batch did not fit"})
+	}
+	return rej
+}
+
+// slotOverflows describes candidate slots that do not fit: for each
+// reshaped mode, the slot it asked for next to the actual maximum the
+// available capacity could give it — the capacity minus the slots held
+// by the other modes (admissible within core.SlotFitTol) — and the
+// binding channel.
+func (m *Manager) slotOverflows(next core.Config, reshaped [task.NumModes]bool, binding [task.NumModes]int, revoked float64) []SlotOverflow {
+	var out []SlotOverflow
 	for _, mode := range task.Modes() {
 		if !reshaped[mode] {
 			continue
 		}
 		need := next.Q.Of(mode)
-		rej.Overflows = append(rej.Overflows, SlotOverflow{
+		out = append(out, SlotOverflow{
 			Mode:      mode,
 			Channel:   binding[mode],
 			Requested: need,
@@ -1221,10 +1216,7 @@ func (m *Manager) rejectOverflow(next core.Config, reshaped [task.NumModes]bool,
 			Revoked:   revoked,
 		})
 	}
-	for _, t := range batch {
-		rej.Verdicts = append(rej.Verdicts, TaskVerdict{Task: t, Code: VerdictRejected, Detail: "all-or-nothing batch did not fit"})
-	}
-	return rej
+	return out
 }
 
 // installProfiles commits each touched shard's candidate minimum and
@@ -1234,11 +1226,15 @@ func (m *Manager) rejectOverflow(next core.Config, reshaped [task.NumModes]bool,
 // reconfiguration (a hyperperiod change, or a violated stream
 // invariant) is reported to the event sink as a trace.EnvelopeFallback
 // — detected against the fallback count thaw recorded before the first
-// patch. The caller holds the channel locks (and, on batch paths,
-// commitMu).
+// patch. Each patched channel's memory ratio is written to the
+// EnvelopeMemRatio gauge. The caller holds the channel locks (and, on
+// batch paths, commitMu).
 func (m *Manager) installProfiles(touched []touchedChannel) {
 	mt := m.met.Load()
 	for _, tc := range touched {
+		if tc.patched && mt != nil {
+			mt.EnvelopeMemRatio.Set(tc.st.prof.MemStats().Ratio())
+		}
 		if tc.patched && tc.st.prof.Fallbacks() > tc.fallback0 {
 			if mt != nil {
 				mt.EnvelopeFallbacks.Inc()
@@ -1251,90 +1247,6 @@ func (m *Manager) installProfiles(touched []touchedChannel) {
 			mt.EnvelopePatches.Add(uint64(tc.patches))
 		}
 	}
-}
-
-// SetConsolidateRatio sets the automatic consolidation trigger: a
-// just-reconfigured channel whose profile reports a retained/live
-// memory ratio (analysis.MemStats.Ratio) of at least r is rebuilt from
-// scratch at the end of the reconfiguration. r ≤ 0 disables the ratio
-// trigger (Consolidate stays available).
-func (m *Manager) SetConsolidateRatio(r float64) {
-	if r <= 0 || math.IsNaN(r) {
-		r = 0
-	}
-	m.consolidateRatio.Store(math.Float64bits(r))
-}
-
-// maybeConsolidate rebuilds any of the just-reconfigured channels whose
-// retained/live memory ratio crossed the automatic threshold. The
-// caller still holds the channel locks; commitMu is not needed because
-// the committed decision caches (minq) are unchanged — the rebuild is
-// bit-identical by the compile properties, it only re-homes the
-// retained streams into compact backing arrays.
-func (m *Manager) maybeConsolidate(touched []touchedChannel) {
-	ratio := math.Float64frombits(m.consolidateRatio.Load())
-	mt := m.met.Load()
-	if ratio <= 0 && mt == nil {
-		return
-	}
-	for _, tc := range touched {
-		// One MemStats pass feeds both the trigger and the gauge.
-		r := tc.st.prof.MemStats().Ratio()
-		if mt != nil {
-			mt.EnvelopeMemRatio.Set(r)
-		}
-		if ratio > 0 && r >= ratio {
-			m.consolidateLocked(tc.st)
-		}
-	}
-}
-
-// Consolidate rebuilds every channel's retained pre-pruning stream from
-// scratch, bounding the memory a long-lived high-churn manager retains:
-// a patched profile's demand row keeps the capacity departed guests'
-// deadlines widened it to, and a fresh compile re-homes the live
-// stream into compact arrays. The
-// rebuild is bit-identical to the incremental state (the property the
-// whole compiled layer is tested for), so configurations and admission
-// decisions are unaffected. It locks one channel at a time and never
-// blocks readers. The number of channels rebuilt is returned.
-func (m *Manager) Consolidate() int {
-	n := 0
-	for _, mode := range task.Modes() {
-		for _, st := range m.channels[mode] {
-			st.mu.Lock()
-			if m.consolidateLocked(st) {
-				n++
-			}
-			st.mu.Unlock()
-		}
-	}
-	return n
-}
-
-// consolidateLocked recompiles the channel's live tasks in place and
-// reports the rebuild to the event sink as a trace.Consolidated. The
-// caller holds st.mu. A channel with no incremental patches since its
-// last from-scratch compile is already compact and is skipped. A
-// compile failure (impossible for tasks that already compiled) keeps
-// the patched profile.
-func (m *Manager) consolidateLocked(st *channelState) bool {
-	if st.patches == 0 {
-		return false
-	}
-	fresh, err := analysis.CompileMutable(st.prof.Tasks(), m.alg)
-	if err != nil {
-		return false
-	}
-	st.prof = fresh
-	st.patches = 0
-	if mt := m.met.Load(); mt != nil {
-		mt.Consolidations.Inc()
-	}
-	// Consolidation runs outside commitMu, so the revoked capacity for
-	// the event must come from a pinned snapshot.
-	m.emit(Event{Kind: trace.Consolidated, Mode: st.mode, Channel: st.ch, Revoked: m.Revoked()})
-	return true
 }
 
 // CheckProfiles audits every channel's compiled profile against the

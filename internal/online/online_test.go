@@ -45,6 +45,11 @@ func TestNewManagerRejectsBadConfig(t *testing.T) {
 	if _, err := NewManager(core.Problem{}, core.Config{}); err == nil {
 		t.Error("invalid problem should be rejected")
 	}
+	// A NaN slot is invalid, not unschedulable.
+	nan := core.Config{P: 2.9, Q: core.PerMode{FT: math.NaN(), FS: 0.9, NF: 0.9}, O: pr.O}
+	if _, err := NewManager(pr, nan); err == nil || !strings.Contains(err.Error(), nan.Validate().Error()) {
+		t.Errorf("NaN slot: got %v, want the validation error", err)
+	}
 }
 
 func TestAdmitSmallTask(t *testing.T) {

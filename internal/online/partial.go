@@ -181,9 +181,6 @@ func (m *Manager) admitBatchPartial(batch []task.Task, pol Policy) (*AdmitReport
 		m.unreserveAdmit(drop)
 		m.emit(Event{Kind: trace.Shed, Tasks: names, Revoked: m.Revoked()})
 	}
-	if len(admitted) > 0 {
-		m.maybeConsolidate(touched)
-	}
 	return report, nil
 }
 
@@ -216,107 +213,41 @@ func findTouched(touched []touchedChannel, t task.Task) *touchedChannel {
 
 // commitPartial is the shedding decide-and-swap: starting from the
 // candidate profiles holding the whole reserved set, it sheds the
-// lowest-value member (one WithoutTasks patch) until the slots fit the
-// unrevoked capacity, then retries the shed members highest-value
-// first (one WithTasks trial each, kept only if it still fits) so the
-// admitted set is greedy-maximal under the policy order. Publishes the
-// surviving configuration unless everything was shed. Caller holds the
-// touched channels' locks and unreserves the shed names afterwards.
+// lowest-value members until the slots fit the unrevoked capacity,
+// then retries the shed members highest-value first so the admitted
+// set is greedy-maximal under the policy order (shedding is greedy, so
+// an early cheap shed can leave room a later victim's departure opened
+// up). Publishes the surviving configuration unless everything was
+// shed. Caller holds the touched channels' locks and unreserves the
+// shed names afterwards.
 func (m *Manager) commitPartial(touched []touchedChannel, reserved task.Set, pol Policy) (admitted task.Set, shed task.Set, overflows []SlotOverflow) {
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	old := m.cur.Load()
-	remaining := append(task.Set(nil), reserved...)
-	for {
-		next, reshaped, binding := m.candidateLocked(touched)
-		if m.fits(next, old.revoked) {
-			break
+	admitted = append(task.Set(nil), reserved...)
+	if next, reshaped, binding := m.candidateLocked(touched); !m.fits(next, old.revoked) {
+		// Snapshot the pre-shedding overflow for the report.
+		overflows = m.slotOverflows(next, reshaped, binding, old.revoked)
+		var err error
+		if admitted, shed, err = m.shedLocked(touched, admitted, pol, old.revoked); err != nil {
+			// Cannot happen: every member was patched in above, and with
+			// all of them shed the candidate is the committed state, which
+			// fits. Admit nothing.
+			return nil, append(shed, admitted...), overflows
 		}
-		if overflows == nil {
-			// Snapshot the pre-shedding overflow for the report.
-			for _, mode := range task.Modes() {
-				if !reshaped[mode] {
-					continue
-				}
-				need := next.Q.Of(mode)
-				overflows = append(overflows, SlotOverflow{
-					Mode:      mode,
-					Channel:   binding[mode],
-					Requested: need,
-					Max:       m.p - old.revoked - (next.Q.Total() - need),
-					Period:    m.p,
-					Revoked:   old.revoked,
-				})
-			}
-		}
-		if len(remaining) == 0 {
-			// Cannot happen: with every batch member shed the candidate
-			// equals the committed state, which fits by invariant. (The
-			// inverse patches below restored the profiles along the way.)
-			return nil, shed, overflows
-		}
-		victim := 0
-		for i := 1; i < len(remaining); i++ {
-			if pol.shedBefore(remaining[i], remaining[victim]) {
-				victim = i
-			}
-		}
-		t := remaining[victim]
-		remaining = append(remaining[:victim], remaining[victim+1:]...)
-		tc := findTouched(touched, t)
-		if err := tc.st.prof.DropTasks(task.Set{t}); err != nil {
-			// Cannot happen: t was patched in above. Shed it anyway.
-			shed = append(shed, t)
-			continue
-		}
-		tc.minq = tc.st.prof.MinQ(m.p)
-		tc.patches++
-		shed = append(shed, t)
+		var back task.Set
+		back, shed = m.readmitLocked(touched, shed, pol, old.revoked)
+		admitted = append(admitted, back...)
 	}
-	// Re-add pass, highest value first: shedding is greedy, so an early
-	// cheap shed can leave room a later victim's departure opened up.
-	if len(shed) > 0 {
-		slices.SortStableFunc(shed, func(a, b task.Task) int {
-			switch {
-			case pol.shedBefore(b, a):
-				return -1
-			case pol.shedBefore(a, b):
-				return 1
-			}
-			return 0
-		})
-		kept := shed[:0]
-		for _, t := range shed {
-			tc := findTouched(touched, t)
-			if err := tc.st.prof.AddTasks(task.Set{t}); err != nil {
-				kept = append(kept, t)
-				continue
-			}
-			oldMinq := tc.minq
-			tc.minq = tc.st.prof.MinQ(m.p)
-			if next, _, _ := m.candidateLocked(touched); m.fits(next, old.revoked) {
-				tc.patches++
-				remaining = append(remaining, t)
-			} else {
-				// The trial does not fit: the inverse patch restores the
-				// profile bit for bit.
-				_ = tc.st.prof.DropTasks(task.Set{t})
-				tc.minq = oldMinq
-				kept = append(kept, t)
-			}
-		}
-		shed = kept
-	}
-	if len(remaining) == 0 {
+	if len(admitted) == 0 {
 		return nil, shed, overflows
 	}
-	// remaining is in profile-append order — batch order for the
+	// admitted is in profile-append order — batch order for the
 	// never-shed members, then the re-added ones in readmission order —
 	// which is exactly the order the incremental profiles hold them in.
 	// Publishing the live set in the same order keeps the from-scratch
 	// compile oracle bit-identical (float demand accumulation is
 	// order-sensitive in the last ulp).
-	admitted = remaining
 	next, _, _ := m.candidateLocked(touched)
 	if err := next.Validate(); err != nil {
 		// Cannot happen: the candidate passed the fit check. Defensive:
@@ -325,4 +256,81 @@ func (m *Manager) commitPartial(touched []touchedChannel, reserved task.Set, pol
 	}
 	m.publishLocked(touched, admitted, nil, nil, nil, next, old)
 	return admitted, shed, overflows
+}
+
+// shedLocked drops the lowest-value task of cands under pol — one
+// in-place profile patch each — until the touched channels' candidate
+// slots fit the period less revoked. It returns the survivors, in their
+// order in cands (whose backing they share), and the victims in shed
+// order. The error reports a patch that failed, with its victim still
+// among the survivors, or slots that do not fit with nothing left to
+// shed; both are impossible when cands is exactly what the profiles
+// hold beyond a committed state that fits. Caller holds commitMu and
+// the touched channels' locks.
+func (m *Manager) shedLocked(touched []touchedChannel, cands task.Set, pol Policy, revoked float64) (kept, shed task.Set, err error) {
+	kept = cands
+	for {
+		if next, _, _ := m.candidateLocked(touched); m.fits(next, revoked) {
+			return kept, shed, nil
+		}
+		if len(kept) == 0 {
+			return kept, shed, fmt.Errorf("no shed makes the slots fit %.6f", m.p-revoked)
+		}
+		victim := 0
+		for i := 1; i < len(kept); i++ {
+			if pol.shedBefore(kept[i], kept[victim]) {
+				victim = i
+			}
+		}
+		t := kept[victim]
+		tc := findTouched(touched, t)
+		tc.thaw()
+		if err := tc.st.prof.DropTasks(task.Set{t}); err != nil {
+			return kept, shed, fmt.Errorf("dropping %q: %v", t.Name, err)
+		}
+		kept = slices.Delete(kept, victim, victim+1)
+		tc.minq = tc.st.prof.MinQ(m.p)
+		tc.patches++
+		shed = append(shed, t)
+	}
+}
+
+// readmitLocked tries cands highest value first under pol — one
+// in-place profile patch each — and keeps every one whose grown slots
+// still fit the period less revoked; a trial that does not fit is
+// undone by the inverse patch, which restores the profile bit for bit.
+// It sorts cands in place and returns the readmitted tasks in
+// readmission order and the rest in value order, the rest sharing
+// cands' backing. Caller holds commitMu and the touched channels'
+// locks.
+func (m *Manager) readmitLocked(touched []touchedChannel, cands task.Set, pol Policy, revoked float64) (back, rest task.Set) {
+	slices.SortStableFunc(cands, func(a, b task.Task) int {
+		switch {
+		case pol.shedBefore(b, a):
+			return -1
+		case pol.shedBefore(a, b):
+			return 1
+		}
+		return 0
+	})
+	rest = cands[:0]
+	for _, t := range cands {
+		tc := findTouched(touched, t)
+		tc.thaw()
+		if err := tc.st.prof.AddTasks(task.Set{t}); err != nil {
+			rest = append(rest, t)
+			continue
+		}
+		oldMinq := tc.minq
+		tc.minq = tc.st.prof.MinQ(m.p)
+		if next, _, _ := m.candidateLocked(touched); m.fits(next, revoked) {
+			tc.patches++
+			back = append(back, t)
+			continue
+		}
+		_ = tc.st.prof.DropTasks(task.Set{t})
+		tc.minq = oldMinq
+		rest = append(rest, t)
+	}
+	return back, rest
 }

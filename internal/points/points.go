@@ -115,7 +115,8 @@ const mergeCursors = 64
 //
 // Each task's deadline stream is already ascending, so the set is built
 // by a k-way merge of the streams instead of hashing and sorting. A task
-// with a non-positive period has a deadline stream that never advances;
+// with a NaN or non-positive period, or a non-finite deadline, has a
+// deadline stream that never advances or never enters (0, horizon];
 // such tasks are rejected here (they are also rejected at task.Set
 // construction by Validate, but the merge must not spin forever on
 // unvalidated input).
@@ -124,8 +125,11 @@ func AppendDeadlines(dst []float64, s task.Set, horizon float64) ([]float64, err
 		return dst, nil
 	}
 	for _, t := range s {
-		if t.T <= 0 {
-			return dst, fmt.Errorf("points: task %s has non-positive period T = %g", t.Name, t.T)
+		if !(t.T > 0) {
+			return dst, fmt.Errorf("points: task %s has period T = %g, not positive", t.Name, t.T)
+		}
+		if math.IsNaN(t.D) || math.IsInf(t.D, 0) {
+			return dst, fmt.Errorf("points: task %s has non-finite deadline D = %g", t.Name, t.D)
 		}
 	}
 	total := StreamLen(s, horizon)

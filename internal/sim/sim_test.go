@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,9 @@ func mustRun(t *testing.T, cfg core.Config, ts task.Set, alg analysis.Alg, opts 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(core.Config{}, toyTasks(), analysis.EDF); err == nil {
 		t.Error("invalid config should be rejected")
+	}
+	if _, err := New(core.Config{P: 2.9, Q: core.PerMode{FT: math.NaN(), FS: 0.9, NF: 0.9}}, toyTasks(), analysis.EDF); err == nil {
+		t.Error("NaN slot should be rejected")
 	}
 	if _, err := New(toyConfig(), nil, analysis.EDF); err == nil {
 		t.Error("empty task set should be rejected")

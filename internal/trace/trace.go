@@ -57,9 +57,6 @@ const (
 	// release, or a violated stream invariant), so the event paid the
 	// oracle's cost instead of the patch's.
 	EnvelopeFallback
-	// Consolidated marks a channel whose retained analysis state was
-	// rebuilt from scratch to unpin shared backing memory.
-	Consolidated
 	// Admitted marks tasks entering the live set through a scenario
 	// workload event (replayed against the online manager).
 	Admitted
@@ -107,8 +104,6 @@ func (k Kind) String() string {
 		return "restored"
 	case EnvelopeFallback:
 		return "envelope-fallback"
-	case Consolidated:
-		return "consolidated"
 	case Admitted:
 		return "admitted"
 	case Removed:

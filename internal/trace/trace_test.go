@@ -58,7 +58,7 @@ func TestSegmentMerging(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{Release, Complete, Miss, Abort, FaultStrike, FaultClear, Masked, Silenced, Corrupted,
-		Shed, Evicted, Readmitted, Degraded, Restored, EnvelopeFallback, Consolidated,
+		Shed, Evicted, Readmitted, Degraded, Restored, EnvelopeFallback,
 		Admitted, Removed, Cancelled, Reshape}
 	seen := map[string]bool{}
 	for _, k := range kinds {
