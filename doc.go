@@ -54,11 +54,13 @@
 //     a trace event);
 //   - internal/region, internal/design: Figure 4 exploration and the
 //     two design goals of Table 2. The period searches find their
-//     answer on the Figure 4 grid without evaluating all of it: the
-//     minimum quanta sum S(P) is nondecreasing in P, so an interval of
-//     the grid is bounded by its right end and S at its left end, and
-//     only the samples no such bound rules out are evaluated. Results
-//     match a scan of every sample bit for bit;
+//     answer on the Figure 4 grid without evaluating all of it. The
+//     minimum quanta sum S(P) is nondecreasing in P, and so is the
+//     quanta's bandwidth S(P)/P from any p_lo with S(p_lo) < p_lo on.
+//     So S at an interval's left end p_lo bounds lhs on the whole
+//     interval: by P − S(p_lo)·P/p_lo when S(p_lo) < p_lo, else by
+//     P − S(p_lo). Only the samples no such bound rules out are
+//     evaluated. Results match a scan of every sample bit for bit;
 //   - internal/partition, internal/workload: automatic channel
 //     assignment and synthetic workload generation. Every heuristic
 //     probes a mode's channels in its order of preference and stops at

@@ -414,7 +414,8 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	n0 := len(pf.tasks)
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
-	if _, err := pf.mark(rem, sc); err != nil {
+	first, err := pf.mark(rem, sc)
+	if err != nil {
 		return err
 	}
 	used := sc.used
@@ -429,16 +430,16 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		if used[i] {
 			continue
 		}
-		var err error
 		if hInt, err = timeu.LCM(hInt, p); err != nil {
 			return err
 		} else if hInt == pf.horizonInt {
 			break
 		}
 	}
-	// Compact tasks and scaled in place.
-	w := 0
-	for i := 0; i < n0; i++ {
+	// Compact tasks and scaled in place from the first leaver; nothing
+	// before it moves.
+	w := first
+	for i := first; i < n0; i++ {
 		if !used[i] {
 			pf.tasks[w] = pf.tasks[i]
 			pf.scaled[w] = pf.scaled[i]

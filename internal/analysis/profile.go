@@ -144,6 +144,13 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 		pf.streamLen = points.StreamLen(s, h)
 		pf.edf = pruneRow(pf.ts, pf.w)
 	case RM, DM:
+		// EDF's horizon fold and deadline merge reject a non-finite task;
+		// the fixed-priority rows check nothing, so validate here.
+		for _, tk := range s {
+			if err := tk.Validate(); err != nil {
+				return nil, err
+			}
+		}
 		ordered := alg.sorted(s)
 		pf.tasks = ordered
 		pf.fp = make([][]envelope.Pair, len(ordered))

@@ -125,6 +125,24 @@ func TestCompileRejectsNaNTask(t *testing.T) {
 	}
 }
 
+// TestCompileFPRejectsNonFiniteTask compiles unvalidated non-finite
+// tasks under the fixed-priority algorithms, whose rows enumerate no
+// deadline stream: each must be an error, as it is under EDF.
+func TestCompileFPRejectsNonFiniteTask(t *testing.T) {
+	for _, tk := range []task.Task{
+		{Name: "nanD", C: 1, T: 50, D: math.NaN()},
+		{Name: "nanT", C: 1, T: math.NaN(), D: 50},
+		{Name: "negInfD", C: 1, T: 50, D: math.Inf(-1)},
+		{Name: "infT", C: 1, T: math.Inf(1), D: 5},
+	} {
+		for _, alg := range []Alg{RM, DM} {
+			if _, err := Compile(task.Set{tk}, alg); err == nil {
+				t.Errorf("Compile(%+v, %s): want error, got none", tk, alg)
+			}
+		}
+	}
+}
+
 func TestProfileMinQNonPositivePeriod(t *testing.T) {
 	pf, err := Compile(task.PaperTaskSet().ByMode(task.FT), EDF)
 	if err != nil {

@@ -13,18 +13,37 @@
 //
 // The three searches look for their answer on the grid of the sweep,
 // p_i = i·PMax/Samples, and refine it between grid samples. They do not
-// evaluate every sample. Every per-point quantum of minQ is
-// nondecreasing in P (it is 0 for zero demand, and its derivative in P
-// is positive otherwise), and maxima and minima of nondecreasing
-// functions are nondecreasing, so S is nondecreasing for EDF and for
-// RM/DM alike. Hence lhs ≤ p_hi − S(p_lo) at every sample of an interval
-// (p_lo, p_hi], and each search objective, being nondecreasing in lhs, is
-// bounded on the interval by its value at that bound. The searches split
-// the grid into intervals, evaluate S once at each split point, and skip
-// every interval whose bound, widened by a relative margin of 1e-9, rules
-// out the answer. Every sample that can decide a result is evaluated by
-// the expression CompiledProblem.LHS uses, so the results are the ones a
-// scan of every sample gives, bit for bit.
+// evaluate every sample: S at the left end p_lo of an interval
+// (p_lo, p_hi] of the grid bounds lhs on the whole interval, by two
+// facts of the supply model.
+//
+//   - S is nondecreasing. Every per-point quantum of minQ is
+//     nondecreasing in P (it is 0 for zero demand, and its derivative
+//     in P is positive otherwise), and maxima and minima of
+//     nondecreasing functions are nondecreasing, so S is nondecreasing
+//     for EDF and for RM/DM alike. Hence lhs(p) ≤ p − S(p_lo).
+//   - Below full bandwidth, so is S(P)/P. A point t with demand W > 0
+//     needs the bandwidth α = Q/P that solves α·(t − P·(1 − α)) = W.
+//     α < 1 exactly when W < t, whatever P is, and then α rises with P,
+//     because the slot delay P − Q that the point must absorb grows with
+//     P. If S(p_lo) < p_lo, every channel's quantum at p_lo is below
+//     p_lo, so the points that decide the quanta have W < t: an EDF
+//     channel's worst point, and among an FP level's points the best,
+//     which is never one with W ≥ t (those need α ≥ 1 at every P). The
+//     quanta's bandwidths are then maxima and minima of nondecreasing
+//     bandwidths at every P, so S(p) ≥ S(p_lo)·p/p_lo, and
+//     lhs(p) ≤ p − S(p_lo)·p/p_lo, the tighter bound.
+//
+// Each search objective, being nondecreasing in lhs, is bounded on the
+// interval by its value at that bound. The searches split the grid into
+// intervals, evaluate S once at each split point, and skip every
+// interval whose bound, widened by a relative margin of 1e-9, rules out
+// the answer. The margin lies far above float64 rounding in S, and it
+// absorbs a guard S(p_lo) < p_lo that holds only by rounding: the
+// deciding points then sit at W ≈ t, where α ≈ 1 barely moves with P.
+// Every sample that can decide a result is evaluated by the expression
+// CompiledProblem.LHS uses, so the results are the ones a scan of every
+// sample gives, bit for bit.
 package region
 
 import (
@@ -189,9 +208,18 @@ func (g *grid) quanta(p float64) float64 {
 // lhs is cp.LHS(p), computed by the same expression.
 func (g *grid) lhs(p float64) float64 { return p - g.quanta(p) }
 
-// lhsBound bounds lhs at every sample in (pLo, p] from s = S(pLo):
-// lhs(p') = p' − S(p') ≤ p − s, since S is nondecreasing.
-func lhsBound(p, s float64) float64 { return p - s + boundMargin*(p+s) }
+// lhsBound bounds lhs(p) at a p > pLo from s = S(pLo) (see the package
+// comment). When pLo > 0 and s < pLo, S(P)/P is nondecreasing, so
+// S(p) ≥ s·p/pLo and lhs(p) ≤ p − s·p/pLo; otherwise S is still
+// nondecreasing and lhs(p) ≤ p − s. The relative margin covers rounding
+// in S, and in the guard s < pLo itself. For fixed pLo and s the bound
+// is linear in p.
+func lhsBound(pLo, p, s float64) float64 {
+	if pLo > 0 && s < pLo {
+		s *= p / pLo
+	}
+	return p - s + boundMargin*(p+s)
+}
 
 // MaxFeasiblePeriod returns the largest period P ≤ PMax with
 // lhs(P) ≥ O_tot (points ①, ② and ⑤ of Figure 4): the largest feasible
@@ -241,8 +269,9 @@ func maxFeasiblePeriod(g *grid, target float64) (float64, error) {
 
 // lastFeasible returns the largest sample index in (lo, hi] with
 // lhs ≥ target, or 0 if there is none; s is S(p(lo)), 0 at lo = 0.
+// lhsBound rises with p, so its value at p(hi) bounds the interval.
 func (g *grid) lastFeasible(lo int, s float64, hi int, target float64) int {
-	if lo >= hi || lhsBound(g.p(hi), s) < target {
+	if lo >= hi || lhsBound(g.p(lo), g.p(hi), s) < target {
 		return 0
 	}
 	mid := lo + (hi-lo+1)/2
@@ -324,9 +353,10 @@ func slackObjective(target float64) func(p, lhs float64) float64 {
 // maximize finds the first grid sample with the maximal objective(p,
 // lhs(p)), as a scan of every sample keeping the strictly greater value
 // would, and refines its bracket by golden-section search. The objective
-// must be nondecreasing in lhs and, at fixed S = p − lhs, monotone in p;
-// maximize then evaluates only the samples whose interval bound (see the
-// package comment) could beat the best sample found so far.
+// must be nondecreasing in lhs and monotone in p along every line
+// lhs = a·p + b, the shape lhsBound has in p (both bounds of the package
+// comment, margin included); maximize then evaluates only the samples
+// whose interval bound could beat the best sample found so far.
 func maximize(g *grid, objective func(p, lhs float64) float64) (float64, float64) {
 	top := best{v: math.Inf(-1)}
 	g.visit(0, 0, g.n, objective, &top)
@@ -366,16 +396,19 @@ type best struct {
 }
 
 // visit searches the samples in (lo, hi] for one that beats top; s is
-// S(p(lo)), 0 at lo = 0. The interval's bound is the objective at the
-// lhs bound, taken at whichever end of the interval it is larger. The
-// interval is skipped when the bound cannot beat top: it is below top's
-// value, or equal to it with every sample at a higher index.
+// S(p(lo)), 0 at lo = 0. The interval's bound is the objective at
+// lhsBound from p(lo) and s — the bandwidth bound when s < p(lo), the
+// bound by S alone otherwise — taken at whichever end of the interval it
+// is larger: along the bound the objective is monotone in p (see
+// maximize). The interval is skipped when the bound cannot beat top: it
+// is below top's value, or equal to it with every sample at a higher
+// index.
 func (g *grid) visit(lo int, s float64, hi int, objective func(p, lhs float64) float64, top *best) {
 	if lo >= hi {
 		return
 	}
-	first, last := g.p(lo+1), g.p(hi)
-	u := math.Max(objective(first, lhsBound(first, s)), objective(last, lhsBound(last, s)))
+	pLo, first, last := g.p(lo), g.p(lo+1), g.p(hi)
+	u := math.Max(objective(first, lhsBound(pLo, first, s)), objective(last, lhsBound(pLo, last, s)))
 	if u < top.v || (u == top.v && lo+1 >= top.i) {
 		return
 	}
