@@ -79,10 +79,15 @@
 //     reshape and one configuration swap per batch), sharded
 //     (per-channel locks, so disjoint channels reconfigure
 //     concurrently) and read-optimised (Config/Slack/Tasks are served
-//     lock-free from atomically swapped snapshots; the next live set
-//     is bulk-copied from the current one around the departing tasks,
-//     which their publication sequence numbers locate by binary
-//     search, so a commit does no per-name work over the live set).
+//     lock-free from atomically swapped snapshots). Every
+//     reconfiguration — batch, partial admission, Revoke, Restore —
+//     publishes one way (publishLocked, a delta of the live and parked
+//     sets): the next live set is bulk-copied from the current one
+//     around the leaving tasks, which their publication sequence
+//     numbers locate by binary search, so a commit does no per-name
+//     work over the live set. Every profile patch an operation makes
+//     under its channel locks goes into one undo log, replayed in
+//     reverse when the operation rejects.
 //     Its memory under churn is bounded by the profiles themselves:
 //     a departure that leaves a demand row's capacity at
 //     analysis.MaxMemRatio times its length trims it, so there is no
@@ -101,7 +106,10 @@
 //     a from-scratch solve and the full profile audit
 //     (Manager.CheckProfiles, the row-storage bound included) at every
 //     quiescent point, while tallying patch fallbacks (ftsim -chaos,
-//     under EDF and RM in CI);
+//     under EDF, RM and DM in CI). Most storm guests take their
+//     channel's resident periods, many with off-grid deadlines below
+//     them, so patches stay in place and drained rows are trimmed; a
+//     few stretch the hyperperiod to keep the fallback path covered;
 //     RunClosedLoop then closes the analysis → execution loop: it
 //     replays a seeded workload storm through the scenario runtime
 //     under fault injection and asserts the headline invariant
@@ -187,13 +195,13 @@
 //     stream, and Profile.Check fails one that breaks the bound. The
 //     online manager thaws each touched channel's profile on first
 //     patch.
-//   - Published, recycled: the manager's snapshot ring. A commit
-//     rewrites a retired record's live set as bulk copies of the
-//     current one, and the commit-side sequence-number arrays
-//     alternate with it; a backing that must grow is sized to what it
-//     holds, not doubled.
+//   - Published, recycled: the manager's snapshot ring. Every commit,
+//     Revoke's and Restore's included, rewrites a retired record's
+//     live and parked sets from the current one and its delta, and the
+//     commit-side sequence-number arrays alternate with it; a live
+//     backing that must grow is sized to what it holds, not doubled.
 //   - Scratch, per-owner, reused: the manager's touched-channel slice
-//     and per-channel batch groups;
+//     and undo log (pooled per operation, Revoke and Restore too);
 //     the sim engine's epoch buffers (service windows, fault and
 //     corruption overlays, the epoch's joins and leaves), its job
 //     records (recycled through a freelist at each job's terminal

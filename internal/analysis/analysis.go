@@ -13,9 +13,10 @@
 //     away) from the P-dependent quantum inversion, so design-space
 //     sweeps evaluate Profile.MinQ in a tight allocation-free loop while
 //     MinQ remains the straightforward reference oracle;
-//   - classical full-processor tests (response-time analysis, processor
-//     demand criterion, Liu–Layland and hyperbolic utilisation bounds)
-//     used by the automatic partitioner.
+//   - classical full-processor tests: response-time analysis and the
+//     processor demand criterion, which the automatic partitioner runs
+//     through Schedulable, and the Liu–Layland and hyperbolic
+//     utilisation bounds, which no other package calls.
 //
 // All tests assume the synchronous arrival pattern, independent tasks
 // and constrained deadlines D ≤ T, as in the paper.

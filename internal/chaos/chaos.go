@@ -135,17 +135,30 @@ func (r *Result) String() string {
 
 // writer is one admission storm participant with its own guest
 // namespace and bookkeeping of which guests are currently in the
-// system (admitted — live or parked — and not yet removed).
+// system (admitted — live or parked — and not yet removed). periods
+// holds the periods of its channel's residents.
 type writer struct {
 	idx      int
 	mode     task.Mode
 	ch       int
+	periods  []float64
 	inSystem map[string]task.Task
 	next     int
 	tally    Result
 	failures []error
 }
 
+// stretching are guest periods that lengthen most paper channels'
+// hyperperiods, so a guest drawing one makes its channel's profile fall
+// back to a full recompile on arrival and on departure.
+var stretching = []float64{8, 10, 12, 16}
+
+// newGuest draws a guest for the writer's channel. One in sixteen
+// takes a stretching period; the rest take a resident period, which
+// keeps the hyperperiod and so the in-place patch, and six of those
+// fifteen get a four-decimal deadline in [T/2, T), whose deadlines
+// widen the demand row until the guests drain and the row is trimmed.
+// Whales keep D = T.
 func (w *writer) newGuest(rng *rand.Rand, whale bool) task.Task {
 	name := fmt.Sprintf("w%d-g%d", w.idx, w.next)
 	w.next++
@@ -153,8 +166,16 @@ func (w *writer) newGuest(rng *rand.Rand, whale bool) task.Task {
 	if whale {
 		c = 1.5 + rng.Float64() // far beyond the slack; forces shedding
 	}
-	periods := []float64{8, 10, 12, 16}
-	return task.Task{Name: name, C: c, T: periods[rng.Intn(len(periods))], Mode: w.mode, Channel: w.ch}
+	kind := rng.Intn(16)
+	periods := w.periods
+	if kind == 0 || len(periods) == 0 {
+		periods = stretching
+	}
+	g := task.Task{Name: name, C: c, T: periods[rng.Intn(len(periods))], Mode: w.mode, Channel: w.ch}
+	if half := int(g.T * 5000); kind > 0 && kind <= 6 && !whale && half > 0 {
+		g.D = float64(half+rng.Intn(half)) / 1e4
+	}
+	return g
 }
 
 func (w *writer) pickVictims(rng *rand.Rand, n int) []string {
@@ -308,7 +329,13 @@ func Run(m *online.Manager, pr core.Problem, opts Options) (*Result, error) {
 	for i := range writers {
 		c := coords[chanIdx%len(coords)]
 		chanIdx++
-		writers[i] = &writer{idx: i, mode: c.mode, ch: c.ch, inSystem: make(map[string]task.Task)}
+		w := &writer{idx: i, mode: c.mode, ch: c.ch, inSystem: make(map[string]task.Task)}
+		for _, t := range residents {
+			if t.Mode == c.mode && t.Channel == c.ch {
+				w.periods = append(w.periods, t.T)
+			}
+		}
+		writers[i] = w
 	}
 
 	for round := 0; round < opts.Rounds; round++ {

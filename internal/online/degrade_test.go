@@ -3,10 +3,14 @@ package online
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/design"
+	"repro/internal/region"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -320,4 +324,102 @@ func TestRemoveErrorsWrapSentinels(t *testing.T) {
 	if tries != 1 {
 		t.Errorf("non-transient failure retried %d times, want 1 attempt", tries)
 	}
+}
+
+// TestDegradeRejectsNonFiniteCapacity: a NaN or infinite capacity is
+// rejected before anything is locked or patched. A NaN Restore used to
+// publish Revoked() = NaN, after which every admission was rejected
+// ("at most NaN fits") while Verify still passed.
+func TestDegradeRejectsNonFiniteCapacity(t *testing.T) {
+	m, _, pr := minimalManager(t)
+	live, parked := m.Tasks(), m.Parked()
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := m.Revoke(c, Policy{}); !errors.Is(err, ErrRejected) {
+			t.Errorf("Revoke(%g) = %v, want ErrRejected", c, err)
+		}
+		if _, err := m.Restore(c, Policy{}); !errors.Is(err, ErrRejected) {
+			t.Errorf("Restore(%g) = %v, want ErrRejected", c, err)
+		}
+		if got := m.Revoked(); got != 0 {
+			t.Fatalf("after capacity %g: Revoked() = %g, want 0", c, got)
+		}
+		if !slices.Equal(m.Tasks(), live) || !slices.Equal(m.Parked(), parked) {
+			t.Fatalf("after capacity %g: the live or parked set changed", c)
+		}
+	}
+	if err := m.Admit(task.Task{Name: "guest", C: 0.01, T: 12, Mode: task.FT, Channel: 0}); err != nil {
+		t.Fatalf("admission after the rejected capacities: %v", err)
+	}
+	configOracle(t, m, pr, "after the rejected capacities")
+	checkProfilesFresh(t, m, "after the rejected capacities")
+	// Verify fails a non-finite revoked capacity however it got there.
+	m.cur.Load().revoked = math.NaN()
+	if err := m.Verify(); err == nil {
+		t.Fatal("Verify passed a NaN revoked capacity")
+	}
+}
+
+// TestRevokeKeepsAnonymousTasks: a parked task is held by its name, so
+// Revoke never evicts an anonymous task of the initial set, however
+// low its value. It used to evict one and then dereference the
+// registry entry the task does not have.
+func TestRevokeKeepsAnonymousTasks(t *testing.T) {
+	pr := core.Problem{Tasks: task.PaperTaskSet(), Alg: analysis.EDF, O: core.UniformOverheads(task.PaperOverheadTotal)}
+	pr.Tasks[4].Name = "" // tau5, alone on NF/3
+	cp, err := pr.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := design.Solve(pr, design.MaxFlexibility, region.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cp.ConfigFor(sol.Config.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManagerFromCompiled(cp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := Policy{Value: func(tk task.Task) float64 {
+		if tk.Name == "" {
+			return 0
+		}
+		return 1
+	}}
+	// Evicting every named task still leaves the anonymous one's slot:
+	// the revocation is rejected and nothing changes.
+	live := m.Tasks()
+	if _, err := m.Revoke(cfg.P-pr.O.Total()-core.SlotFitTol, pol); !errors.Is(err, ErrRejected) {
+		t.Fatalf("a revocation only the anonymous task's eviction could meet: %v, want ErrRejected", err)
+	}
+	if !slices.Equal(m.Tasks(), live) || len(m.Parked()) != 0 || m.Revoked() != 0 || m.Config() != cfg {
+		t.Fatal("the rejected revocation changed the published state")
+	}
+	checkProfilesFresh(t, m, "after the rejected revocation")
+	rep, err := m.Revoke(m.Slack()+0.05, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Evicted) == 0 {
+		t.Fatal("the revocation evicted nothing")
+	}
+	for _, tk := range rep.Evicted {
+		if tk.Name == "" {
+			t.Fatalf("evicted an anonymous task: %+v", tk)
+		}
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	configOracle(t, m, pr, "after the eviction")
+	if _, err := m.Restore(m.Revoked(), pol); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Parked()) != 0 || len(m.Tasks()) != len(live) {
+		t.Fatalf("restore left %d parked and %d live, want 0 and %d", len(m.Parked()), len(m.Tasks()), len(live))
+	}
+	configOracle(t, m, pr, "after the restore")
+	checkProfilesFresh(t, m, "after the restore")
 }

@@ -4,7 +4,8 @@ import "repro/internal/metrics"
 
 // Metrics is the manager's instrument set: counters for every
 // reconfiguration outcome, latency histograms for the two phases of a
-// batch (the profile-patch section under the channel locks and the
+// batch (the patch step under the channel locks, which AdmitBatch,
+// AdmitBatchPartial and RemoveBatch share, and the all-or-nothing
 // decide-and-swap section under commitMu), and gauges tracking the
 // published state. All instruments live in a metrics.Registry so other
 // layers (the scenario runtime, the chaos harness, an HTTP exporter)

@@ -35,12 +35,16 @@
 //
 //   - Non-blocking reads: the live core.Config and the admitted task
 //     set are published by one atomic pointer swap per reconfiguration,
-//     so Config, Slack and Tasks never block behind a reshape. The next
-//     live set is built by bulk copies of the current one: every live
-//     task carries a publication sequence number, ascending along the
-//     live set, so a departing task is located by binary search, and a
-//     reconfiguration's commit costs a copy of the live set plus work
-//     proportional to its batch.
+//     so Config, Slack and Tasks never block behind a reshape. Every
+//     reconfiguration — a batch, a partial admission, Revoke, Restore —
+//     publishes one way, as a delta of the live and parked sets: the
+//     next live set is built by bulk copies of the current one, every
+//     live task carries a publication sequence number, ascending along
+//     the live set, so a leaving task is located by binary search, and
+//     a commit costs a copy of the live set plus work proportional to
+//     its change. Every profile patch made before the commit is logged,
+//     and one undo replays the log in reverse when the operation
+//     rejects.
 //
 //   - Bounded memory: a channel's profile keeps one demand row per
 //     deadline point, and a row widened by guests with new deadlines
@@ -77,6 +81,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -172,12 +177,13 @@ const snapshotRing = 4
 // Publication is a pooled read-copy-update: the writer (under
 // commitMu) picks a retired ring record — one that is not current and
 // has no reader references — rewrites its fields in place reusing the
-// slice backings, and publishes it with one cur.Store. A batch's live
-// set is written as bulk copies of the current one, split around the
-// departing tasks' positions, which their publication sequence numbers
-// locate by binary search in the commit-side array aligned with the
-// current record (Manager.seqs); the record itself holds no numbers.
-// A backing that must grow is sized to what it holds. Readers pin a
+// slice backings, and publishes it with one cur.Store. Every
+// reconfiguration's live set, Revoke's and Restore's included, is
+// written as bulk copies of the current one, split around the leaving
+// tasks' positions, which their publication sequence numbers locate by
+// binary search in the commit-side array aligned with the current
+// record (Manager.seqs); the record itself holds no numbers. A live
+// backing that must grow is sized to what it holds. Readers pin a
 // record with acquire/release around their copies. The happens-before
 // chain is carried entirely by the atomics: writer field-writes →
 // cur.Store (release) → reader cur.Load (acquire) → reader field-reads
@@ -234,48 +240,6 @@ func (m *Manager) nextSnapLocked() *snapshot {
 	s := &snapshot{}
 	m.ring[m.ringIdx] = s
 	return s
-}
-
-// storeSnapLocked publishes the given state, copying the slices into a
-// recycled record (the arguments are not retained), and numbers the
-// live set afresh. It is the publication of Revoke and Restore, which
-// hold every lock and rebuild the whole live set anyway. Caller holds
-// commitMu but not nameMu.
-func (m *Manager) storeSnapLocked(cfg core.Config, live task.Set, revoked float64, parked task.Set) {
-	s := m.nextSnapLocked()
-	s.cfg = cfg
-	s.live = append(sized(s.live, len(live)), live...)
-	s.revoked = revoked
-	s.parked = append(s.parked[:0], parked...)
-	m.renumberLocked(s.live)
-	m.cur.Store(s)
-	m.setStateGauges(s)
-}
-
-// renumberLocked gives every task of live, the set about to be
-// published, the next sequence number in order — in its registry entry
-// (anonymous tasks have none) and in the array that becomes aligned
-// with the new record. Caller holds commitMu (or owns a manager not yet
-// shared) but not nameMu.
-func (m *Manager) renumberLocked(live task.Set) {
-	seqs := sized(m.seqs[1-m.seqCur], len(live))
-	m.nameMu.Lock()
-	for _, t := range live {
-		if e := m.names[t.Name]; e != nil {
-			e.seq = m.nextSeq
-		}
-		seqs = append(seqs, m.nextSeq)
-		m.nextSeq++
-	}
-	m.nameMu.Unlock()
-	m.flipSeqsLocked(seqs)
-}
-
-// flipSeqsLocked makes seqs the array aligned with the record about to
-// be published. Caller holds commitMu.
-func (m *Manager) flipSeqsLocked(seqs []uint64) {
-	m.seqCur = 1 - m.seqCur
-	m.seqs[m.seqCur] = seqs
 }
 
 // sized returns buf emptied, with room for n elements: buf's own
@@ -409,16 +373,16 @@ func NewManagerFromCompiled(cp *core.CompiledProblem, cfg core.Config) (*Manager
 			}
 		}
 	}
-	for _, t := range pr.Tasks {
+	// The initial set is numbered 0, 1, … in order (see Manager.seqs).
+	first := &snapshot{cfg: cfg, live: append(task.Set(nil), pr.Tasks...)}
+	m.seqs[0] = make([]uint64, len(first.live))
+	for i, t := range first.live {
+		m.seqs[0][i] = uint64(i)
 		if t.Name != "" {
-			m.names[t.Name] = &nameEntry{t: t}
+			m.names[t.Name] = &nameEntry{t: t, seq: uint64(i)}
 		}
 	}
-	first := &snapshot{
-		cfg:  cfg,
-		live: append(task.Set(nil), pr.Tasks...),
-	}
-	m.renumberLocked(first.live)
+	m.nextSeq = uint64(len(first.live))
 	m.ring[0] = first
 	m.cur.Store(first)
 	return m, nil
@@ -524,6 +488,9 @@ func (m *Manager) Verify() error {
 	tasks := append(task.Set(nil), s.live...)
 	revoked := s.revoked
 	s.release()
+	if math.IsNaN(revoked) || math.IsInf(revoked, 0) {
+		return fmt.Errorf("online: revoked capacity %g is not finite", revoked)
+	}
 	if cfg.Q.Total() > cfg.P-revoked+core.SlotFitTol {
 		return fmt.Errorf("online: slots total %.6f exceed the unrevoked capacity %.6f (period %.6f minus %.6f revoked)",
 			cfg.Q.Total(), cfg.P-revoked, cfg.P, revoked)
@@ -533,38 +500,138 @@ func (m *Manager) Verify() error {
 }
 
 // opScratch is one reconfiguration's reusable working storage: the
-// normalized batch, the touched-channel slice, the batch grouped by
-// channel, and the removal path's re-split buffers with the live
-// victims' sequence numbers. Pooled because the profile layer copies
-// every task value it is handed (AddTasks/DropTasks append values,
-// publish copies values into the snapshot), so nothing here escapes the
-// operation — which is what makes the steady-state admit+remove cycle
-// allocation-free.
+// normalized batch, the locked channels, the undo log of the profile
+// patches made under their locks, and the candidate and re-split
+// buffers. Pooled because the profile layer copies every task value it
+// is handed (AddTasks/DropTasks append values, publish copies values
+// into the snapshot), so nothing here escapes the operation — which is
+// what makes the steady-state admit+remove cycle allocation-free.
 type opScratch struct {
 	norm    task.Set
 	touched []touchedChannel
-	groups  task.Set
-	live    task.Set
-	seqs    []uint64
-	parked  task.Set
+	// log holds every profile patch the operation made under the
+	// channel locks, oldest first; logged holds their tasks back to
+	// back. undo replays the log in reverse.
+	log    []patchRec
+	logged task.Set
+	live   task.Set
+	parked task.Set
 }
 
-// channelGroup returns the members of batch on tc's channel, in batch
-// order: batch itself when the batch touches one channel, else a run
-// appended to the grouping buffer buf, which is returned extended. buf
-// must have capacity for the whole batch, so that the runs taken from
-// it share opScratch.groups' backing and never move.
-func channelGroup(touched []touchedChannel, tc *touchedChannel, batch, buf task.Set) (group, next task.Set) {
-	if len(touched) == 1 {
-		return batch, buf
+// patchRec is one logged profile patch: the tasks from logged[lo] up
+// to the next patch's, added to (or dropped from) tc's profile, and
+// tc's candidate minimum before the patch.
+type patchRec struct {
+	tc    *touchedChannel
+	lo    int
+	added bool
+	minq  float64
+}
+
+var opPool = sync.Pool{New: func() any { return new(opScratch) }}
+
+// patchLocked applies sc.logged[lo:], the tasks just appended there, to
+// tc's profile — added, or dropped when !add — logs the patch and reads
+// tc's candidate minimum off the patched profile. On error the profile
+// is unchanged and nothing is logged. Caller holds tc's channel lock.
+func (m *Manager) patchLocked(sc *opScratch, tc *touchedChannel, lo int, add bool) error {
+	ts := sc.logged[lo:]
+	tc.thaw()
+	var err error
+	if add {
+		err = tc.st.prof.AddTasks(ts)
+	} else {
+		err = tc.st.prof.DropTasks(ts)
 	}
-	lo := len(buf)
-	for _, t := range batch {
-		if t.Mode == tc.st.mode && t.Channel == tc.st.ch {
-			buf = append(buf, t)
+	if err != nil {
+		sc.logged = sc.logged[:lo]
+		return err
+	}
+	sc.log = append(sc.log, patchRec{tc: tc, lo: lo, added: add, minq: tc.minq})
+	tc.minq = tc.st.prof.MinQ(m.p)
+	tc.patches++
+	return nil
+}
+
+// patchOne is patchLocked of the single task t on its locked channel.
+func (m *Manager) patchOne(sc *opScratch, t task.Task, add bool) error {
+	sc.logged = append(sc.logged, t)
+	return m.patchLocked(sc, findTouched(sc.touched, t), len(sc.logged)-1, add)
+}
+
+// patchGroups is the patch step of the batch paths: one patch per
+// locked channel holding members, with its members in batch order,
+// added or dropped. A channel locked with none of them (a parked
+// victim's) is left alone. On a failed patch it undoes the patches
+// before it and returns the channel that failed. Caller holds the
+// channel locks.
+func (m *Manager) patchGroups(sc *opScratch, members task.Set, add bool) (*touchedChannel, error) {
+	mt := m.met.Load()
+	var patch0 time.Time
+	if mt != nil {
+		patch0 = time.Now()
+	}
+	for i := range sc.touched {
+		tc := &sc.touched[i]
+		lo := len(sc.logged)
+		for _, t := range members {
+			if t.Mode == tc.st.mode && t.Channel == tc.st.ch {
+				sc.logged = append(sc.logged, t)
+			}
+		}
+		if len(sc.logged) == lo {
+			continue
+		}
+		if err := m.patchLocked(sc, tc, lo, add); err != nil {
+			sc.undo(0)
+			return tc, err
 		}
 	}
-	return buf[lo:len(buf):len(buf)], buf
+	if mt != nil {
+		mt.PatchLatency.ObserveSince(patch0)
+	}
+	return nil, nil
+}
+
+// undo reverts the patches logged after the first n, newest first, and
+// truncates the log to n. Each inverse patch restores its profile's
+// stream, owner counts and demand row exactly (AddTasks and DropTasks
+// of the same tasks are inverses; a task re-added to an EDF profile
+// joins its task list at the end), and the channel's candidate minimum
+// and patch count go back with it. Caller holds the channel locks.
+func (sc *opScratch) undo(n int) {
+	for i := len(sc.log) - 1; i >= n; i-- {
+		p := &sc.log[i]
+		if ts := sc.logged[p.lo:]; p.added {
+			_ = p.tc.st.prof.DropTasks(ts) // cannot fail: the tasks were added
+		} else {
+			_ = p.tc.st.prof.AddTasks(ts) // cannot fail: the tasks were held
+		}
+		p.tc.minq = p.minq
+		p.tc.patches--
+		sc.logged = sc.logged[:p.lo]
+	}
+	sc.log = sc.log[:n]
+}
+
+// checkMember normalizes t and says why it cannot join a batch whose
+// accepted members so far are prev: "" when it can.
+func checkMember(t task.Task, prev task.Set) (task.Task, string) {
+	t = t.Normalized()
+	if err := t.Validate(); err != nil {
+		return t, err.Error()
+	}
+	if t.Name == "" {
+		return t, "task must have a name (anonymous tasks cannot be removed later)"
+	}
+	// Dup check by linear scan: batches are small, and a map here
+	// allocates on the hottest path.
+	for _, p := range prev {
+		if p.Name == t.Name {
+			return t, "name duplicated in the batch"
+		}
+	}
+	return t, ""
 }
 
 // patchRejection is the rejection of a batch whose profile patch failed
@@ -582,8 +649,6 @@ func patchRejection(batch task.Set, tc *touchedChannel, err error) *Rejection {
 	}
 	return rej
 }
-
-var opPool = sync.Pool{New: func() any { return new(opScratch) }}
 
 // Admit attempts to add one task at run time; it is AdmitBatch of a
 // single-element batch. The task's mode slot is resized to the new
@@ -628,22 +693,10 @@ func (m *Manager) admitBatch(batch []task.Task) error {
 	defer opPool.Put(sc)
 	norm := sc.norm[:0]
 	for _, t := range batch {
-		t = t.Normalized()
-		if err := t.Validate(); err != nil {
+		t, bad := checkMember(t, norm)
+		if bad != "" {
 			sc.norm = norm
-			return rejectTask(t, VerdictInvalid, err.Error())
-		}
-		if t.Name == "" {
-			sc.norm = norm
-			return rejectTask(t, VerdictInvalid, "task must have a name (anonymous tasks cannot be removed later)")
-		}
-		// Dup check by linear scan: batches are small, and a map here
-		// allocates on the hottest path.
-		for _, prev := range norm {
-			if prev.Name == t.Name {
-				sc.norm = norm
-				return rejectTask(t, VerdictInvalid, "name duplicated in the batch")
-			}
+			return rejectTask(t, VerdictInvalid, bad)
 		}
 		norm = append(norm, t)
 	}
@@ -651,63 +704,18 @@ func (m *Manager) admitBatch(batch []task.Task) error {
 	if err := m.reserveAdmit(norm); err != nil {
 		return err
 	}
-	touched := m.lockChannels(norm, sc.touched[:0])
-	sc.touched = touched
-	defer unlockChannels(touched)
-	mt := m.met.Load()
-	var patch0 time.Time
-	if mt != nil {
-		patch0 = time.Now()
+	m.lockChannels(sc, norm)
+	defer sc.unlock()
+	if tc, err := m.patchGroups(sc, norm, true); err != nil {
+		m.unreserveAdmit(norm)
+		return patchRejection(norm, tc, err)
 	}
-	sc.groups = slices.Grow(sc.groups[:0], len(norm))
-	buf := sc.groups
-	for i := range touched {
-		tc := &touched[i]
-		var group task.Set
-		group, buf = channelGroup(touched, tc, norm, buf)
-		tc.thaw()
-		if err := tc.st.prof.AddTasks(group); err != nil {
-			rollbackAdmits(touched) // channels patched before this one
-			m.unreserveAdmit(norm)
-			return patchRejection(norm, tc, err)
-		}
-		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
-	}
-	if mt != nil {
-		mt.PatchLatency.ObserveSince(patch0)
-	}
-	if err := m.commit(touched, norm, nil, nil, nil); err != nil {
-		rollbackAdmits(touched)
+	if err := m.commit(sc, delta{join: norm}); err != nil {
+		sc.undo(0)
 		m.unreserveAdmit(norm)
 		return err
 	}
 	return nil
-}
-
-// rollbackAdmits undoes in-place admissions on the touched channels
-// whose group was already applied: the inverse patch restores each
-// profile bit for bit (the tested AddTasks∘DropTasks ≡ id property).
-// Committed minq caches were never written, so nothing else needs
-// repair. Caller holds the channel locks.
-func rollbackAdmits(touched []touchedChannel) {
-	for i := range touched {
-		if tc := &touched[i]; len(tc.group) > 0 {
-			_ = tc.st.prof.DropTasks(tc.group) // cannot fail: we added them
-		}
-	}
-}
-
-// rollbackRemoves is the defensive inverse of rollbackAdmits for the
-// removal paths: re-admit the groups already dropped. The restored
-// profile holds the same task set (appended at the end rather than in
-// the original positions), which is all the committed minq cache and
-// the oracle checks depend on.
-func rollbackRemoves(touched []touchedChannel) {
-	for i := range touched {
-		if tc := &touched[i]; len(tc.group) > 0 {
-			_ = tc.st.prof.AddTasks(tc.group)
-		}
-	}
 }
 
 // RemoveBatch releases a group of tasks by name in one reconfiguration,
@@ -746,56 +754,32 @@ func (m *Manager) removeBatch(names []string) error {
 	if len(parked) > 0 {
 		all = append(append(make(task.Set, 0, len(victims)+len(parked)), victims...), parked...)
 	}
-	touched := m.lockChannels(all, sc.touched[:0])
-	sc.touched = touched
-	defer unlockChannels(touched)
+	m.lockChannels(sc, all)
+	defer sc.unlock()
 	// Re-split under the channel locks: a Revoke or Restore that ran
 	// between reservation and lock acquisition may have parked a live
 	// victim (or readmitted a parked one), and the two classes need
 	// different work — live victims leave the channel profiles, parked
 	// ones already did when they were evicted. Revoke/Restore hold every
 	// channel lock, so the classification is stable from here on.
-	// The live victims' sequence numbers are read here too: only Revoke
-	// and Restore renumber, and they are locked out from here on.
 	m.nameMu.Lock()
-	live, seqs := sc.live[:0], sc.seqs[:0]
+	live := sc.live[:0]
 	parked = parked[:0]
 	for _, t := range all {
-		if e := m.names[t.Name]; e.parked {
+		if m.names[t.Name].parked {
 			parked = append(parked, t)
 		} else {
-			live, seqs = append(live, t), append(seqs, e.seq)
+			live = append(live, t)
 		}
 	}
-	sc.live, sc.seqs, sc.parked = live, seqs, parked
+	sc.live, sc.parked = live, parked
 	m.nameMu.Unlock()
-	mt := m.met.Load()
-	var patch0 time.Time
-	if mt != nil {
-		patch0 = time.Now()
+	if _, err := m.patchGroups(sc, live, false); err != nil {
+		m.unreserveRemove(live, parked)
+		return fmt.Errorf("%w: %v", ErrRejected, err) // cannot happen: victims came from the registry
 	}
-	sc.groups = slices.Grow(sc.groups[:0], len(live))
-	buf := sc.groups
-	for i := range touched {
-		tc := &touched[i]
-		var group task.Set
-		group, buf = channelGroup(touched, tc, live, buf)
-		if len(group) == 0 {
-			continue // a parked-only channel: nothing leaves its profile
-		}
-		tc.thaw()
-		if err := tc.st.prof.DropTasks(group); err != nil {
-			rollbackRemoves(touched) // cannot happen: victims came from the registry
-			m.unreserveRemove(live, parked)
-			return fmt.Errorf("%w: %v", ErrRejected, err)
-		}
-		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
-	}
-	if mt != nil {
-		mt.PatchLatency.ObserveSince(patch0)
-	}
-	if err := m.commit(touched, nil, live, seqs, parked); err != nil {
-		rollbackRemoves(touched)
+	if err := m.commit(sc, delta{leave: live, unpark: parked}); err != nil {
+		sc.undo(0)
 		m.unreserveRemove(live, parked)
 		return err // cannot happen: shrinking always fits; defensive
 	}
@@ -818,15 +802,11 @@ func (m *Manager) newEntryLocked(t task.Task, pending bool) *nameEntry {
 	return &nameEntry{t: t, pending: pending}
 }
 
-// freeEntryLocked removes name from the registry and recycles its
-// entry. Entry pointers never escape the registry (lookups copy what
-// they need out under nameMu), so recycling is safe. Caller holds
-// nameMu.
-func (m *Manager) freeEntryLocked(name string) {
-	e, ok := m.names[name]
-	if !ok {
-		return
-	}
+// freeEntryLocked removes name, whose entry is e, from the registry
+// and recycles the entry. Entry pointers never escape the registry
+// (lookups copy what they need out under nameMu), so recycling is
+// safe. Caller holds nameMu.
+func (m *Manager) freeEntryLocked(name string, e *nameEntry) {
 	delete(m.names, name)
 	if len(m.nameFree) < nameFreeMax {
 		m.nameFree = append(m.nameFree, e)
@@ -843,7 +823,7 @@ func (m *Manager) reserveAdmit(batch task.Set) error {
 	for i, t := range batch {
 		if e, exists := m.names[t.Name]; exists {
 			for _, u := range batch[:i] { // roll back this batch's claims
-				m.freeEntryLocked(u.Name)
+				m.freeEntryLocked(u.Name, m.names[u.Name])
 			}
 			return rejectTask(t, collisionVerdict(e), collisionDetail(e))
 		}
@@ -874,7 +854,7 @@ func collisionDetail(e *nameEntry) string {
 func (m *Manager) unreserveAdmit(batch task.Set) {
 	m.nameMu.Lock()
 	for _, t := range batch {
-		m.freeEntryLocked(t.Name)
+		m.freeEntryLocked(t.Name, m.names[t.Name])
 	}
 	m.nameMu.Unlock()
 }
@@ -944,8 +924,8 @@ func (m *Manager) unreserveRemove(victims, parked task.Set) {
 // reconfiguration. The shard's profile is patched in place (thaw
 // makes it exclusive first), so the candidate is not a sibling profile
 // but the shard's own, with minq holding the candidate minimum the
-// decide step compares and group recording the tasks added or dropped
-// so a rejected candidate can be rolled back with the inverse patch.
+// decide step compares; the operation's undo log (opScratch.log)
+// records each patch so a rejected candidate can be rolled back.
 // patches counts the incremental updates the candidate accumulated
 // (partial admission sheds add more than one), folded into the shard's
 // patch counter on commit.
@@ -953,9 +933,6 @@ type touchedChannel struct {
 	st      *channelState
 	minq    float64
 	patches int
-	// group holds the tasks this reconfiguration added to (or removed
-	// from) the shard's profile — the inverse patch of a rollback.
-	group task.Set
 	// patched reports the profile was mutated; fallback0 is its
 	// fallback count before the first mutation, for the
 	// EnvelopeFallback event detection in installProfiles.
@@ -977,17 +954,27 @@ func (tc *touchedChannel) thaw() {
 	}
 }
 
-// lockChannels locks the shards the batch touches, in (mode, channel)
-// order so concurrent batches with overlapping footprints cannot
-// deadlock, and seeds each candidate minimum with the committed one.
-// Dedup is a linear scan — batches touch a handful of channels, and a
-// map here allocates on the hottest path. The result is appended into
-// the caller's scratch slice (pass it length 0; nil is fine off the
-// hot path). The caller unlocks via unlockChannels.
-func (m *Manager) lockChannels(batch task.Set, scratch []touchedChannel) []touchedChannel {
-	touched := scratch
+// findTouched returns the locked shard candidate holding t's channel.
+func findTouched(touched []touchedChannel, t task.Task) *touchedChannel {
+	for i := range touched {
+		if tc := &touched[i]; tc.st.mode == t.Mode && tc.st.ch == t.Channel {
+			return tc
+		}
+	}
+	return nil
+}
+
+// lockChannels starts an operation on sc: it locks the shards members
+// touch, in (mode, channel) order so concurrent batches with
+// overlapping footprints cannot deadlock, into sc.touched, each
+// candidate minimum seeded with the committed one, and empties the
+// undo log. Dedup is a linear scan — batches touch a handful of
+// channels, and a map here allocates on the hottest path. The caller
+// unlocks with sc.unlock.
+func (m *Manager) lockChannels(sc *opScratch, members task.Set) {
+	touched := sc.touched[:0]
 outer:
-	for _, t := range batch {
+	for _, t := range members {
 		st := m.channels[t.Mode][t.Channel]
 		for i := range touched {
 			if touched[i].st == st {
@@ -1009,27 +996,27 @@ outer:
 		tc.st.mu.Lock()
 		tc.minq = tc.st.minq
 	}
-	return touched
+	sc.touched, sc.log, sc.logged = touched, sc.log[:0], sc.logged[:0]
 }
 
-// lockAll locks every shard in (mode, channel) order — the global
-// footprint Revoke and Restore need, consistent with lockChannels so
-// degrade operations and batches cannot deadlock. Each shard's
-// candidate starts at its committed profile.
-func (m *Manager) lockAll() []touchedChannel {
-	var touched []touchedChannel
+// lockAll is lockChannels of every shard — the global footprint Revoke
+// and Restore need, in the same order, so degrade operations and
+// batches cannot deadlock.
+func (m *Manager) lockAll(sc *opScratch) {
+	touched := sc.touched[:0]
 	for _, mode := range task.Modes() {
 		for _, st := range m.channels[mode] {
 			st.mu.Lock()
 			touched = append(touched, touchedChannel{st: st, minq: st.minq})
 		}
 	}
-	return touched
+	sc.touched, sc.log, sc.logged = touched, sc.log[:0], sc.logged[:0]
 }
 
-func unlockChannels(touched []touchedChannel) {
-	for i := range touched {
-		touched[i].st.mu.Unlock()
+// unlock releases the channel locks lockChannels or lockAll took.
+func (sc *opScratch) unlock() {
+	for i := range sc.touched {
+		sc.touched[i].st.mu.Unlock()
 	}
 }
 
@@ -1078,16 +1065,32 @@ func (m *Manager) fits(next core.Config, revoked float64) bool {
 	return next.Q.Total() <= m.p-revoked+core.SlotFitTol
 }
 
-// commit is the decide-and-swap step, serialised on commitMu: recompute
-// the touched modes' slots from the cached per-channel minima (fresh
-// values for the touched channels), check the slot total against the
-// available capacity, and — on acceptance — publish the new
-// configuration, task snapshot, profiles and name-registry state in one
-// swap. removed are live tasks leaving, removedSeqs their sequence
-// numbers in the same order; removedParked names leave the parked set
-// and the registry without profile work (their demand left when they
-// were evicted). The caller holds the touched channels' locks.
-func (m *Manager) commit(touched []touchedChannel, added, removed task.Set, removedSeqs []uint64, removedParked task.Set) error {
+// delta is one reconfiguration's change to the published sets:
+//
+//   - join enters the live set, appended in order: admitted tasks, or
+//     parked ones readmitted;
+//   - leave leaves the live set, located by the publication sequence
+//     numbers in their registry entries; with park set the leavers are
+//     evicted and appended to the parked list in order;
+//   - unpark leaves the parked list: removed tasks, or the readmitted
+//     ones of join.
+//
+// revoked is the capacity withdrawn once it is published.
+type delta struct {
+	join    task.Set
+	leave   task.Set
+	park    bool
+	unpark  task.Set
+	revoked float64
+}
+
+// commit is the decide-and-swap step of the all-or-nothing batches,
+// serialised on commitMu: recompute the touched modes' slots from the
+// cached per-channel minima (fresh values for the touched channels),
+// check the slot total against the available capacity, and — on
+// acceptance — publish d with the new configuration. The caller holds
+// the touched channels' locks and undoes its patches on an error.
+func (m *Manager) commit(sc *opScratch, d delta) error {
 	mt := m.met.Load()
 	var t0 time.Time
 	if mt != nil {
@@ -1099,9 +1102,9 @@ func (m *Manager) commit(touched []touchedChannel, added, removed task.Set, remo
 		defer mt.CommitLatency.ObserveSince(t0)
 	}
 	old := m.cur.Load()
-	next, reshaped, binding := m.candidateLocked(touched)
+	next, reshaped, binding := m.candidateLocked(sc.touched)
 	if !m.fits(next, old.revoked) {
-		return m.rejectOverflow(next, reshaped, binding, old.revoked, added)
+		return m.rejectOverflow(next, reshaped, binding, old.revoked, d.join)
 	}
 	// Structural sanity before switching. The schedulability of the new
 	// configuration follows from the compiled inversion itself: each
@@ -1113,36 +1116,62 @@ func (m *Manager) commit(touched []touchedChannel, added, removed task.Set, remo
 	if err := next.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	m.publishLocked(touched, added, removed, removedSeqs, removedParked, next, old)
+	d.revoked = old.revoked
+	m.publishLocked(sc.touched, d, next, old)
 	return nil
 }
 
-// publishLocked installs the decided state: the touched shards'
-// profiles and minima, the live task snapshot, the configuration, the
-// parked set and the name registry. The new state is built directly
-// into a recycled snapshot record (see nextSnapLocked), so the
-// steady-state publication reuses its slice backings and allocates
-// nothing. The live set is the current one minus the departing tasks,
-// located by binary search on their sequence numbers (removedSeqs) and
-// cut out between bulk copies of the survivors, plus added in batch
-// order, numbered from nextSeq up. Caller holds commitMu and the
-// touched channels' locks; old is the current record.
-func (m *Manager) publishLocked(touched []touchedChannel, added, removed task.Set, removedSeqs []uint64, removedParked task.Set, next core.Config, old *snapshot) {
+// publishLocked is the one publication of every reconfiguration: it
+// installs the touched shards' profiles and minima, then publishes
+// configuration next with old's live and parked sets changed by d, and
+// updates the name registry. The new state is built directly into a
+// recycled snapshot record (see nextSnapLocked), so the steady-state
+// publication reuses its slice backings and allocates nothing. The
+// live set is the current one minus the leavers, located by binary
+// search on their sequence numbers and cut out between bulk copies of
+// the survivors, plus the joiners in order, numbered from nextSeq up.
+// Caller holds commitMu and the touched channels' locks; old is the
+// current record.
+func (m *Manager) publishLocked(touched []touchedChannel, d delta, next core.Config, old *snapshot) {
 	m.installProfiles(touched)
 	cur := m.seqs[m.seqCur]
 	gone := m.gone[:0]
-	for _, seq := range removedSeqs {
-		p, ok := slices.BinarySearch(cur, seq)
+	// One rule covers the registry: an entry is freed iff its task ends
+	// neither live nor parked. A readmitted task keeps the pending mark
+	// of a removal in flight; a newly admitted one leaves its
+	// reservation. The registry may change before the record below is
+	// published: an operation acting on a changed entry needs a channel
+	// lock or commitMu to publish, and the caller holds both.
+	m.nameMu.Lock()
+	for _, t := range d.leave {
+		e := m.names[t.Name]
+		p, ok := slices.BinarySearch(cur, e.seq)
 		if !ok {
-			panic("online: a departing task is missing from the published live set")
+			panic("online: a leaving task is missing from the published live set")
 		}
 		gone = append(gone, p)
+		if d.park {
+			e.parked = true
+		} else {
+			m.freeEntryLocked(t.Name, e)
+		}
 	}
+	for i, t := range d.join {
+		e := m.names[t.Name]
+		e.pending = e.pending && e.parked
+		e.parked, e.seq = false, m.nextSeq+uint64(i)
+	}
+	for _, t := range d.unpark {
+		if e := m.names[t.Name]; e.parked {
+			m.freeEntryLocked(t.Name, e)
+		}
+	}
+	m.nameMu.Unlock()
 	slices.Sort(gone)
 	m.gone = gone
 	s := m.nextSnapLocked()
 	s.cfg = next
-	n := len(old.live) - len(gone) + len(added)
+	n := len(old.live) - len(gone) + len(d.join)
 	live, seqs := sized(s.live, n), sized(m.seqs[1-m.seqCur], n)
 	lo := 0
 	for _, p := range gone {
@@ -1150,38 +1179,26 @@ func (m *Manager) publishLocked(touched []touchedChannel, added, removed task.Se
 		lo = p + 1
 	}
 	live, seqs = append(live, old.live[lo:]...), append(seqs, cur[lo:]...)
-	s.live = append(live, added...)
-	first := m.nextSeq
-	for range added {
+	s.live = append(live, d.join...)
+	for range d.join {
 		seqs = append(seqs, m.nextSeq)
 		m.nextSeq++
 	}
-	m.flipSeqsLocked(seqs)
-	s.revoked = old.revoked
-	s.parked = s.parked[:0]
-	if len(removedParked) > 0 {
-		for _, t := range old.parked {
-			if _, gone := removedParked.Find(t.Name); !gone {
-				s.parked = append(s.parked, t)
-			}
+	m.seqCur = 1 - m.seqCur
+	m.seqs[m.seqCur] = seqs
+	s.revoked = d.revoked
+	parked := s.parked[:0]
+	for _, t := range old.parked {
+		if _, out := d.unpark.Find(t.Name); !out {
+			parked = append(parked, t)
 		}
-	} else {
-		s.parked = append(s.parked, old.parked...)
 	}
+	if d.park {
+		parked = append(parked, d.leave...)
+	}
+	s.parked = parked
 	m.cur.Store(s)
 	m.setStateGauges(s)
-	m.nameMu.Lock()
-	for i, t := range added {
-		e := m.names[t.Name]
-		e.pending, e.seq = false, first+uint64(i)
-	}
-	for _, t := range removed {
-		m.freeEntryLocked(t.Name)
-	}
-	for _, t := range removedParked {
-		m.freeEntryLocked(t.Name)
-	}
-	m.nameMu.Unlock()
 }
 
 // rejectOverflow builds the typed rejection for candidate slots that do

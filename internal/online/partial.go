@@ -120,76 +120,54 @@ func (m *Manager) admitBatchPartial(batch []task.Task, pol Policy) (*AdmitReport
 	if len(batch) == 0 {
 		return report, nil
 	}
-	valid := make(task.Set, 0, len(batch))
-	inBatch := make(map[string]bool, len(batch))
+	sc := opPool.Get().(*opScratch)
+	defer opPool.Put(sc)
+	valid := sc.norm[:0]
 	for _, t := range batch {
-		t = t.Normalized()
-		if err := t.Validate(); err != nil {
-			report.Rejected = append(report.Rejected, TaskVerdict{Task: t, Code: VerdictInvalid, Detail: err.Error()})
+		t, bad := checkMember(t, valid)
+		if bad != "" {
+			report.Rejected = append(report.Rejected, TaskVerdict{Task: t, Code: VerdictInvalid, Detail: bad})
 			continue
 		}
-		if t.Name == "" {
-			report.Rejected = append(report.Rejected, TaskVerdict{Task: t, Code: VerdictInvalid, Detail: "task must have a name (anonymous tasks cannot be removed later)"})
-			continue
-		}
-		if inBatch[t.Name] {
-			report.Rejected = append(report.Rejected, TaskVerdict{Task: t, Code: VerdictInvalid, Detail: "name duplicated in the batch"})
-			continue
-		}
-		inBatch[t.Name] = true
 		valid = append(valid, t)
 	}
+	sc.norm = valid
 	reserved, conflicts := m.reservePartial(valid)
 	report.Rejected = append(report.Rejected, conflicts...)
 	if len(reserved) == 0 {
 		return report, nil
 	}
-	sc := opPool.Get().(*opScratch)
-	defer opPool.Put(sc)
-	touched := m.lockChannels(reserved, sc.touched[:0])
-	sc.touched = touched
-	defer unlockChannels(touched)
-	sc.groups = slices.Grow(sc.groups[:0], len(reserved))
-	buf := sc.groups
-	for i := range touched {
-		tc := &touched[i]
-		var group task.Set
-		group, buf = channelGroup(touched, tc, reserved, buf)
-		tc.thaw()
-		if err := tc.st.prof.AddTasks(group); err != nil {
-			rollbackAdmits(touched)
-			m.unreserveAdmit(reserved)
-			report.Rejected = append(report.Rejected, patchRejection(reserved, tc, err).Verdicts...)
-			return report, nil
-		}
-		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
+	m.lockChannels(sc, reserved)
+	defer sc.unlock()
+	if tc, err := m.patchGroups(sc, reserved, true); err != nil {
+		m.unreserveAdmit(reserved)
+		report.Rejected = append(report.Rejected, patchRejection(reserved, tc, err).Verdicts...)
+		return report, nil
 	}
-	admitted, shed, overflows := m.commitPartial(touched, reserved, pol)
+	admitted, shed, overflows := m.commitPartial(sc, reserved, pol)
 	report.Admitted = admitted
 	report.Overflows = overflows
 	if len(shed) > 0 {
-		names := make([]string, len(shed))
-		drop := make(task.Set, len(shed))
-		for i, t := range shed {
-			names[i] = t.Name
-			drop[i] = t
+		for _, t := range shed {
 			report.Rejected = append(report.Rejected, TaskVerdict{
 				Task: t, Code: VerdictShed,
 				Detail: fmt.Sprintf("shed by value policy (value %g) to fit the available capacity", pol.value(t)),
 			})
 		}
-		m.unreserveAdmit(drop)
-		m.emit(Event{Kind: trace.Shed, Tasks: names, Revoked: m.Revoked()})
+		m.unreserveAdmit(shed)
+		m.emit(Event{Kind: trace.Shed, Tasks: shed.Names(), Revoked: m.Revoked()})
 	}
 	return report, nil
 }
 
 // reservePartial claims as many of the batch's names as are free,
-// returning the reserved members and a verdict for each collision.
-// Unlike reserveAdmit a collision does not abort the batch.
+// returning the reserved members, which share batch's backing, and a
+// verdict for each collision. Unlike reserveAdmit a collision does not
+// abort the batch.
 func (m *Manager) reservePartial(batch task.Set) (reserved task.Set, conflicts []TaskVerdict) {
 	m.nameMu.Lock()
 	defer m.nameMu.Unlock()
+	reserved = batch[:0]
 	for _, t := range batch {
 		if e, exists := m.names[t.Name]; exists {
 			conflicts = append(conflicts, TaskVerdict{Task: t, Code: collisionVerdict(e), Detail: collisionDetail(e)})
@@ -201,16 +179,6 @@ func (m *Manager) reservePartial(batch task.Set) (reserved task.Set, conflicts [
 	return reserved, conflicts
 }
 
-// findTouched returns the locked shard candidate holding t's channel.
-func findTouched(touched []touchedChannel, t task.Task) *touchedChannel {
-	for i := range touched {
-		if tc := &touched[i]; tc.st.mode == t.Mode && tc.st.ch == t.Channel {
-			return tc
-		}
-	}
-	return nil
-}
-
 // commitPartial is the shedding decide-and-swap: starting from the
 // candidate profiles holding the whole reserved set, it sheds the
 // lowest-value members until the slots fit the unrevoked capacity,
@@ -218,59 +186,61 @@ func findTouched(touched []touchedChannel, t task.Task) *touchedChannel {
 // set is greedy-maximal under the policy order (shedding is greedy, so
 // an early cheap shed can leave room a later victim's departure opened
 // up). Publishes the surviving configuration unless everything was
-// shed. Caller holds the touched channels' locks and unreserves the
+// shed; a failure that cannot happen undoes every patch and admits
+// nothing. Caller holds the touched channels' locks and unreserves the
 // shed names afterwards.
-func (m *Manager) commitPartial(touched []touchedChannel, reserved task.Set, pol Policy) (admitted task.Set, shed task.Set, overflows []SlotOverflow) {
+func (m *Manager) commitPartial(sc *opScratch, reserved task.Set, pol Policy) (admitted task.Set, shed task.Set, overflows []SlotOverflow) {
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	old := m.cur.Load()
 	admitted = append(task.Set(nil), reserved...)
-	if next, reshaped, binding := m.candidateLocked(touched); !m.fits(next, old.revoked) {
+	next, reshaped, binding := m.candidateLocked(sc.touched)
+	if !m.fits(next, old.revoked) {
 		// Snapshot the pre-shedding overflow for the report.
 		overflows = m.slotOverflows(next, reshaped, binding, old.revoked)
 		var err error
-		if admitted, shed, err = m.shedLocked(touched, admitted, pol, old.revoked); err != nil {
+		if admitted, shed, err = m.shedLocked(sc, admitted, pol, old.revoked); err != nil {
 			// Cannot happen: every member was patched in above, and with
 			// all of them shed the candidate is the committed state, which
-			// fits. Admit nothing.
+			// fits.
+			sc.undo(0)
 			return nil, append(shed, admitted...), overflows
 		}
 		var back task.Set
-		back, shed = m.readmitLocked(touched, shed, pol, old.revoked)
+		back, shed = m.readmitLocked(sc, shed, pol, old.revoked)
 		admitted = append(admitted, back...)
+		next, _, _ = m.candidateLocked(sc.touched)
 	}
 	if len(admitted) == 0 {
 		return nil, shed, overflows
 	}
-	// admitted is in profile-append order — batch order for the
-	// never-shed members, then the re-added ones in readmission order —
-	// which is exactly the order the incremental profiles hold them in.
-	// Publishing the live set in the same order keeps the from-scratch
-	// compile oracle bit-identical (float demand accumulation is
-	// order-sensitive in the last ulp).
-	next, _, _ := m.candidateLocked(touched)
 	if err := next.Validate(); err != nil {
-		// Cannot happen: the candidate passed the fit check. Defensive:
-		// admit nothing rather than publish a broken configuration.
+		// Cannot happen: the candidate passed the fit check.
+		sc.undo(0)
 		return nil, append(shed, admitted...), overflows
 	}
-	m.publishLocked(touched, admitted, nil, nil, nil, next, old)
+	// admitted is in profile-append order: batch order for the
+	// never-shed members, then the re-added ones in readmission order.
+	// Demand does not depend on it (EDF rows are integer tick sums, and
+	// RM/DM rows follow the priority order, made total by the name
+	// tie-break), but Tasks() promises it: admissions are appended in
+	// the order they were admitted, as FuzzManagerOps' model pins.
+	m.publishLocked(sc.touched, delta{join: admitted, revoked: old.revoked}, next, old)
 	return admitted, shed, overflows
 }
 
 // shedLocked drops the lowest-value task of cands under pol — one
-// in-place profile patch each — until the touched channels' candidate
-// slots fit the period less revoked. It returns the survivors, in their
-// order in cands (whose backing they share), and the victims in shed
-// order. The error reports a patch that failed, with its victim still
-// among the survivors, or slots that do not fit with nothing left to
-// shed; both are impossible when cands is exactly what the profiles
-// hold beyond a committed state that fits. Caller holds commitMu and
-// the touched channels' locks.
-func (m *Manager) shedLocked(touched []touchedChannel, cands task.Set, pol Policy, revoked float64) (kept, shed task.Set, err error) {
+// logged in-place profile patch each — until the touched channels'
+// candidate slots fit the period less revoked. It returns the
+// survivors, in their order in cands (whose backing they share), and
+// the victims in shed order. The error reports a patch that failed,
+// with its victim still among the survivors, or slots that do not fit
+// with nothing left to shed; the caller undoes the log. Caller holds
+// commitMu and the touched channels' locks.
+func (m *Manager) shedLocked(sc *opScratch, cands task.Set, pol Policy, revoked float64) (kept, shed task.Set, err error) {
 	kept = cands
 	for {
-		if next, _, _ := m.candidateLocked(touched); m.fits(next, revoked) {
+		if next, _, _ := m.candidateLocked(sc.touched); m.fits(next, revoked) {
 			return kept, shed, nil
 		}
 		if len(kept) == 0 {
@@ -283,27 +253,22 @@ func (m *Manager) shedLocked(touched []touchedChannel, cands task.Set, pol Polic
 			}
 		}
 		t := kept[victim]
-		tc := findTouched(touched, t)
-		tc.thaw()
-		if err := tc.st.prof.DropTasks(task.Set{t}); err != nil {
+		if err := m.patchOne(sc, t, false); err != nil {
 			return kept, shed, fmt.Errorf("dropping %q: %v", t.Name, err)
 		}
 		kept = slices.Delete(kept, victim, victim+1)
-		tc.minq = tc.st.prof.MinQ(m.p)
-		tc.patches++
 		shed = append(shed, t)
 	}
 }
 
-// readmitLocked tries cands highest value first under pol — one
+// readmitLocked tries cands highest value first under pol — one logged
 // in-place profile patch each — and keeps every one whose grown slots
 // still fit the period less revoked; a trial that does not fit is
-// undone by the inverse patch, which restores the profile bit for bit.
-// It sorts cands in place and returns the readmitted tasks in
+// undone. It sorts cands in place and returns the readmitted tasks in
 // readmission order and the rest in value order, the rest sharing
 // cands' backing. Caller holds commitMu and the touched channels'
 // locks.
-func (m *Manager) readmitLocked(touched []touchedChannel, cands task.Set, pol Policy, revoked float64) (back, rest task.Set) {
+func (m *Manager) readmitLocked(sc *opScratch, cands task.Set, pol Policy, revoked float64) (back, rest task.Set) {
 	slices.SortStableFunc(cands, func(a, b task.Task) int {
 		switch {
 		case pol.shedBefore(b, a):
@@ -315,21 +280,16 @@ func (m *Manager) readmitLocked(touched []touchedChannel, cands task.Set, pol Po
 	})
 	rest = cands[:0]
 	for _, t := range cands {
-		tc := findTouched(touched, t)
-		tc.thaw()
-		if err := tc.st.prof.AddTasks(task.Set{t}); err != nil {
+		n := len(sc.log)
+		if err := m.patchOne(sc, t, true); err != nil {
 			rest = append(rest, t)
 			continue
 		}
-		oldMinq := tc.minq
-		tc.minq = tc.st.prof.MinQ(m.p)
-		if next, _, _ := m.candidateLocked(touched); m.fits(next, revoked) {
-			tc.patches++
+		if next, _, _ := m.candidateLocked(sc.touched); m.fits(next, revoked) {
 			back = append(back, t)
 			continue
 		}
-		_ = tc.st.prof.DropTasks(task.Set{t})
-		tc.minq = oldMinq
+		sc.undo(n)
 		rest = append(rest, t)
 	}
 	return back, rest

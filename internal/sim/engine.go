@@ -312,6 +312,32 @@ func (e *engine) transitionExcused(j *Job, late timeu.Ticks) bool {
 	return n > 0 && late < e.period*n
 }
 
+// late classifies job j, late by `late`, into ts: TransitionLate, with
+// its lateness recorded, when transitionExcused allows it, else Missed.
+// Either way it logs a Miss event at instant at. unfinished describes
+// a job withdrawn before it finished ("unfinished at departure"); ""
+// means the job finished late, and the detail then states the
+// lateness.
+func (e *engine) late(j *Job, ts *TaskStats, at, late timeu.Ticks, unfinished string) {
+	excused := e.transitionExcused(j, late)
+	detail := unfinished
+	switch {
+	case unfinished == "" && excused:
+		detail = fmt.Sprintf("transition-late by %s", late)
+	case unfinished == "":
+		detail = fmt.Sprintf("late by %s", late)
+	case excused:
+		detail += " (transition-late)"
+	}
+	if excused {
+		ts.TransitionLate++
+		e.stats.recordLate(late, e.period)
+	} else {
+		ts.Missed++
+	}
+	e.log.Add(trace.Event{At: at, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1, Detail: detail})
+}
+
 // register adds a task at instant `from`, opening a fresh residency
 // whose jobs are tallied in ts.
 func (e *engine) register(t task.Task, from timeu.Ticks, ts *TaskStats) error {
@@ -364,16 +390,7 @@ func (e *engine) retire(idx int, at timeu.Ticks) {
 		if j.Deadline <= at {
 			// Final lateness is unknowable — the job leaves unfinished —
 			// but is at least at-Deadline; classify on that lower bound.
-			if e.transitionExcused(j, at-j.Deadline) {
-				ts.TransitionLate++
-				e.stats.recordLate(at-j.Deadline, e.period)
-				e.log.Add(trace.Event{At: at, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-					Detail: "unfinished at departure (transition-late)"})
-			} else {
-				ts.Missed++
-				e.log.Add(trace.Event{At: at, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-					Detail: "unfinished at departure"})
-			}
+			e.late(j, ts, at, at-j.Deadline, "unfinished at departure")
 		} else {
 			ts.Cancelled++
 			e.log.Add(trace.Event{At: at, Kind: trace.Cancelled, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1})
@@ -540,16 +557,7 @@ func (e *engine) complete(j *Job, now timeu.Ticks) {
 		ts.Corrupted++
 	}
 	if now > j.Deadline {
-		if late := now - j.Deadline; e.transitionExcused(j, late) {
-			ts.TransitionLate++
-			e.stats.recordLate(late, e.period)
-			e.log.Add(trace.Event{At: now, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-				Detail: fmt.Sprintf("transition-late by %s", late)})
-		} else {
-			ts.Missed++
-			e.log.Add(trace.Event{At: now, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-				Detail: fmt.Sprintf("late by %s", late)})
-		}
+		e.late(j, ts, now, now-j.Deadline, "")
 		e.freeJob(j)
 		return
 	}
@@ -594,17 +602,7 @@ func (e *engine) abort(j *Job, now timeu.Ticks) {
 func (e *engine) finish() *channelResult {
 	for _, j := range e.queue.drain() {
 		if j.Deadline <= e.horizon && j.Remaining > 0 {
-			ts := e.taskStats(j.TaskIndex)
-			if e.transitionExcused(j, e.horizon-j.Deadline) {
-				ts.TransitionLate++
-				e.stats.recordLate(e.horizon-j.Deadline, e.period)
-				e.log.Add(trace.Event{At: j.Deadline, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-					Detail: "unfinished at horizon (transition-late)"})
-			} else {
-				ts.Missed++
-				e.log.Add(trace.Event{At: j.Deadline, Kind: trace.Miss, Task: j.TaskName, Mode: e.id.Mode, Channel: e.id.Ch, Core: -1,
-					Detail: "unfinished at horizon"})
-			}
+			e.late(j, e.taskStats(j.TaskIndex), j.Deadline, e.horizon-j.Deadline, "unfinished at horizon")
 		}
 		e.freeJob(j)
 	}
