@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/partition"
-	"repro/internal/points"
 	"repro/internal/supply"
 	"repro/internal/task"
 	"repro/internal/timeu"
@@ -114,6 +113,7 @@ func BenchmarkFigure4Points(b *testing.B) {
 func BenchmarkTable2MaxPeriod(b *testing.B) {
 	pr := PaperProblem(EDF)
 	var sol Solution
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
 		if sol, err = Design(pr, MinOverheadBandwidth); err != nil {
@@ -130,6 +130,7 @@ func BenchmarkTable2MaxPeriod(b *testing.B) {
 func BenchmarkTable2MaxSlack(b *testing.B) {
 	pr := PaperProblem(EDF)
 	var sol Solution
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
 		if sol, err = Design(pr, MaxFlexibility); err != nil {
@@ -329,12 +330,14 @@ func BenchmarkAblationSchedPoints(b *testing.B) {
 	})
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// Same condition checked on a 1e-2 grid over each deadline.
+			// Same condition checked on a 1e-2 grid over each deadline,
+			// ending at the deadline itself.
 			for idx, tk := range s {
 				ok := false
-				for _, t := range points.DenseGrid(tk.D, 0.01) {
-					if sp.Delta <= t-analysis.RequestBound(tk.C, s[:idx], t)/sp.Alpha {
-						ok = true
+				for k := 1; !ok; k++ {
+					t := min(float64(k)*0.01, tk.D)
+					ok = sp.Delta <= t-analysis.RequestBound(tk.C, s[:idx], t)/sp.Alpha
+					if t == tk.D {
 						break
 					}
 				}
@@ -853,6 +856,7 @@ func BenchmarkShardedChurn(b *testing.B) {
 				b.Fatal(err)
 			}
 			var worker atomic.Int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				w := int(worker.Add(1)) - 1

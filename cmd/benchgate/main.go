@@ -22,7 +22,10 @@
 //   - allocs/op: fail when measured > baseline × (1 + tol), and any
 //     increase from a zero baseline fails — allocation counts are
 //     deterministic, and zero-alloc paths are the ones this repo's
-//     hot-path work guarantees.
+//     hot-path work guarantees. A gated benchmark whose output carries
+//     no allocs/op column (no b.ReportAllocs, no -benchmem) fails too,
+//     since an absent count would otherwise read as zero, and -update
+//     refuses such input.
 //   - a baseline benchmark missing from the input fails (the gate must
 //     not silently narrow); a new benchmark not in the baseline is
 //     reported as a hint to refresh.
@@ -46,6 +49,11 @@ type measurement struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
+
+// allocsNotReported is the AllocsPerOp parseBench records for a
+// benchmark with a result line that carries no allocs/op column. It is
+// below every count, so it survives the reduction to the minimum.
+const allocsNotReported = -1
 
 // baseline is the checked-in reference file.
 type baseline struct {
@@ -87,6 +95,9 @@ func main() {
 	}
 
 	if *update {
+		if err := checkAllocsReported(got); err != nil {
+			log.Fatal(err)
+		}
 		b := baseline{Benchtime: *benchtime, Count: *count, Benchmarks: got}
 		var buf strings.Builder
 		enc := json.NewEncoder(&buf)
@@ -144,6 +155,8 @@ func compare(base, got map[string]measurement, tol float64) (failures, notes []s
 				name, g.NsPerOp, b.NsPerOp, 100*(g.NsPerOp/b.NsPerOp-1)))
 		}
 		switch {
+		case g.AllocsPerOp == allocsNotReported:
+			failures = append(failures, fmt.Sprintf("%s: allocs/op not reported (call b.ReportAllocs or run with -benchmem)", name))
 		case b.AllocsPerOp == 0 && g.AllocsPerOp > 0:
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op vs zero-alloc baseline", name, g.AllocsPerOp))
 		case float64(g.AllocsPerOp) > float64(b.AllocsPerOp)*(1+tol):
@@ -164,8 +177,25 @@ func compare(base, got map[string]measurement, tol float64) (failures, notes []s
 	return failures, notes
 }
 
+// checkAllocsReported fails when some benchmark's output carries no
+// allocs/op column: a baseline written from it would gate nothing.
+func checkAllocsReported(got map[string]measurement) error {
+	var missing []string
+	for name, m := range got {
+		if m.AllocsPerOp == allocsNotReported {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return fmt.Errorf("allocs/op not reported for %s (call b.ReportAllocs or run with -benchmem)", strings.Join(missing, ", "))
+	}
+	return nil
+}
+
 // parseBench reads `go test -bench` output and reduces repeated runs
-// (-count=N) of each benchmark to the minimum ns/op and allocs/op.
+// (-count=N) of each benchmark to the minimum ns/op and allocs/op. A
+// result line without an allocs/op column records allocsNotReported.
 func parseBench(r io.Reader) (map[string]measurement, error) {
 	out := map[string]measurement{}
 	seen := map[string]bool{}
@@ -201,8 +231,7 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			continue
 		}
 		if !haveAllocs {
-			// Benchmarks without ReportAllocs still gate on time alone.
-			m.AllocsPerOp = 0
+			m.AllocsPerOp = allocsNotReported
 		}
 		if prev, ok := out[name]; ok && seen[name] {
 			if m.NsPerOp < prev.NsPerOp {

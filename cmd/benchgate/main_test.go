@@ -34,7 +34,7 @@ PASS
 		"BenchmarkSub/shed=4":              {NsPerOp: 3000, AllocsPerOp: 112},
 		"BenchmarkSub/shed=1":              {NsPerOp: 4000, AllocsPerOp: 94},
 		"BenchmarkSub/contended-1-channel": {NsPerOp: 5000, AllocsPerOp: 0},
-		"BenchmarkTimeOnly":                {NsPerOp: 6000, AllocsPerOp: 0},
+		"BenchmarkTimeOnly":                {NsPerOp: 6000, AllocsPerOp: allocsNotReported},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
@@ -54,6 +54,28 @@ BenchmarkX-2  100  800 ns/op  11 allocs/op
 	// The two minima come from different runs; each is kept on its own.
 	if w := (measurement{NsPerOp: 700, AllocsPerOp: 11}); got["BenchmarkX"] != w {
 		t.Errorf("got %+v, want %+v", got["BenchmarkX"], w)
+	}
+}
+
+// TestMissingAllocsColumnFails pins that output without an allocs/op
+// column gates nothing silently: a gated benchmark measured that way
+// fails, even against a zero-alloc baseline, and -update refuses it.
+func TestMissingAllocsColumnFails(t *testing.T) {
+	got := mustParse(t, `BenchmarkTimeOnly-4  100  6000 ns/op
+BenchmarkTimeOnly-4  100  5000 ns/op  0 allocs/op
+BenchmarkCounted-4   100  1000 ns/op  0 allocs/op
+`)
+	base := map[string]measurement{"BenchmarkTimeOnly": {NsPerOp: 6000}, "BenchmarkCounted": {NsPerOp: 1000}}
+	failures, _ := compare(base, got, 0.2)
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkTimeOnly: allocs/op not reported") {
+		t.Errorf("failures = %q, want one for BenchmarkTimeOnly's missing allocs/op", failures)
+	}
+	if err := checkAllocsReported(got); err == nil || !strings.Contains(err.Error(), "allocs/op not reported for BenchmarkTimeOnly") {
+		t.Errorf("-update check = %v, want it to refuse BenchmarkTimeOnly", err)
+	}
+	delete(got, "BenchmarkTimeOnly")
+	if err := checkAllocsReported(got); err != nil {
+		t.Errorf("-update check refuses fully reported input: %v", err)
 	}
 }
 

@@ -15,7 +15,8 @@
 //   - internal/task, internal/timeu: task model and time arithmetic;
 //   - internal/points, internal/analysis, internal/supply: scheduling
 //     points, Theorems 1–2, minQ (Eqs. 6 and 11), supply functions
-//     (Lemma 1 exact form, linear bound, periodic-resource comparison).
+//     (Lemma 1 exact form, linear bound, multi-quantum patterns; the
+//     periodic-resource comparison lives in internal/supply's tests).
 //     The EDF demand bound W(t) of Eq. (9) is exact: it counts each
 //     task's jobs the way the deadline generator emits their deadlines
 //     and charges each job its WCET rounded up to whole simulator ticks

@@ -15,8 +15,7 @@
 //     MinQ remains the straightforward reference oracle;
 //   - classical full-processor tests: response-time analysis and the
 //     processor demand criterion, which the automatic partitioner runs
-//     through Schedulable, and the Liu–Layland and hyperbolic
-//     utilisation bounds, which no other package calls.
+//     through Schedulable.
 //
 // All tests assume the synchronous arrival pattern, independent tasks
 // and constrained deadlines D ≤ T, as in the paper.
@@ -112,7 +111,19 @@ func releases(t, T float64) float64 { return math.Ceil(t / T) }
 // ticks (timeu.FromUnitsUp), the work the simulator executes. The sum
 // is an integer tick count; one that overflows int64 saturates to +Inf,
 // which every test reads as infeasible.
-func DemandBound(s task.Set, t float64) float64 { return DemandBoundJitter(s, nil, t) }
+func DemandBound(s task.Set, t float64) float64 {
+	var w int64
+	for _, tk := range s {
+		c, ok := wcetTicks(tk.C)
+		if ok {
+			w, ok = addJobs(w, jobs(tk.T, tk.D, t), c)
+		}
+		if !ok {
+			return math.Inf(1)
+		}
+	}
+	return timeu.Ticks(w).Units()
+}
 
 // jobs counts the deadlines points.Deadline(k, T, d), k ≥ 0, at or
 // before t (d > 0): the points a deadline generator emits up to t. One
@@ -288,8 +299,8 @@ func qNeeded(t, p, w float64) float64 {
 // under alg (Eq. 6 for fixed priorities, Eq. 11 for EDF). An empty set
 // needs no time at all. P must be positive.
 func MinQ(s task.Set, alg Alg, p float64) (float64, error) {
-	if p <= 0 {
-		return 0, fmt.Errorf("analysis: MinQ requires a positive period, got %g", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return 0, fmt.Errorf("analysis: MinQ period P = %g must be positive and finite", p)
 	}
 	if len(s) == 0 {
 		return 0, nil

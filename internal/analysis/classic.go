@@ -7,10 +7,12 @@ import (
 )
 
 // Classical full-processor schedulability tests. These are the α = 1,
-// Δ = 0 specialisations of the theorems in analysis.go, implemented in
-// their standard, cheaper forms. They are used by the automatic
-// partitioner (internal/partition) as admission tests and by property
-// tests as cross-checks of the supply-based conditions.
+// Δ = 0 specialisations of the theorems in analysis.go: response-time
+// analysis for fixed priorities, and Theorem 2 on the full supply (the
+// processor demand criterion) for EDF. The automatic partitioner
+// (internal/partition) runs them through Schedulable as admission
+// tests; property tests use them as cross-checks of the supply-based
+// conditions.
 
 // rtaMaxIterations bounds the response-time fixed-point iteration; it is
 // reached only for pathological inputs (utilisation extremely close to 1
@@ -60,41 +62,13 @@ func SchedulableRTA(s task.Set, alg Alg) bool {
 	return true
 }
 
-// SchedulableEDFDemand reports whether the task set is schedulable by
-// EDF on a dedicated processor using the processor-demand criterion:
-// U ≤ 1 and W(t) ≤ t at every deadline up to the hyperperiod.
-func SchedulableEDFDemand(s task.Set) (bool, error) {
-	return FeasibleEDF(s, Full)
-}
-
-// LiuLaylandBound returns the RM utilisation bound n(2^{1/n} − 1) for n
-// tasks. Any implicit-deadline set with U below the bound is RM
-// schedulable; the bound tends to ln 2 ≈ 0.693 for large n.
-func LiuLaylandBound(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
-}
-
-// HyperbolicBound reports whether the implicit-deadline set passes the
-// hyperbolic RM test of Bini–Buttazzo: Π (U_i + 1) ≤ 2. It is tighter
-// than Liu–Layland but still only sufficient.
-func HyperbolicBound(s task.Set) bool {
-	prod := 1.0
-	for _, t := range s {
-		prod *= t.Utilization() + 1
-	}
-	return prod <= 2
-}
-
 // Schedulable reports whether the set is schedulable on a dedicated
 // processor under alg, using the exact test for that algorithm (RTA for
 // fixed priorities, processor demand for EDF). EDF may fail with an
 // error when the hyperperiod is not representable.
 func Schedulable(s task.Set, alg Alg) (bool, error) {
 	if alg == EDF {
-		return SchedulableEDFDemand(s)
+		return FeasibleEDF(s, Full)
 	}
 	return SchedulableRTA(s, alg), nil
 }

@@ -78,7 +78,7 @@ func TestSchedulableEDFDemand(t *testing.T) {
 		{Name: "a", C: 2, T: 4, D: 4},
 		{Name: "b", C: 3, T: 6, D: 6},
 	}
-	ok, err := SchedulableEDFDemand(full)
+	ok, err := Schedulable(full, EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,40 +95,12 @@ func TestSchedulableEDFDemand(t *testing.T) {
 		{Name: "a", C: 2, T: 4, D: 3},
 		{Name: "b", C: 2, T: 4, D: 3.5},
 	}
-	ok, err = SchedulableEDFDemand(tight)
+	ok, err = Schedulable(tight, EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("demand 4 at t=3.5 should fail the demand criterion")
-	}
-}
-
-func TestLiuLaylandBound(t *testing.T) {
-	if b := LiuLaylandBound(1); b != 1 {
-		t.Errorf("LL(1) = %g, want 1", b)
-	}
-	if b := LiuLaylandBound(2); math.Abs(b-0.8284271) > 1e-6 {
-		t.Errorf("LL(2) = %g, want 0.8284", b)
-	}
-	if b := LiuLaylandBound(1000); math.Abs(b-math.Ln2) > 1e-3 {
-		t.Errorf("LL(1000) = %g, want ≈ ln 2", b)
-	}
-	if b := LiuLaylandBound(0); b != 0 {
-		t.Errorf("LL(0) = %g, want 0", b)
-	}
-}
-
-func TestHyperbolicBound(t *testing.T) {
-	// (0.5+1)(0.3+1) = 1.95 ≤ 2 → pass.
-	s := task.Set{{C: 1, T: 2, D: 2}, {C: 3, T: 10, D: 10}}
-	if !HyperbolicBound(s) {
-		t.Error("hyperbolic bound should pass")
-	}
-	// (0.6+1)(0.5+1) = 2.4 > 2 → fail (even though U = 1.1 anyway).
-	s = task.Set{{C: 3, T: 5, D: 5}, {C: 1, T: 2, D: 2}}
-	if HyperbolicBound(s) {
-		t.Error("hyperbolic bound should fail")
 	}
 }
 
@@ -146,7 +118,7 @@ func TestClassicMatchesSupplyTheorems(t *testing.T) {
 		if gotRTA != gotThm1 {
 			t.Errorf("trial %d: RTA=%v but Theorem1(Full)=%v for %v", trial, gotRTA, gotThm1, s)
 		}
-		gotPDC, err := SchedulableEDFDemand(s)
+		gotPDC, err := Schedulable(s, EDF)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,51 +31,46 @@ func TestDemandBoundOffGridDeadline(t *testing.T) {
 	if got := DemandBound(s, 2.5665); got != 1 {
 		t.Fatalf("DemandBound at the first deadline = %g, want 1", got)
 	}
-	if got := DemandBoundJitter(s, nil, 2.5665); got != 1 {
-		t.Fatalf("DemandBoundJitter at the first deadline = %g, want 1", got)
-	}
 }
 
-// TestDemandBoundCountsGeneratedDeadlines is the job-count property:
-// at the k-th point a task's deadline generator emits, DemandBound
-// counts exactly k+1 jobs, and one ulp earlier exactly k — over random
-// four-decimal deadlines, where the float floor used to lose jobs.
-func TestDemandBoundCountsGeneratedDeadlines(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 5000; trial++ {
-		tk := randomOffGrid(rng)
-		s := task.Set{tk}
-		for k, dl := range points.TaskDeadlines(tk, 120) {
-			if got := DemandBound(s, dl); got != float64(k+1) {
-				t.Fatalf("T=%g D=%g: DemandBound at deadline %d (t=%v) = %g jobs, want %d",
-					tk.T, tk.D, k, dl, got, k+1)
-			}
-			if got := DemandBound(s, math.Nextafter(dl, 0)); got != float64(k) {
-				t.Fatalf("T=%g D=%g: DemandBound just before deadline %d (t=%v) = %g jobs, want %d",
-					tk.T, tk.D, k, dl, got, k)
-			}
+// checkJobCounts is the job-count property: at the k-th point the
+// task's deadline generator emits, DemandBound counts exactly k+1 jobs,
+// and one ulp earlier exactly k.
+func checkJobCounts(t *testing.T, tk task.Task) {
+	t.Helper()
+	s := task.Set{tk}
+	for k, dl := range points.AppendTaskDeadlines(nil, tk, 120) {
+		if got := DemandBound(s, dl); got != float64(k+1) {
+			t.Fatalf("T=%g D=%g: DemandBound at deadline %d (t=%v) = %g jobs, want %d",
+				tk.T, tk.D, k, dl, got, k+1)
+		}
+		if got := DemandBound(s, math.Nextafter(dl, 0)); got != float64(k) {
+			t.Fatalf("T=%g D=%g: DemandBound just before deadline %d (t=%v) = %g jobs, want %d",
+				tk.T, tk.D, k, dl, got, k)
 		}
 	}
 }
 
-// TestDemandBoundJitterCountsGeneratedDeadlines is the same property
-// with release jitter: at the k-th point of the shifted stream that
-// jitterDeadlines emits, W_J counts exactly k+1 jobs.
+// TestDemandBoundCountsGeneratedDeadlines checks the job-count property
+// over random four-decimal deadlines, where the float floor used to
+// lose jobs.
+func TestDemandBoundCountsGeneratedDeadlines(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 5000; trial++ {
+		checkJobCounts(t, randomOffGrid(rng))
+	}
+}
+
+// TestDemandBoundJitterCountsGeneratedDeadlines checks the job-count
+// property at jitter-shifted deadlines: a release jitter J moves every
+// deadline of the task to D−J, and the difference of two four-decimal
+// values lies off every decimal grid.
 func TestDemandBoundJitterCountsGeneratedDeadlines(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 5000; trial++ {
 		tk := randomOffGrid(rng)
-		j := Jitter{tk.Name: math.Floor(rng.Float64()*tk.D*1e4) / 1e4}
-		s := task.Set{tk}
-		dls, err := jitterDeadlines(s, j, 120+j[tk.Name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, dl := range dls {
-			if got := DemandBoundJitter(s, j, dl); got != float64(k+1) {
-				t.Fatalf("T=%g D=%g J=%g: W_J at point %d (t=%v) = %g jobs, want %d",
-					tk.T, tk.D, j[tk.Name], k, dl, got, k+1)
-			}
+		if tk.D -= math.Floor(rng.Float64()*tk.D*1e4) / 1e4; tk.D > 0 {
+			checkJobCounts(t, tk)
 		}
 	}
 }
@@ -112,9 +107,6 @@ func TestDemandOverflow(t *testing.T) {
 		if _, err := MinQ(s, EDF, 1); !errors.Is(err, errOverflow) {
 			t.Errorf("%v: MinQ error = %v, want overflow", s.Names(), err)
 		}
-	}
-	if got := DemandBoundJitter(task.Set{big}, nil, 1e10); !math.IsInf(got, 1) {
-		t.Errorf("DemandBoundJitter = %g, want +Inf", got)
 	}
 	pf, err := CompileMutable(task.Set{half}, EDF)
 	if err != nil {

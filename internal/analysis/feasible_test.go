@@ -10,9 +10,38 @@ import (
 	"repro/internal/task"
 )
 
-// FeasibleEDF scans the demand row demandRow builds; FeasibleEDFJitter
-// with no jitter evaluates DemandBoundJitter point by point on its own
+// FeasibleEDF scans the demand row demandRow builds; the point oracle
+// feasibleEDFAtPoints evaluates DemandBound point by point on its own
 // stream. The tests below hold the first to the second.
+
+// feasibleEDFAtPoints is Theorem 2 checked the direct way: DemandBound
+// at every deadline points.Deadlines emits up to the hyperperiod. Its
+// checks and errors come in FeasibleEDF's order.
+func feasibleEDFAtPoints(s task.Set, sp Supply) (bool, error) {
+	if err := sp.Validate(); err != nil {
+		return false, err
+	}
+	if len(s) == 0 {
+		return true, nil
+	}
+	if s.Utilization() > sp.Alpha+1e-12 {
+		return false, nil
+	}
+	h, err := s.Hyperperiod(HyperperiodDenominator)
+	if err != nil {
+		return false, err
+	}
+	dls, err := points.Deadlines(s, h)
+	if err != nil {
+		return false, err
+	}
+	for _, t := range dls {
+		if sp.Delta > t-DemandBound(s, t)/sp.Alpha+feasTol {
+			return false, nil
+		}
+	}
+	return true, nil
+}
 
 // randomDemandSet draws 1–8 tasks over demandGrid with WCETs scaled to
 // a total utilisation in [0.3, 1.05]: on-grid deadlines (D = T, or an
@@ -61,7 +90,7 @@ func TestFeasibleEDFMatchesPointOracle(t *testing.T) {
 		}
 		for _, sp := range supplies {
 			got, err := FeasibleEDF(s, sp)
-			want, wantErr := FeasibleEDFJitter(s, nil, sp)
+			want, wantErr := feasibleEDFAtPoints(s, sp)
 			if err != nil || wantErr != nil || got != want {
 				t.Fatalf("trial %d %v α=%v Δ=%v: FeasibleEDF = %v, %v; point oracle %v, %v",
 					trial, s, sp.Alpha, sp.Delta, got, err, want, wantErr)
@@ -90,7 +119,7 @@ func TestFeasibleEDFErrorPrecedence(t *testing.T) {
 	half2.Name = "half2"
 	for _, s := range []task.Set{{big}, {half, half2}} {
 		got, err := FeasibleEDF(s, Full)
-		want, wantErr := FeasibleEDFJitter(s, nil, Full)
+		want, wantErr := feasibleEDFAtPoints(s, Full)
 		if got || err != nil || want || wantErr != nil {
 			t.Errorf("%v: FeasibleEDF = %v, %v; point oracle %v, %v; want infeasible", s.Names(), got, err, want, wantErr)
 		}
@@ -103,7 +132,7 @@ func TestFeasibleEDFErrorPrecedence(t *testing.T) {
 		t.Fatal("the stream of heavy and tiny passes points.MaxStream")
 	}
 	_, err := FeasibleEDF(s, Full)
-	_, wantErr := FeasibleEDFJitter(s, nil, Full)
+	_, wantErr := feasibleEDFAtPoints(s, Full)
 	if err == nil || err.Error() != streamErr.Error() || wantErr == nil || wantErr.Error() != err.Error() {
 		t.Errorf("FeasibleEDF error %v, point oracle %v; want the stream bound's %v", err, wantErr, streamErr)
 	}

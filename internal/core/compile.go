@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/task"
@@ -94,8 +95,8 @@ func (cp *CompiledProblem) FeasiblePeriod(p float64) bool {
 // remaining bandwidth as trailing slack. It errors if P is infeasible.
 // It is Problem.ConfigFor served from the compiled profiles.
 func (cp *CompiledProblem) ConfigFor(p float64) (Config, error) {
-	if p <= 0 {
-		return Config{}, fmt.Errorf("core: period P = %g must be positive", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return Config{}, fmt.Errorf("core: period P = %g must be positive and finite", p)
 	}
 	quanta := cp.MinQuanta(p)
 	cfg := Config{

@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/analysis"
-	"repro/internal/supply"
 	"repro/internal/task"
 )
 
@@ -105,11 +104,6 @@ func (c Config) Delta(m task.Mode) float64 { return c.P - c.UsableQ(m) }
 // Supply returns the bounded-delay supply abstraction of mode m.
 func (c Config) Supply(m task.Mode) analysis.Supply {
 	return analysis.Supply{Alpha: c.Alpha(m), Delta: c.Delta(m)}
-}
-
-// ExactSupply returns the exact Lemma 1 supply function of mode m.
-func (c Config) ExactSupply(m task.Mode) supply.Slot {
-	return supply.Slot{P: c.P, Q: c.UsableQ(m)}
 }
 
 // SlotStart returns the offset of mode m's slot within the period. The

@@ -76,10 +76,6 @@ func TestConfigAccessors(t *testing.T) {
 	if math.Abs(sp.Alpha-0.9/4) > 1e-12 || math.Abs(sp.Delta-3.1) > 1e-12 {
 		t.Errorf("Supply(NF) = %+v", sp)
 	}
-	ex := cfg.ExactSupply(task.NF)
-	if ex.P != 4 || math.Abs(ex.Q-0.9) > 1e-12 {
-		t.Errorf("ExactSupply(NF) = %+v", ex)
-	}
 }
 
 func TestConfigValidateRejects(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/analysis"
+	"repro/internal/supply"
 	"repro/internal/task"
 )
 
@@ -66,7 +67,7 @@ func TestConfigSupplyIdentities(t *testing.T) {
 			if math.Abs(cfg.Alpha(m)*p+cfg.Delta(m)-p) > 1e-9 {
 				return false
 			}
-			bd := cfg.ExactSupply(m).BoundedDelay()
+			bd := supply.Slot{P: cfg.P, Q: cfg.UsableQ(m)}.BoundedDelay()
 			if math.Abs(bd.Alpha-cfg.Alpha(m)) > 1e-9 || math.Abs(bd.Delta-cfg.Delta(m)) > 1e-9 {
 				return false
 			}

@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/supply"
@@ -38,8 +39,8 @@ func SolveSplitAt(pr core.Problem, p float64, k int) (SplitSolution, error) {
 	if k < 1 {
 		return SplitSolution{}, fmt.Errorf("design: split count %d must be ≥ 1", k)
 	}
-	if p <= 0 {
-		return SplitSolution{}, fmt.Errorf("design: period %g must be positive", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return SplitSolution{}, fmt.Errorf("design: period P = %g must be positive and finite", p)
 	}
 	var quanta core.PerMode
 	for _, m := range task.Modes() {

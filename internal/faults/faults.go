@@ -182,12 +182,6 @@ func (p Poisson) Schedule(horizon timeu.Ticks) ([]Fault, error) {
 	return out, nil
 }
 
-// None is an Injector producing no faults.
-type None struct{}
-
-// Schedule returns an empty schedule.
-func (None) Schedule(timeu.Ticks) ([]Fault, error) { return nil, nil }
-
 // Step is one capacity transition of a degraded-mode scenario: at At,
 // Capacity time units of the period are revoked (a core struck) or
 // restored (the fault cleared). Steps drive online.Manager.Revoke and

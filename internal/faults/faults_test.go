@@ -149,13 +149,6 @@ func TestPoissonEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNone(t *testing.T) {
-	fs, err := None{}.Schedule(1000)
-	if err != nil || fs != nil {
-		t.Error("None must produce nothing")
-	}
-}
-
 func TestValidateOnExplicitWidth(t *testing.T) {
 	f := Fault{At: 0, Core: 6, Duration: 1}
 	if err := f.Validate(); err == nil {

@@ -113,8 +113,8 @@ func Build(p float64, counts Counts, quanta core.PerMode, o core.Overheads) (Lay
 	if err := counts.Validate(); err != nil {
 		return Layout{}, err
 	}
-	if p <= 0 {
-		return Layout{}, fmt.Errorf("layout: period %g must be positive", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return Layout{}, fmt.Errorf("layout: period P = %g must be positive and finite", p)
 	}
 	for _, m := range task.Modes() {
 		if quanta.Of(m) < 0 || o.Of(m) < 0 {

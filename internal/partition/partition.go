@@ -2,7 +2,8 @@
 // mode. The paper assumes a manual partition (Section 3, citing Baruah
 // [6] for automatic methods) and lists the allocation problem as future
 // work; this package supplies that step with the classical bin-packing
-// heuristics plus an exhaustive optimal baseline for small sets.
+// heuristics. Its tests hold them against an exhaustive optimal
+// placement of small sets.
 //
 // A channel assignment is admissible when every channel passes the exact
 // full-processor schedulability test for the chosen algorithm — a
@@ -21,7 +22,6 @@ package partition
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/analysis"
@@ -57,21 +57,6 @@ func (h Heuristic) String() string {
 		return "next-fit"
 	}
 	return fmt.Sprintf("Heuristic(%d)", int(h))
-}
-
-// ParseHeuristic converts a CLI-style name to a Heuristic.
-func ParseHeuristic(s string) (Heuristic, error) {
-	switch s {
-	case "first-fit", "ff":
-		return FirstFit, nil
-	case "best-fit", "bf":
-		return BestFit, nil
-	case "worst-fit", "wf":
-		return WorstFit, nil
-	case "next-fit", "nf":
-		return NextFit, nil
-	}
-	return 0, fmt.Errorf("partition: unknown heuristic %q", s)
 }
 
 // Options configure an assignment.
@@ -126,11 +111,12 @@ func Assign(s task.Set, opts Options) (task.Set, error) {
 	return out, nil
 }
 
-// normalizedInput returns the normalised copy of s that Assign and
-// AssignOptimal place, after validating it. The input's channels are
-// ignored, so they are zeroed before the check and then chosen in
-// range; every other parameter is checked before any placement, so an
-// invalid task is reported as invalid, not as unplaceable.
+// normalizedInput returns the normalised copy of s that Assign (and the
+// tests' exhaustive oracle) places, after validating it. The input's
+// channels are ignored, so they are zeroed before the check and then
+// chosen in range; every other parameter is checked before any
+// placement, so an invalid task is reported as invalid, not as
+// unplaceable.
 func normalizedInput(s task.Set) (task.Set, error) {
 	out := s.Normalized()
 	for i := range out {
@@ -225,76 +211,6 @@ func (pk *packer) place(tk task.Task) (int, error) {
 		}
 	}
 	return 0, ErrUnplaceable
-}
-
-// maxOptimalTasksPerMode bounds the exhaustive search; beyond it the
-// channel^n enumeration is no longer tractable.
-const maxOptimalTasksPerMode = 12
-
-// AssignOptimal exhaustively minimises, mode by mode, the maximum
-// per-channel utilisation subject to the admission test. It is
-// exponential in the per-mode task count and intended as a baseline for
-// evaluating the heuristics.
-func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
-	if err := validateAlg(alg); err != nil {
-		return nil, err
-	}
-	out, err := normalizedInput(s)
-	if err != nil {
-		return nil, err
-	}
-	var pos []int
-	for _, m := range task.Modes() {
-		pos = modePositions(pos[:0], out, m)
-		if len(pos) == 0 {
-			continue
-		}
-		if len(pos) > maxOptimalTasksPerMode {
-			return nil, fmt.Errorf("partition: %d tasks in mode %s exceed the optimal-search bound %d",
-				len(pos), m, maxOptimalTasksPerMode)
-		}
-		best, bestMax := []int(nil), math.Inf(1)
-		assign := make([]int, len(pos))
-		var rec func(i int)
-		rec = func(i int) {
-			if i == len(pos) {
-				bins := make([]task.Set, m.Channels())
-				for j, ch := range assign {
-					bins[ch] = append(bins[ch], out[pos[j]])
-				}
-				worst := 0.0
-				for _, b := range bins {
-					if len(b) == 0 {
-						continue
-					}
-					ok, err := analysis.Schedulable(b, alg)
-					if err != nil || !ok {
-						return
-					}
-					if u := b.Utilization(); u > worst {
-						worst = u
-					}
-				}
-				if worst < bestMax {
-					bestMax = worst
-					best = append([]int(nil), assign...)
-				}
-				return
-			}
-			for ch := 0; ch < m.Channels(); ch++ {
-				assign[i] = ch
-				rec(i + 1)
-			}
-		}
-		rec(0)
-		if best == nil {
-			return nil, fmt.Errorf("%w: no admissible placement for mode %s", ErrUnplaceable, m)
-		}
-		for j, ch := range best {
-			out[pos[j]].Channel = ch
-		}
-	}
-	return out, nil
 }
 
 // MaxChannelUtilization returns the largest per-channel utilisation over

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,6 +12,76 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/task"
 )
+
+// maxOptimalTasksPerMode bounds the exhaustive search; beyond it the
+// channel^n enumeration is no longer tractable.
+const maxOptimalTasksPerMode = 12
+
+// AssignOptimal exhaustively minimises, mode by mode, the maximum
+// per-channel utilisation subject to the admission test. It is
+// exponential in the per-mode task count: the baseline the heuristics
+// are measured against, over the same validated input Assign places.
+func AssignOptimal(s task.Set, alg analysis.Alg) (task.Set, error) {
+	if err := validateAlg(alg); err != nil {
+		return nil, err
+	}
+	out, err := normalizedInput(s)
+	if err != nil {
+		return nil, err
+	}
+	var pos []int
+	for _, m := range task.Modes() {
+		pos = modePositions(pos[:0], out, m)
+		if len(pos) == 0 {
+			continue
+		}
+		if len(pos) > maxOptimalTasksPerMode {
+			return nil, fmt.Errorf("partition: %d tasks in mode %s exceed the optimal-search bound %d",
+				len(pos), m, maxOptimalTasksPerMode)
+		}
+		best, bestMax := []int(nil), math.Inf(1)
+		assign := make([]int, len(pos))
+		var rec func(i int)
+		rec = func(i int) {
+			if i == len(pos) {
+				bins := make([]task.Set, m.Channels())
+				for j, ch := range assign {
+					bins[ch] = append(bins[ch], out[pos[j]])
+				}
+				worst := 0.0
+				for _, b := range bins {
+					if len(b) == 0 {
+						continue
+					}
+					ok, err := analysis.Schedulable(b, alg)
+					if err != nil || !ok {
+						return
+					}
+					if u := b.Utilization(); u > worst {
+						worst = u
+					}
+				}
+				if worst < bestMax {
+					bestMax = worst
+					best = append([]int(nil), assign...)
+				}
+				return
+			}
+			for ch := 0; ch < m.Channels(); ch++ {
+				assign[i] = ch
+				rec(i + 1)
+			}
+		}
+		rec(0)
+		if best == nil {
+			return nil, fmt.Errorf("%w: no admissible placement for mode %s", ErrUnplaceable, m)
+		}
+		for j, ch := range best {
+			out[pos[j]].Channel = ch
+		}
+	}
+	return out, nil
+}
 
 // scanAssign and scanPlace are the packing loops that ordered probing
 // replaced, kept as their reference: best- and worst-fit probe every

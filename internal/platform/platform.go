@@ -10,9 +10,10 @@
 //     within a pair blocks the channel's bus access (fail silence);
 //   - NF: four independent cores — four channels, no comparison.
 //
-// The package provides the static core↔channel geometry and the
-// checker's verdict logic; the dynamic behaviour (when switches happen,
-// what jobs are affected) lives in internal/sim.
+// The package provides the static core↔channel geometry. The checker's
+// verdicts and the dynamic behaviour (when switches happen, what jobs
+// are affected) live in internal/sim: accountFaults classifies each
+// fault and serviceFor blocks a fail-silent channel while it lasts.
 package platform
 
 import (
@@ -24,92 +25,14 @@ import (
 // NumCores is the number of CPUs on the chip.
 const NumCores = 4
 
-// ChannelCores returns the cores backing channel ch of mode m:
+// CoreChannel returns the channel of mode m that core belongs to:
 //
 //	FT: channel 0 = {0, 1, 2, 3}
 //	FS: channel 0 = {0, 1}, channel 1 = {2, 3}
 //	NF: channel i = {i}
-func ChannelCores(m task.Mode, ch int) ([]int, error) {
-	if ch < 0 || ch >= m.Channels() {
-		return nil, fmt.Errorf("platform: mode %s has no channel %d", m, ch)
-	}
-	per := m.CoresPerChannel()
-	cores := make([]int, per)
-	for i := range cores {
-		cores[i] = ch*per + i
-	}
-	return cores, nil
-}
-
-// CoreChannel returns the channel of mode m that core belongs to.
 func CoreChannel(m task.Mode, core int) (int, error) {
 	if core < 0 || core >= NumCores {
 		return 0, fmt.Errorf("platform: core %d out of range [0, %d)", core, NumCores)
 	}
 	return core / m.CoresPerChannel(), nil
-}
-
-// Verdict is the checker's decision about a channel with faulty cores.
-type Verdict int
-
-const (
-	// OK: no faulty core in the channel; outputs agree.
-	OK Verdict = iota
-	// Masked: FT majority vote out-voted the single faulty core; the
-	// channel's output is correct and execution continues.
-	Masked
-	// Silenced: an FS pair disagreed; the checker blocked the channel's
-	// bus access before the wrong value could propagate.
-	Silenced
-	// Corrupted: an NF core is faulty; there is no comparison, so the
-	// wrong result reaches memory undetected.
-	Corrupted
-)
-
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case OK:
-		return "ok"
-	case Masked:
-		return "masked"
-	case Silenced:
-		return "silenced"
-	case Corrupted:
-		return "corrupted"
-	}
-	return fmt.Sprintf("Verdict(%d)", int(v))
-}
-
-// Judge returns the checker's verdict for channel ch of mode m given
-// which cores are currently faulty. It errors when more than one core of
-// the channel is faulty: that violates the single-transient-fault
-// assumption the voting logic is designed for (two faulty cores could
-// out-vote the healthy ones in FT, or agree on a wrong value in FS).
-func Judge(m task.Mode, ch int, faulty [NumCores]bool) (Verdict, error) {
-	cores, err := ChannelCores(m, ch)
-	if err != nil {
-		return OK, err
-	}
-	n := 0
-	for _, c := range cores {
-		if faulty[c] {
-			n++
-		}
-	}
-	if n == 0 {
-		return OK, nil
-	}
-	if n > 1 {
-		return OK, fmt.Errorf("platform: %d faulty cores in %s channel %d violate the single-fault assumption", n, m, ch)
-	}
-	switch m {
-	case task.FT:
-		return Masked, nil
-	case task.FS:
-		return Silenced, nil
-	case task.NF:
-		return Corrupted, nil
-	}
-	return OK, fmt.Errorf("platform: unknown mode %v", m)
 }

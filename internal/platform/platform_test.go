@@ -6,56 +6,19 @@ import (
 	"repro/internal/task"
 )
 
-func TestChannelCores(t *testing.T) {
-	cases := []struct {
-		m    task.Mode
-		ch   int
-		want []int
-	}{
-		{task.FT, 0, []int{0, 1, 2, 3}},
-		{task.FS, 0, []int{0, 1}},
-		{task.FS, 1, []int{2, 3}},
-		{task.NF, 0, []int{0}},
-		{task.NF, 3, []int{3}},
-	}
-	for _, c := range cases {
-		got, err := ChannelCores(c.m, c.ch)
-		if err != nil {
-			t.Errorf("ChannelCores(%s, %d): %v", c.m, c.ch, err)
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("ChannelCores(%s, %d) = %v, want %v", c.m, c.ch, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("ChannelCores(%s, %d) = %v, want %v", c.m, c.ch, got, c.want)
-				break
-			}
-		}
-	}
-	if _, err := ChannelCores(task.FT, 1); err == nil {
-		t.Error("FT has only channel 0")
-	}
-	if _, err := ChannelCores(task.NF, -1); err == nil {
-		t.Error("negative channel should error")
-	}
-}
-
 func TestCoreChannelInverse(t *testing.T) {
-	// CoreChannel must be consistent with ChannelCores for every mode.
+	// The geometry of the paper's Figure 1: each mode's channels own
+	// consecutive cores, every core belongs to exactly one of them.
+	want := map[task.Mode][NumCores]int{
+		task.FT: {0, 0, 0, 0},
+		task.FS: {0, 0, 1, 1},
+		task.NF: {0, 1, 2, 3},
+	}
 	for _, m := range task.Modes() {
-		for ch := 0; ch < m.Channels(); ch++ {
-			cores, err := ChannelCores(m, ch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range cores {
-				got, err := CoreChannel(m, c)
-				if err != nil || got != ch {
-					t.Errorf("CoreChannel(%s, %d) = %d, %v; want %d", m, c, got, err, ch)
-				}
+		for c := 0; c < NumCores; c++ {
+			got, err := CoreChannel(m, c)
+			if err != nil || got != want[m][c] {
+				t.Errorf("CoreChannel(%s, %d) = %d, %v; want %d", m, c, got, err, want[m][c])
 			}
 		}
 	}
@@ -64,77 +27,5 @@ func TestCoreChannelInverse(t *testing.T) {
 	}
 	if _, err := CoreChannel(task.NF, -1); err == nil {
 		t.Error("negative core should be rejected")
-	}
-}
-
-func TestJudgeVerdicts(t *testing.T) {
-	faultyCore := func(c int) (f [NumCores]bool) { f[c] = true; return }
-	// No faults → OK everywhere.
-	for _, m := range task.Modes() {
-		for ch := 0; ch < m.Channels(); ch++ {
-			v, err := Judge(m, ch, [NumCores]bool{})
-			if err != nil || v != OK {
-				t.Errorf("Judge(%s, %d, clean) = %v, %v", m, ch, v, err)
-			}
-		}
-	}
-	// FT: any single faulty core is masked.
-	for c := 0; c < NumCores; c++ {
-		v, err := Judge(task.FT, 0, faultyCore(c))
-		if err != nil || v != Masked {
-			t.Errorf("FT fault on core %d: %v, %v; want masked", c, v, err)
-		}
-	}
-	// FS: fault silences only its own pair.
-	v, err := Judge(task.FS, 0, faultyCore(1))
-	if err != nil || v != Silenced {
-		t.Errorf("FS pair 0 with faulty core 1: %v, %v; want silenced", v, err)
-	}
-	v, err = Judge(task.FS, 1, faultyCore(1))
-	if err != nil || v != OK {
-		t.Errorf("FS pair 1 with faulty core 1: %v, %v; want ok", v, err)
-	}
-	// NF: fault corrupts only its own core's channel.
-	v, err = Judge(task.NF, 2, faultyCore(2))
-	if err != nil || v != Corrupted {
-		t.Errorf("NF channel 2 with faulty core 2: %v, %v; want corrupted", v, err)
-	}
-	v, err = Judge(task.NF, 0, faultyCore(2))
-	if err != nil || v != OK {
-		t.Errorf("NF channel 0 with faulty core 2: %v, %v; want ok", v, err)
-	}
-}
-
-func TestJudgeRejectsDoubleFault(t *testing.T) {
-	var faulty [NumCores]bool
-	faulty[0], faulty[1] = true, true
-	if _, err := Judge(task.FT, 0, faulty); err == nil {
-		t.Error("two faulty cores in the FT channel must be rejected")
-	}
-	if _, err := Judge(task.FS, 0, faulty); err == nil {
-		t.Error("two faulty cores in one FS pair must be rejected")
-	}
-	// Two faults in different FS pairs: each pair individually sees one.
-	faulty = [NumCores]bool{}
-	faulty[0], faulty[2] = true, true
-	if v, err := Judge(task.FS, 0, faulty); err != nil || v != Silenced {
-		t.Errorf("pair 0: %v, %v", v, err)
-	}
-	if v, err := Judge(task.FS, 1, faulty); err != nil || v != Silenced {
-		t.Errorf("pair 1: %v, %v", v, err)
-	}
-}
-
-func TestVerdictString(t *testing.T) {
-	for v, want := range map[Verdict]string{OK: "ok", Masked: "masked", Silenced: "silenced", Corrupted: "corrupted"} {
-		if v.String() != want {
-			t.Errorf("Verdict(%d).String() = %q, want %q", int(v), v.String(), want)
-		}
-	}
-	if Verdict(9).String() == "" {
-		t.Error("unknown verdict should still render")
-	}
-	if _, err := Judge(task.Mode(9), 0, [NumCores]bool{}); err == nil {
-		t.Error("unknown mode should error")
 	}
 }

@@ -215,29 +215,16 @@ func CheckStreamLen(n, horizon float64) error {
 // bit.
 func Deadline(k int, T, d float64) float64 { return float64(float64(k)*T) + d }
 
-// TaskDeadlines returns one task's absolute deadline stream restricted
-// to (0, horizon]: the points k·T + D for k ≥ 0, ascending. It generates
-// exactly the values task t contributes to Deadlines (same expression,
-// same floating-point results), so the incremental profile layer of
-// internal/analysis can merge or unmerge a single task's stream and stay
-// bit-identical to a full Deadlines rebuild. The task's period must be
-// positive (callers hold validated tasks; a non-positive period returns
-// nil rather than spinning).
-func TaskDeadlines(t task.Task, horizon float64) []float64 {
-	if t.T <= 0 {
-		return nil
-	}
-	n := 0
-	if t.D <= horizon {
-		n = int(math.Max(0, (horizon-t.D)/t.T)) + 1
-	}
-	return AppendTaskDeadlines(make([]float64, 0, n), t, horizon)
-}
-
-// AppendTaskDeadlines appends the task's deadline stream (the exact
-// values TaskDeadlines returns) to dst and returns the extended slice.
-// It lets allocation-free callers generate the stream into a recycled
-// buffer.
+// AppendTaskDeadlines appends one task's absolute deadline stream
+// restricted to (0, horizon] to dst and returns the extended slice: the
+// points k·T + D for k ≥ 0, ascending. It generates exactly the values
+// task t contributes to Deadlines (same expression, same floating-point
+// results), so the incremental profile layer of internal/analysis can
+// merge or unmerge a single task's stream and stay bit-identical to a
+// full Deadlines rebuild, and allocation-free callers can generate it
+// into a recycled buffer. The period must be positive (callers hold
+// validated tasks; a non-positive period appends nothing rather than
+// spinning).
 func AppendTaskDeadlines(dst []float64, t task.Task, horizon float64) []float64 {
 	if t.T <= 0 {
 		return dst
@@ -251,29 +238,4 @@ func AppendTaskDeadlines(dst []float64, t task.Task, horizon float64) []float64 
 			dst = append(dst, dl)
 		}
 	}
-}
-
-// MergeUnique merges two sorted ascending slices into a new slice,
-// dropping exact duplicates. Neither input is modified.
-func MergeUnique(a, b []float64) []float64 {
-	return mergeSortedUnique(a, b, nil)
-}
-
-// DenseGrid returns points {step, 2·step, …} up to and including horizon
-// (the last point is horizon itself even when not a multiple of step).
-// It exists as an exhaustive, slower alternative to the minimal sets
-// above, used by tests and by the scheduling-points ablation benchmark.
-func DenseGrid(horizon, step float64) []float64 {
-	if step <= 0 || horizon <= 0 {
-		return nil
-	}
-	n := int(horizon / step)
-	out := make([]float64, 0, n+1)
-	for i := 1; i <= n; i++ {
-		out = append(out, float64(i)*step)
-	}
-	if len(out) == 0 || out[len(out)-1] < horizon {
-		out = append(out, horizon)
-	}
-	return out
 }

@@ -241,22 +241,6 @@ func mustDeadlines(t *testing.T, s task.Set, horizon float64) []float64 {
 	return got
 }
 
-func TestDenseGrid(t *testing.T) {
-	got := DenseGrid(1.0, 0.25)
-	want := []float64{0.25, 0.5, 0.75, 1.0}
-	assertEqual(t, got, want)
-	got = DenseGrid(1.1, 0.5)
-	want = []float64{0.5, 1.0, 1.1}
-	assertEqual(t, got, want)
-	if DenseGrid(0, 0.5) != nil || DenseGrid(1, 0) != nil {
-		t.Error("degenerate grids should be nil")
-	}
-	// Tiny horizon still yields the horizon itself.
-	got = DenseGrid(0.1, 0.5)
-	want = []float64{0.1}
-	assertEqual(t, got, want)
-}
-
 func assertEqual(t *testing.T, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -282,7 +266,7 @@ func TestTaskDeadlinesMatchesDeadlines(t *testing.T) {
 	const horizon = 60
 	merged := []float64(nil)
 	for _, tk := range tasks {
-		stream := TaskDeadlines(tk, horizon)
+		stream := AppendTaskDeadlines(nil, tk, horizon)
 		single := mustDeadlines(t, task.Set{tk}, horizon)
 		if len(stream) != len(single) {
 			t.Fatalf("%s: stream %v, Deadlines %v", tk.Name, stream, single)
@@ -292,7 +276,7 @@ func TestTaskDeadlinesMatchesDeadlines(t *testing.T) {
 				t.Fatalf("%s: stream[%d] = %x, Deadlines = %x", tk.Name, i, stream[i], single[i])
 			}
 		}
-		merged = MergeUnique(merged, stream)
+		merged = mergeSortedUnique(merged, stream, nil)
 	}
 	want := mustDeadlines(t, tasks, horizon)
 	if len(merged) != len(want) {
@@ -303,10 +287,10 @@ func TestTaskDeadlinesMatchesDeadlines(t *testing.T) {
 			t.Fatalf("merged[%d] = %x, want %x", i, merged[i], want[i])
 		}
 	}
-	if TaskDeadlines(task.Task{T: 0, D: 1}, 10) != nil {
+	if AppendTaskDeadlines(nil, task.Task{T: 0, D: 1}, 10) != nil {
 		t.Error("non-positive period should yield nil stream")
 	}
-	if got := TaskDeadlines(task.Task{T: 5, D: 12}, 10); len(got) != 0 {
+	if got := AppendTaskDeadlines(nil, task.Task{T: 5, D: 12}, 10); len(got) != 0 {
 		t.Errorf("deadline beyond horizon should yield empty stream, got %v", got)
 	}
 }
@@ -320,7 +304,7 @@ func TestTaskDeadlinesRandom(t *testing.T) {
 			T: []float64{4, 5, 6, 7.5, 10, 12}[rng.Intn(6)],
 		}
 		tk.D = tk.T * (0.3 + 0.7*rng.Float64())
-		stream := TaskDeadlines(tk, 120)
+		stream := AppendTaskDeadlines(nil, tk, 120)
 		single := mustDeadlines(t, task.Set{tk}, 120)
 		if len(stream) != len(single) {
 			t.Fatalf("T=%g D=%g: stream %v, Deadlines %v", tk.T, tk.D, stream, single)

@@ -15,13 +15,6 @@ import (
 	"repro/internal/timeu"
 )
 
-// Drop discards aborted jobs: the bare fail-silent semantics — the wrong
-// output was suppressed, nothing is retried.
-type Drop struct{}
-
-// OnAbort never re-issues.
-func (Drop) OnAbort(sim.Job, timeu.Ticks) (sim.Job, bool) { return sim.Job{}, false }
-
 // PrimaryBackup re-issues one full backup copy per primary job: the
 // backup restarts from scratch (no state survives the silenced channel)
 // with the same absolute deadline. A backup that is itself aborted is

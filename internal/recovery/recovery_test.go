@@ -40,18 +40,27 @@ func run(t *testing.T, rec sim.Recovery) *sim.Result {
 	return res
 }
 
+// TestDrop checks the bare fail-silent semantics of a nil recovery:
+// the aborted job is dropped, nothing is retried.
 func TestDrop(t *testing.T) {
-	res := run(t, Drop{})
+	res := run(t, nil)
 	ts := res.Tasks["fs"]
 	if ts.Aborted != 1 || ts.Recovered != 0 || ts.Completed != 0 {
-		t.Errorf("Drop: aborted %d recovered %d completed %d, want 1/0/0", ts.Aborted, ts.Recovered, ts.Completed)
+		t.Errorf("nil recovery: aborted %d recovered %d completed %d, want 1/0/0", ts.Aborted, ts.Recovered, ts.Completed)
 	}
 }
 
+// neverReissue is a recovery that drops every aborted job.
+type neverReissue struct{}
+
+func (neverReissue) OnAbort(sim.Job, timeu.Ticks) (sim.Job, bool) { return sim.Job{}, false }
+
+// TestNilRecoveryEqualsDrop checks that the simulator runs a nil
+// recovery exactly as it runs one that drops every aborted job.
 func TestNilRecoveryEqualsDrop(t *testing.T) {
-	a, b := run(t, nil), run(t, Drop{})
+	a, b := run(t, nil), run(t, neverReissue{})
 	if a.Summary() != b.Summary() {
-		t.Error("nil recovery and Drop should behave identically")
+		t.Error("nil recovery and a dropping recovery should behave identically")
 	}
 }
 

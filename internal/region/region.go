@@ -83,8 +83,8 @@ func (o Options) withDefaults(pr core.Problem) (Options, error) {
 		}
 		o.PMax = ub
 	}
-	if o.PMax <= 0 {
-		return o, fmt.Errorf("region: PMax = %g must be positive", o.PMax)
+	if !(o.PMax > 0) || math.IsInf(o.PMax, 0) {
+		return o, fmt.Errorf("region: PMax = %g must be positive and finite", o.PMax)
 	}
 	if o.Samples == 0 {
 		o.Samples = DefaultSamples

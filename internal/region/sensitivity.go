@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/task"
@@ -50,8 +51,8 @@ func CriticalScaling(pr core.Problem, p float64) (float64, error) {
 	if err := pr.Validate(); err != nil {
 		return 0, err
 	}
-	if p <= 0 {
-		return 0, fmt.Errorf("region: period %g must be positive", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return 0, fmt.Errorf("region: period P = %g must be positive and finite", p)
 	}
 	// Establish a bracket [lo feasible, hi infeasible].
 	lo, hi := 0.0, 1.0

@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/region"
 	"repro/internal/task"
@@ -114,12 +113,6 @@ func WriteCSV(w io.Writer, series map[string][]region.Point) error {
 		}
 	}
 	return nil
-}
-
-// ConfigLine renders a one-line description of a configuration.
-func ConfigLine(cfg core.Config) string {
-	return fmt.Sprintf("P=%.4f  Q=[FT %.4f, FS %.4f, NF %.4f]  O=[%.4f %.4f %.4f]  slack=%.4f",
-		cfg.P, cfg.Q.FT, cfg.Q.FS, cfg.Q.NF, cfg.O.FT, cfg.O.FS, cfg.O.NF, cfg.Slack())
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

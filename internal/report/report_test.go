@@ -92,13 +92,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("empty series: %v", err)
 	}
 }
-
-func TestConfigLine(t *testing.T) {
-	cfg := core.Config{P: 2, Q: core.PerMode{FT: 0.5, FS: 0.5, NF: 0.5}, O: core.PerMode{FT: 0.1, FS: 0.1, NF: 0.1}}
-	got := ConfigLine(cfg)
-	for _, want := range []string{"P=2.0000", "FT 0.5000", "slack=0.5000"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("ConfigLine missing %q: %s", want, got)
-		}
-	}
-}

@@ -44,14 +44,6 @@ type TaskStats struct {
 	SumResponse    timeu.Ticks
 }
 
-// AvgResponse returns the mean response time of completed jobs.
-func (ts TaskStats) AvgResponse() timeu.Ticks {
-	if ts.Completed == 0 {
-		return 0
-	}
-	return ts.SumResponse / timeu.Ticks(ts.Completed)
-}
-
 // add folds src into ts (merging residencies of the same task name).
 func (ts *TaskStats) add(src *TaskStats) {
 	ts.Released += src.Released

@@ -86,8 +86,8 @@ const minQExactTolerance = 1e-10
 // bisection converges. It returns P (and ok = false) when even the full
 // period is insufficient.
 func MinQExact(s task.Set, alg analysis.Alg, p float64) (q float64, ok bool, err error) {
-	if p <= 0 {
-		return 0, false, fmt.Errorf("supply: MinQExact requires a positive period, got %g", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return 0, false, fmt.Errorf("supply: MinQExact period P = %g must be positive and finite", p)
 	}
 	if len(s) == 0 {
 		return 0, true, nil
@@ -116,21 +116,4 @@ func MinQExact(s task.Set, alg analysis.Alg, p float64) (q float64, ok bool, err
 		}
 	}
 	return hi, true, nil
-}
-
-// LinearOf returns the BoundedDelay lower bound of any supply function,
-// as a Function, for side-by-side evaluation.
-func LinearOf(z Function) Function { return BoundedDelay(z.BoundedDelay()) }
-
-// DominanceGap samples max_t (Z(t) − Z'(t)) over [0, horizon] with the
-// given step; it quantifies how much the linear abstraction gives away.
-func DominanceGap(z Function, horizon, step float64) float64 {
-	lin := LinearOf(z)
-	gap := 0.0
-	for t := 0.0; t <= horizon; t += step {
-		if d := z.Value(t) - lin.Value(t); d > gap {
-			gap = d
-		}
-	}
-	return math.Max(0, gap)
 }

@@ -141,18 +141,3 @@ func TestFeasibleExactTighterThanLinear(t *testing.T) {
 		t.Error("linear bound should reject Q=0.5 (it needs ≈0.732)")
 	}
 }
-
-func TestDominanceGap(t *testing.T) {
-	s := Slot{P: 4, Q: 1}
-	gap := DominanceGap(s, 40, 0.01)
-	// The largest gap for a slot is at the end of the service interval:
-	// Z jumps Q above the line... line at t=P is α(P−(P−Q))=Q·Q/P; exact
-	// at t just below P−Q+Q=P... At t=Δ+Q=P: Z=Q, Z'=αQ=Q²/P. Gap =
-	// Q(1−Q/P) = 1·(3/4) = 0.75.
-	if math.Abs(gap-0.75) > 0.01 {
-		t.Errorf("DominanceGap = %g, want ≈0.75", gap)
-	}
-	if g := DominanceGap(BoundedDelay(analysis.Supply{Alpha: 0.5, Delta: 1}), 10, 0.1); g != 0 {
-		t.Errorf("linear supply has zero gap to itself, got %g", g)
-	}
-}

@@ -2,6 +2,7 @@ package supply
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/task"
@@ -45,8 +46,8 @@ func SplitPattern(p, q float64, k int) (Pattern, error) {
 // as k evenly spaced sub-slots. k = 1 reduces to MinQExact. It returns
 // ok = false when even the full period is insufficient.
 func MinQSplit(s task.Set, alg analysis.Alg, p float64, k int) (q float64, ok bool, err error) {
-	if p <= 0 {
-		return 0, false, fmt.Errorf("supply: MinQSplit requires a positive period, got %g", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return 0, false, fmt.Errorf("supply: MinQSplit period P = %g must be positive and finite", p)
 	}
 	if k < 1 {
 		return 0, false, fmt.Errorf("supply: split count %d must be ≥ 1", k)

@@ -1,10 +1,11 @@
 // Package supply implements the supply functions of Section 3.1:
 // Definition 1 (minimum time provided in any window of length t), the
 // exact form of Lemma 1 for a mode slot, the linear lower bound of
-// Eq. (3), and two extensions the paper points at — the Shin–Lee
-// periodic resource model it cites for comparison, and general periodic
-// slot patterns ("the same fault-tolerance service during more than one
-// time quantum per period", Section 5).
+// Eq. (3), and general periodic slot patterns, an extension the paper
+// points at ("the same fault-tolerance service during more than one
+// time quantum per period", Section 5). The comparison with the
+// Shin–Lee periodic resource model the paper cites lives in this
+// package's tests.
 package supply
 
 import (
@@ -74,49 +75,6 @@ func (s Slot) Value(t float64) float64 {
 // BoundedDelay returns α = Q̃/P, Δ = P − Q̃ (Eq. 2).
 func (s Slot) BoundedDelay() analysis.Supply {
 	return analysis.Supply{Alpha: s.Q / s.P, Delta: s.P - s.Q}
-}
-
-// PeriodicResource is the Shin–Lee periodic resource model Γ(Π, Θ): Θ
-// units of time guaranteed somewhere within every period Π, with no
-// control over the position. Its worst-case delay 2(Π − Θ) is larger
-// than the static slot's Π − Θ, which quantifies what the paper's
-// statically-positioned slots buy.
-type PeriodicResource struct {
-	Pi    float64 // resource period Π
-	Theta float64 // budget Θ per period, 0 ≤ Θ ≤ Π
-}
-
-// Validate checks 0 ≤ Θ ≤ Π and Π > 0.
-func (r PeriodicResource) Validate() error {
-	if r.Pi <= 0 {
-		return fmt.Errorf("supply: resource period %g must be positive", r.Pi)
-	}
-	if r.Theta < 0 || r.Theta > r.Pi {
-		return fmt.Errorf("supply: budget %g outside [0, %g]", r.Theta, r.Pi)
-	}
-	return nil
-}
-
-// Value returns the Shin–Lee supply bound function
-//
-//	sbf(t) = ⌊x/Π⌋·Θ + max{0, x − Π·⌊x/Π⌋ − (Π − Θ)},  x = t − (Π − Θ)
-//
-// for t ≥ Π − Θ and 0 before that.
-func (r PeriodicResource) Value(t float64) float64 {
-	if r.Theta == 0 {
-		return 0
-	}
-	x := t - (r.Pi - r.Theta)
-	if x <= 0 {
-		return 0
-	}
-	k := math.Floor(x / r.Pi) // continuous: both branches agree at k·Π
-	return k*r.Theta + math.Max(0, x-k*r.Pi-(r.Pi-r.Theta))
-}
-
-// BoundedDelay returns α = Θ/Π, Δ = 2(Π − Θ).
-func (r PeriodicResource) BoundedDelay() analysis.Supply {
-	return analysis.Supply{Alpha: r.Theta / r.Pi, Delta: 2 * (r.Pi - r.Theta)}
 }
 
 // Interval is a half-open slice [Start, End) of a pattern period during
@@ -237,10 +195,4 @@ func (pt Pattern) BoundedDelay() analysis.Supply {
 		}
 	}
 	return analysis.Supply{Alpha: alpha, Delta: delta}
-}
-
-// SlotPattern returns the single-interval pattern equivalent to a slot
-// of usable length q starting at the given offset within period p.
-func SlotPattern(p, q, offset float64) (Pattern, error) {
-	return NewPattern(p, []Interval{{Start: offset, End: offset + q}})
 }

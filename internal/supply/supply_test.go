@@ -1,6 +1,7 @@
 package supply
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,6 +71,49 @@ func TestSlotProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// PeriodicResource is the Shin–Lee periodic resource model Γ(Π, Θ): Θ
+// units of time guaranteed somewhere within every period Π, with no
+// control over the position. Its worst-case delay 2(Π − Θ) is larger
+// than the static slot's Π − Θ, which quantifies what the paper's
+// statically-positioned slots buy (TestStaticSlotBeatsPeriodicResource).
+type PeriodicResource struct {
+	Pi    float64 // resource period Π
+	Theta float64 // budget Θ per period, 0 ≤ Θ ≤ Π
+}
+
+// Validate checks 0 ≤ Θ ≤ Π and Π > 0.
+func (r PeriodicResource) Validate() error {
+	if r.Pi <= 0 {
+		return fmt.Errorf("supply: resource period %g must be positive", r.Pi)
+	}
+	if r.Theta < 0 || r.Theta > r.Pi {
+		return fmt.Errorf("supply: budget %g outside [0, %g]", r.Theta, r.Pi)
+	}
+	return nil
+}
+
+// Value returns the Shin–Lee supply bound function
+//
+//	sbf(t) = ⌊x/Π⌋·Θ + max{0, x − Π·⌊x/Π⌋ − (Π − Θ)},  x = t − (Π − Θ)
+//
+// for t ≥ Π − Θ and 0 before that.
+func (r PeriodicResource) Value(t float64) float64 {
+	if r.Theta == 0 {
+		return 0
+	}
+	x := t - (r.Pi - r.Theta)
+	if x <= 0 {
+		return 0
+	}
+	k := math.Floor(x / r.Pi) // continuous: both branches agree at k·Π
+	return k*r.Theta + math.Max(0, x-k*r.Pi-(r.Pi-r.Theta))
+}
+
+// BoundedDelay returns α = Θ/Π, Δ = 2(Π − Θ).
+func (r PeriodicResource) BoundedDelay() analysis.Supply {
+	return analysis.Supply{Alpha: r.Theta / r.Pi, Delta: 2 * (r.Pi - r.Theta)}
 }
 
 func TestPeriodicResource(t *testing.T) {
@@ -147,7 +191,7 @@ func TestPatternMatchesSlot(t *testing.T) {
 	// A single-interval pattern must reproduce Lemma 1 exactly,
 	// regardless of the slot's offset within the period.
 	for _, offset := range []float64{0, 0.7, 2.3} {
-		pat, err := SlotPattern(4, 1, offset)
+		pat, err := NewPattern(4, []Interval{{Start: offset, End: offset + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +213,7 @@ func TestMultiSlotPatternReducesDelay(t *testing.T) {
 	// Splitting one quantum of 1 into two quanta of 0.5 per period keeps
 	// the rate but halves (roughly) the starvation gap — the benefit of
 	// the paper's "more quanta per period" future-work extension.
-	single, _ := SlotPattern(4, 1, 0)
+	single, _ := NewPattern(4, []Interval{{Start: 0, End: 1}})
 	double, err := NewPattern(4, []Interval{{Start: 0, End: 0.5}, {Start: 2, End: 2.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +313,8 @@ func TestSupplyFloorsContinuous(t *testing.T) {
 		continuous("Slot.Value", Slot{P: p, Q: q}.Value, step)
 		r := PeriodicResource{Pi: p, Theta: q}
 		continuous("PeriodicResource.Value", r.Value, step+(p-q))
-		pat, err := SlotPattern(p, math.Max(q, 1e-3*p), (p-q)*rng.Float64())
+		o := (p - q) * rng.Float64()
+		pat, err := NewPattern(p, []Interval{{Start: o, End: o + math.Max(q, 1e-3*p)}})
 		if err != nil {
 			continue
 		}

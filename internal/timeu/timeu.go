@@ -77,9 +77,6 @@ func LCM(a, b int64) (int64, error) {
 	return r, nil
 }
 
-// AlmostEqual reports whether a and b differ by at most tol.
-func AlmostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
 // ScaledPeriod converts a float64 period to its integer numerator over
 // the given denominator: the period must be an integral multiple of
 // 1/den to within 1e-9 relative, positive, and its numerator must fit

@@ -129,12 +129,3 @@ func TestTicksString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
-
-func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1.0, 1.0+1e-10, 1e-9) {
-		t.Error("values within tol should compare equal")
-	}
-	if AlmostEqual(1.0, 1.1, 1e-3) {
-		t.Error("values outside tol should not compare equal")
-	}
-}

@@ -234,20 +234,6 @@ func (l *Log) Sort() {
 	})
 }
 
-// Filter returns the events of the given kind.
-func (l *Log) Filter(k Kind) []Event {
-	if l == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range l.Events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Count returns how many events of kind k were recorded, without
 // materialising the filtered slice.
 func (l *Log) Count(k Kind) int {

@@ -5,11 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/online"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/supply"
 	"repro/internal/task"
 )
 
@@ -77,6 +81,74 @@ func TestNonFiniteTaskParametersRejected(t *testing.T) {
 				t.Errorf("%s accepts C = %g, T = %g, D = %g", e.name, tk.C, tk.T, tk.D)
 			case errors.Is(err, partition.ErrUnplaceable) || !strings.Contains(err.Error(), "positive and finite"):
 				t.Errorf("%s refuses C = %g, T = %g, D = %g with %q, not as invalid", e.name, tk.C, tk.T, tk.D, err)
+			}
+		}
+	}
+}
+
+// TestNonFinitePeriodsRejected checks that every entry point taking a
+// period refuses one that is not positive and finite (NaN, ±Inf, 0 and
+// −1) as an invalid period, not as an infeasible one or with a NaN
+// result, and accepts the paper's design period. A search's PMax of 0
+// means "derive from the task set", so the searches are not given 0.
+func TestNonFinitePeriodsRejected(t *testing.T) {
+	pr := PaperProblem(EDF)
+	cp, err := pr.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := pr.Tasks.Channels(task.FT)[0]
+	search := func(p float64) ExploreOptions { return ExploreOptions{PMax: p, Samples: 64} }
+	entries := []struct {
+		name   string
+		search bool
+		check  func(p float64) error
+	}{
+		{"Explore", true, func(p float64) error { _, err := Explore(pr, search(p)); return err }},
+		{"ExploreParallel", true, func(p float64) error { _, err := ExploreParallel(pr, search(p), 2); return err }},
+		{"MaxFeasiblePeriod", true, func(p float64) error { _, err := MaxFeasiblePeriod(pr, search(p)); return err }},
+		{"MaxAdmissibleOverhead", true, func(p float64) error { _, _, err := MaxAdmissibleOverhead(pr, search(p)); return err }},
+		{"CriticalScaling", false, func(p float64) error { _, err := CriticalScaling(pr, p); return err }},
+		{"SolveSplit", false, func(p float64) error { _, err := SolveSplit(pr, p, 1); return err }},
+		{"BestSplit", false, func(p float64) error { _, err := BestSplit(pr, p, 2); return err }},
+		{"SolveLayout", false, func(p float64) error { _, err := SolveLayout(pr, p, SubSlotCounts{FT: 1, FS: 1, NF: 1}); return err }},
+		{"analysis.MinQ", false, func(p float64) error { _, err := analysis.MinQ(ft, analysis.EDF, p); return err }},
+		{"Problem.ConfigFor", false, func(p float64) error { _, err := pr.ConfigFor(p); return err }},
+		{"CompiledProblem.ConfigFor", false, func(p float64) error { _, err := cp.ConfigFor(p); return err }},
+		{"layout.Build", false, func(p float64) error {
+			_, err := layout.Build(p, layout.Counts{}, core.PerMode{FT: 0.1, FS: 0.1, NF: 0.1}, pr.O)
+			return err
+		}},
+		{"supply.MinQSplit", false, func(p float64) error { _, _, err := supply.MinQSplit(ft, analysis.EDF, p, 2); return err }},
+		{"supply.MinQExact", false, func(p float64) error { _, _, err := supply.MinQExact(ft, analysis.EDF, p); return err }},
+	}
+	// A check runs on its own goroutine, so that one which never
+	// returns (a bisection towards an infinite bound) fails the test
+	// instead of hanging it.
+	call := func(name string, check func(float64) error, p float64) error {
+		done := make(chan error, 1)
+		go func() { done <- check(p) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s does not return at P = %g", name, p)
+			return nil
+		}
+	}
+	for _, e := range entries {
+		if err := call(e.name, e.check, 2.966); err != nil {
+			t.Errorf("%s refuses P = 2.966: %v", e.name, err)
+		}
+		for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			if p == 0 && e.search {
+				continue
+			}
+			switch err := call(e.name, e.check, p); {
+			case err == nil:
+				t.Errorf("%s accepts P = %g", e.name, p)
+			case !strings.Contains(err.Error(), "must be positive and finite"):
+				t.Errorf("%s refuses P = %g with %q, not as an invalid period", e.name, p, err)
 			}
 		}
 	}
