@@ -361,22 +361,23 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 
 // BenchmarkAblationSubSlots sizes the multi-quantum extension (the
 // paper's Section 5 future work) at P = 1.7 — a period misaligned with
-// the task deadlines, where splitting genuinely helps — for k = 1…4
-// sub-slots per period, reporting the allocated bandwidth: more
-// sub-slots need less quantum but pay the switch overhead k times.
+// the task deadlines, where splitting genuinely helps — as the uniform
+// split, a layout with k = 1…4 sub-slots for every mode, reporting the
+// allocated bandwidth: more sub-slots need less quantum but pay the
+// switch overhead k times.
 func BenchmarkAblationSubSlots(b *testing.B) {
 	pr := PaperProblem(EDF)
 	for k := 1; k <= 4; k++ {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var sol SplitSolution
+			var l PeriodLayout
 			for i := 0; i < b.N; i++ {
 				var err error
-				if sol, err = SolveSplit(pr, 1.7, k); err != nil {
+				if l, err = SolveLayout(pr, 1.7, SubSlotCounts{FT: k, FS: k, NF: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(sol.Allocated, "allocBW")
-			b.ReportMetric(sol.Quanta.Total(), "ΣQ̃")
+			b.ReportMetric(l.Consumed/l.P, "allocBW")
+			b.ReportMetric(l.Quanta.Total(), "ΣQ̃")
 		})
 	}
 }

@@ -14,9 +14,10 @@
 //
 //   - internal/task, internal/timeu: task model and time arithmetic;
 //   - internal/points, internal/analysis, internal/supply: scheduling
-//     points, Theorems 1–2, minQ (Eqs. 6 and 11), supply functions
-//     (Lemma 1 exact form, linear bound, multi-quantum patterns; the
-//     periodic-resource comparison lives in internal/supply's tests).
+//     points, Theorems 1–2, minQ (Eqs. 6 and 11), the linear supply
+//     bound of Eq. (3) (analysis.Supply), supply functions (Lemma 1
+//     exact form, multi-quantum patterns; the periodic-resource
+//     comparison lives in internal/supply's tests).
 //     The EDF demand bound W(t) of Eq. (9) is exact: it counts each
 //     task's jobs the way the deadline generator emits their deadlines
 //     and charges each job its WCET rounded up to whole simulator ticks
@@ -62,6 +63,12 @@
 //     interval: by P − S(p_lo)·P/p_lo when S(p_lo) < p_lo, else by
 //     P − S(p_lo). Only the samples no such bound rules out are
 //     evaluated. Results match a scan of every sample bit for bit;
+//   - internal/layout: the one multi-quantum path, the paper's
+//     Section 5 extension to several quanta per period. Counts give
+//     each mode's sub-slots per period, and equal counts {k, k, k} are
+//     the uniform split. Solve starts each mode from its
+//     k·MinQExact(P/k) on the exact supply, verifies the as-built
+//     layout on supply.Pattern and inflates a failing mode's quantum;
 //   - internal/partition, internal/workload: automatic channel
 //     assignment and synthetic workload generation. Every heuristic
 //     probes a mode's channels in its order of preference and stops at

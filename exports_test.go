@@ -19,7 +19,6 @@ import (
 // that use, and flags the alias once perfbench drops it.
 var uncalledExports = map[string]string{
 	"analysis.ResponseTimes":   "the FP response-time analysis on a bounded-delay supply: the oracle the executor's per-task response times are to be checked against",
-	"supply.MinQExact":         "the minimum quantum under the exact Lemma 1 supply: BenchmarkAblationExactSupply measures it, and the executor's supply check is to build on it",
 	"region.MaxSlackBandwidth": "the uncompiled twin of MaxSlackBandwidthCompiled and MaxFeasiblePeriod, the two searches the facade exports",
 	"online.Manager.Remove":    "the single-task twin of Admit, which examples/faultinjection calls; tests call it at 29 sites",
 	"online.Rejection.Unwrap":  "implements errors.Unwrap, which errors.Is and errors.As call",
@@ -36,11 +35,12 @@ var uncalledExports = map[string]string{
 // file. The scan is syntactic: it parses every non-test .go file,
 // skipping dot-directories and testdata, and counts an export as used
 // when some identifier has its name, apart from the export's own
-// declaration and the receiver types of its own methods. It matches by
-// name, so an export whose name a called method or field shares
-// (Validate, String, ...) escapes it. It also fails when an entry of
-// uncalledExports gains a use or is no longer declared, so the list
-// cannot go stale.
+// declaration, the receiver types of its own methods and the method
+// names of interface types, which declare a method set and call
+// nothing. It matches by name, so an export whose name a called method
+// or field shares (Validate, String, ...) escapes it. It also fails
+// when an entry of uncalledExports gains a use or is no longer
+// declared, so the list cannot go stale.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{}
@@ -95,8 +95,17 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				for _, method := range n.Methods.List {
+					for _, name := range method.Names {
+						declared[name] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					uses[n.Name]++
+				}
 			}
 			return true
 		})

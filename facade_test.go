@@ -111,24 +111,6 @@ func TestFacadeOnline(t *testing.T) {
 	}
 }
 
-func TestFacadeSplit(t *testing.T) {
-	pr := PaperProblem(EDF)
-	sol, err := SolveSplit(pr, 1.7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.K != 3 || sol.Slack < 0 {
-		t.Errorf("bad split solution %+v", sol)
-	}
-	best, err := BestSplit(pr, 1.7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Allocated > sol.Allocated+1e-9 {
-		t.Error("BestSplit worse than an explicit k")
-	}
-}
-
 func TestFacadeLayout(t *testing.T) {
 	pr := PaperProblem(EDF)
 	l, err := SolveLayout(pr, 6.0, SubSlotCounts{FT: 1, FS: 4, NF: 2})

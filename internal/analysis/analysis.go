@@ -179,13 +179,14 @@ type Supply struct {
 // Full is the trivial supply of a dedicated processor.
 var Full = Supply{Alpha: 1, Delta: 0}
 
-// Validate checks that the supply parameters are meaningful.
+// Validate checks that α lies in (0, 1] and Δ is finite and
+// non-negative; NaN fails both.
 func (sp Supply) Validate() error {
-	if sp.Alpha <= 0 || sp.Alpha > 1 {
+	if !(sp.Alpha > 0 && sp.Alpha <= 1) {
 		return fmt.Errorf("analysis: supply rate α = %g outside (0, 1]", sp.Alpha)
 	}
-	if sp.Delta < 0 {
-		return fmt.Errorf("analysis: supply delay Δ = %g negative", sp.Delta)
+	if !(sp.Delta >= 0) || math.IsInf(sp.Delta, 0) {
+		return fmt.Errorf("analysis: supply delay Δ = %g must be finite and non-negative", sp.Delta)
 	}
 	return nil
 }

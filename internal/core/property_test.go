@@ -50,8 +50,8 @@ func TestMinQuantaMonotoneInPeriod(t *testing.T) {
 
 func TestConfigSupplyIdentities(t *testing.T) {
 	// α_k·P + Δ_k = P for every mode of every valid configuration
-	// (Eq. 2), and the exact supply's bounded-delay abstraction matches
-	// the config's.
+	// (Eq. 2), and the config's linear supply never exceeds the exact
+	// supply of Lemma 1 for the same slot.
 	f := func(rawP, rawQ1, rawQ2, rawQ3 uint8) bool {
 		p := 1 + float64(rawP%16)
 		qs := [3]float64{
@@ -67,9 +67,11 @@ func TestConfigSupplyIdentities(t *testing.T) {
 			if math.Abs(cfg.Alpha(m)*p+cfg.Delta(m)-p) > 1e-9 {
 				return false
 			}
-			bd := supply.Slot{P: cfg.P, Q: cfg.UsableQ(m)}.BoundedDelay()
-			if math.Abs(bd.Alpha-cfg.Alpha(m)) > 1e-9 || math.Abs(bd.Delta-cfg.Delta(m)) > 1e-9 {
-				return false
+			lin, exact := cfg.Supply(m), supply.Slot{P: cfg.P, Q: cfg.UsableQ(m)}
+			for tt := 0.0; tt <= 3*p; tt += p / 16 {
+				if lin.Value(tt) > exact.Value(tt)+1e-9 {
+					return false
+				}
 			}
 		}
 		return true

@@ -3,8 +3,10 @@
 // of the paper's Section 5 extension ("the same fault-tolerance service
 // during more than one time quantum per period").
 //
-// A uniform split (every mode k times) is equivalent to shrinking the
-// period to P/k (see internal/design's equivalence test). Non-uniform
+// A uniform split is Counts{k, k, k}: every mode k times, which is
+// equivalent to shrinking the period to P/k (this package's
+// TestUniformSplitEquivalentToShorterPeriod checks that Solve returns
+// k·MinQExact(P/k) per mode on the paper problem). Non-uniform
 // counts are strictly more expressive: a mode with tight deadlines
 // (e.g. FS holding a D = 4 task) can recur twice per period while FT,
 // whose deadlines are long, pays its switch overhead only once. No
@@ -217,13 +219,17 @@ func Verify(l Layout, tasks task.Set, alg analysis.Alg) error {
 // quantaIterations bounds Solve's inflation loop.
 const quantaIterations = 64
 
-// Solve sizes the quanta for a non-uniform layout at a fixed period:
-// it starts from each mode's idealised minimum (evenly spaced sub-slot
-// analysis) and inflates the quanta of failing modes until the as-built
-// layout verifies, or reports infeasibility. The as-built offsets can
-// be slightly worse than the even-spacing ideal — mode m's sub-slot
-// drifts within its frame as other modes' sub-slots come and go — which
-// is why verification and inflation are needed.
+// Solve sizes the quanta for a layout at a fixed period: it starts each
+// mode from its idealised minimum and inflates the quanta of failing
+// modes until the as-built layout verifies, or reports infeasibility.
+// The ideal spaces mode m's k_m sub-slots evenly, which is the pattern
+// of one slot per period P/k_m, so the start quantum is the largest
+// k_m·supply.MinQExact(P/k_m) over the mode's channels. Equal counts
+// {k, k, k}, the uniform split, lay out the same k frames of P/k, which
+// is that ideal. With other counts the as-built offsets can be slightly
+// worse — mode m's sub-slot drifts within its frame as other modes'
+// sub-slots come and go — which is why verification and inflation are
+// needed.
 func Solve(pr core.Problem, p float64, counts Counts) (Layout, error) {
 	if err := pr.Validate(); err != nil {
 		return Layout{}, err
@@ -232,20 +238,22 @@ func Solve(pr core.Problem, p float64, counts Counts) (Layout, error) {
 	if err := counts.Validate(); err != nil {
 		return Layout{}, err
 	}
+	if !(p > 0) || math.IsInf(p, 0) {
+		return Layout{}, fmt.Errorf("layout: period P = %g must be positive and finite", p)
+	}
 	var quanta core.PerMode
 	for _, m := range task.Modes() {
+		k := float64(counts.Of(m))
 		worst := 0.0
 		for _, ch := range pr.Tasks.Channels(m) {
-			q, ok, err := supply.MinQSplit(ch, pr.Alg, p, counts.Of(m))
+			q, ok, err := supply.MinQExact(ch, pr.Alg, p/k)
 			if err != nil {
 				return Layout{}, fmt.Errorf("layout: mode %s: %w", m, err)
 			}
 			if !ok {
 				return Layout{}, fmt.Errorf("layout: mode %s infeasible at P=%g with %d sub-slots", m, p, counts.Of(m))
 			}
-			if q > worst {
-				worst = q
-			}
+			worst = max(worst, k*q)
 		}
 		quanta = quanta.With(m, worst)
 	}

@@ -2,10 +2,12 @@ package layout
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/supply"
 	"repro/internal/task"
 )
 
@@ -164,4 +166,157 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := Solve(pr, 1, Counts{FT: 20, FS: 1, NF: 1}); err == nil {
 		t.Error("count beyond bound should error")
 	}
+}
+
+func TestBestUniformSplit(t *testing.T) {
+	// The best uniform split up to k = 4 is a scan over Counts{k, k, k}
+	// for the least consumption. At P = 2 the k = 1 split is feasible,
+	// so the scan finds a design at least as good, and every layout it
+	// sees has k sub-slots per mode.
+	pr := paperProblem()
+	k1, err := Solve(pr, 2.0, Counts{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := k1
+	for k := 2; k <= 4; k++ {
+		l, err := Solve(pr, 2.0, Counts{k, k, k})
+		if err != nil {
+			continue
+		}
+		for _, m := range task.Modes() {
+			if n := len(l.Patterns[m].Intervals); n != k {
+				t.Errorf("k=%d: %s has %d sub-slots, want %d", k, m, n, k)
+			}
+		}
+		if l.Consumed < best.Consumed {
+			best = l
+		}
+	}
+	if best.Slack() < 0 {
+		t.Errorf("best split (counts %+v) has negative slack %g", best.Counts, best.Slack())
+	}
+	// A period far beyond the tightest deadline (τ9's D = 4) cannot be
+	// rescued by splitting: with two sub-slots the frames are still 15
+	// long.
+	for k := 1; k <= 2; k++ {
+		if _, err := Solve(pr, 30, Counts{k, k, k}); err == nil {
+			t.Errorf("P=30 k=%d: absurd period should have no feasible split", k)
+		}
+	}
+}
+
+func TestSolveUniformSplitErrors(t *testing.T) {
+	pr := paperProblem()
+	// An invalid period is reported as the caller's P, not as the P/k
+	// of one sub-slot's frame.
+	for k := 1; k <= 2; k++ {
+		if _, err := Solve(pr, -1, Counts{k, k, k}); err == nil || !strings.Contains(err.Error(), "P = -1 ") {
+			t.Errorf("k=%d negative period: got %v, want it refused as P = -1", k, err)
+		}
+	}
+	if _, err := Solve(pr, 2, Counts{-1, -1, -1}); err == nil {
+		t.Error("negative count should error")
+	}
+	if _, err := Solve(core.Problem{}, 2, Counts{1, 1, 1}); err == nil {
+		t.Error("invalid problem should error")
+	}
+}
+
+func TestSolveUniformSplitPaperProblem(t *testing.T) {
+	pr := paperProblem()
+	// At the single-slot boundary period the k=1 split must also be
+	// feasible (exact analysis dominates the linear bound the boundary
+	// was computed with).
+	l, err := Solve(pr, 2.9, Counts{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Slack() < 0 {
+		t.Errorf("negative slack %g", l.Slack())
+	}
+	// Beyond the single-slot maximum (2.966 with the linear bound),
+	// splitting in two still finds a design: the delay halves.
+	l2, err := Solve(pr, 3.4, Counts{2, 2, 2})
+	if err != nil {
+		t.Fatalf("P=3.4 with k=2 should be feasible: %v", err)
+	}
+	for _, m := range task.Modes() {
+		if n := len(l2.Patterns[m].Intervals); n != 2 {
+			t.Errorf("%s has %d sub-slots, want 2", m, n)
+		}
+	}
+}
+
+func TestSplitOverheadTradeoff(t *testing.T) {
+	// With zero overheads, more sub-slots never hurt: allocation is
+	// monotone non-increasing in k.
+	free := paperProblem()
+	free.O = core.Overheads{}
+	prev := math.Inf(1)
+	for k := 1; k <= 3; k++ {
+		l, err := Solve(free, 2.0, Counts{k, k, k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := l.Consumed / l.P
+		if alloc > prev+1e-9 {
+			t.Errorf("zero-overhead allocation grew at k=%d: %g > %g", k, alloc, prev)
+		}
+		prev = alloc
+	}
+	// With heavy overheads, k=1 must beat k=3: each extra switch costs.
+	costly := paperProblem()
+	costly.O = core.UniformOverheads(0.15)
+	k1, err := Solve(costly, 2.0, Counts{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k3, err := Solve(costly, 2.0, Counts{3, 3, 3})
+	if err == nil && k3.Consumed < k1.Consumed {
+		t.Errorf("heavy overheads: k=3 consumes %g, less than k=1's %g", k3.Consumed, k1.Consumed)
+	}
+}
+
+func TestUniformSplitEquivalentToShorterPeriod(t *testing.T) {
+	// k evenly spaced sub-slots of q/k over period P form the same
+	// periodic pattern as a single slot of q/k over period P/k, so the
+	// uniform split Counts{k, k, k} needs k·MinQExact(P/k) per channel,
+	// and the layout Build makes of it is that pattern: every layout
+	// Solve returns holds, per mode, exactly the largest
+	// k·MinQExact(P/k) over the mode's channels, its start quanta, with
+	// no inflation step taken.
+	feasible := 0
+	for _, alg := range []analysis.Alg{analysis.EDF, analysis.RM, analysis.DM} {
+		for _, oTot := range []float64{0, 0.05, 0.15} {
+			pr := core.Problem{Tasks: task.PaperTaskSet(), Alg: alg, O: core.UniformOverheads(oTot)}
+			for _, p := range []float64{1.3, 1.7, 2.0, 2.9, 3.4} {
+				for k := 1; k <= 4; k++ {
+					l, err := Solve(pr, p, Counts{k, k, k})
+					if err != nil {
+						continue
+					}
+					feasible++
+					for _, m := range task.Modes() {
+						want := 0.0
+						for _, ch := range pr.Tasks.Channels(m) {
+							q, _, err := supply.MinQExact(ch, alg, p/float64(k))
+							if err != nil {
+								t.Fatal(err)
+							}
+							want = max(want, float64(k)*q)
+						}
+						if got := l.Quanta.Of(m); got != want {
+							t.Errorf("%s O=%g P=%g k=%d: %s quantum %v, want k·MinQExact(P/k) = %v",
+								alg, oTot, p, k, m, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no uniform split is feasible")
+	}
+	t.Logf("%d feasible uniform splits, none inflated", feasible)
 }

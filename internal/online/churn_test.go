@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/metrics"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -135,6 +136,34 @@ func TestEnvelopeFallbackEvent(t *testing.T) {
 	}
 	if n := rec.count(trace.EnvelopeFallback); n != 2 {
 		t.Fatalf("stretch round trip emitted %d fallback events, want 2", n)
+	}
+	if err := m.CheckProfiles(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRejectedFallbacksCounted(t *testing.T) {
+	// The whale's T = 7 stretches FS/1's hyperperiod, so its patch falls
+	// back to a full recompile; its slot overflows the period, and the
+	// undo that rejects it falls back too. Both recompiles are counted
+	// and reported, although nothing was committed.
+	m := maxFlexManager(t)
+	mt := NewMetrics(metrics.New())
+	m.SetMetrics(mt)
+	var rec eventRecorder
+	m.SetEventSink(rec.sink)
+	whale := task.Task{Name: "whale", C: 3, T: 7, D: 7, Mode: task.FS, Channel: 1}
+	if err := m.Admit(whale); err == nil {
+		t.Fatal("the whale should be rejected")
+	}
+	if n := mt.EnvelopeFallbacks.Value(); n != 2 {
+		t.Errorf("the rejected whale counted %d fallbacks, want 2", n)
+	}
+	if n := rec.count(trace.EnvelopeFallback); n != 2 {
+		t.Errorf("the rejected whale emitted %d fallback events, want 2", n)
+	}
+	if ev, _ := rec.last(trace.EnvelopeFallback); ev.Mode != task.FS || ev.Channel != 1 {
+		t.Errorf("fallback event on %s/%d, want FS/1", ev.Mode, ev.Channel)
 	}
 	if err := m.CheckProfiles(); err != nil {
 		t.Fatal(err)

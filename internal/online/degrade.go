@@ -76,7 +76,7 @@ func (m *Manager) Revoke(capacity float64, pol Policy) (*DegradeReport, error) {
 		err = next.Validate()
 	}
 	if err != nil {
-		sc.undo(0)
+		m.undo(sc, 0)
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	m.publishLocked(sc.touched, delta{leave: evicted, park: true, revoked: newRevoked}, next, old)
@@ -121,7 +121,7 @@ func (m *Manager) Restore(capacity float64, pol Policy) (*DegradeReport, error) 
 	next, _, _ := m.candidateLocked(sc.touched)
 	if err := next.Validate(); err != nil {
 		// Cannot happen: the candidate passed the fit check.
-		sc.undo(0)
+		m.undo(sc, 0)
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	m.publishLocked(sc.touched, delta{join: readmitted, unpark: readmitted, revoked: newRevoked}, next, old)

@@ -25,9 +25,10 @@ import "repro/internal/metrics"
 //     parked); TasksShed counts partial-admission shed verdicts.
 //   - TasksEvicted / TasksReadmitted count the Revoke/Restore park
 //     cycle, separate from admit/remove.
-//   - EnvelopePatches / EnvelopeFallbacks mirror the profile-patch
-//     housekeeping the trace events report: in-place patches applied
-//     and full-recompile bailouts.
+//   - EnvelopePatches counts the in-place profile patches of committed
+//     operations. EnvelopeFallbacks counts every patch that bailed to a
+//     full recompile, committed, rejected or undone alike, one per
+//     EnvelopeFallback event.
 //
 // EnvelopeMemRatio reads the last patched channel's
 // analysis.MemStats.Ratio, which an EDF profile keeps below

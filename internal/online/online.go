@@ -267,8 +267,10 @@ func (m *Manager) setStateGauges(s *snapshot) {
 // Event is one robustness notification: tasks shed by partial
 // admission, evicted by a revocation, or readmitted by a restore, the
 // capacity transitions themselves, and the incremental-analysis
-// housekeeping (envelope fallbacks). Delivered synchronously to the
-// sink installed with SetEventSink.
+// housekeeping: an envelope fallback for every profile patch that bails
+// to a full recompile, the patches of rejected operations and their
+// undo included. Delivered synchronously to the sink installed with
+// SetEventSink.
 type Event struct {
 	// Kind is trace.Shed, trace.Evicted, trace.Readmitted,
 	// trace.Degraded, trace.Restored or trace.EnvelopeFallback.
@@ -531,12 +533,14 @@ type patchRec struct {
 var opPool = sync.Pool{New: func() any { return new(opScratch) }}
 
 // patchLocked applies sc.logged[lo:], the tasks just appended there, to
-// tc's profile — added, or dropped when !add — logs the patch and reads
-// tc's candidate minimum off the patched profile. On error the profile
-// is unchanged and nothing is logged. Caller holds tc's channel lock.
+// tc's profile — added, or dropped when !add — reports a fallback,
+// logs the patch and reads tc's candidate minimum off the patched
+// profile. On error the profile is unchanged and nothing is logged.
+// Caller holds tc's channel lock.
 func (m *Manager) patchLocked(sc *opScratch, tc *touchedChannel, lo int, add bool) error {
 	ts := sc.logged[lo:]
 	tc.thaw()
+	fallbacks := tc.st.prof.Fallbacks()
 	var err error
 	if add {
 		err = tc.st.prof.AddTasks(ts)
@@ -547,10 +551,26 @@ func (m *Manager) patchLocked(sc *opScratch, tc *touchedChannel, lo int, add boo
 		sc.logged = sc.logged[:lo]
 		return err
 	}
+	m.noteFallback(tc, fallbacks)
 	sc.log = append(sc.log, patchRec{tc: tc, lo: lo, added: add, minq: tc.minq})
 	tc.minq = tc.st.prof.MinQ(m.p)
 	tc.patches++
 	return nil
+}
+
+// noteFallback reports a patch of tc's profile that bailed to a full
+// recompile (its fallback count moved on from fallbacks, the count
+// before the patch) as one EnvelopeFallback event and one count of the
+// EnvelopeFallbacks counter, whether the operation then commits,
+// rejects or undoes the patch. Caller holds tc's channel lock.
+func (m *Manager) noteFallback(tc *touchedChannel, fallbacks uint64) {
+	if tc.st.prof.Fallbacks() == fallbacks {
+		return
+	}
+	if mt := m.met.Load(); mt != nil {
+		mt.EnvelopeFallbacks.Inc()
+	}
+	m.emit(Event{Kind: trace.EnvelopeFallback, Mode: tc.st.mode, Channel: tc.st.ch, Revoked: m.Revoked()})
 }
 
 // patchOne is patchLocked of the single task t on its locked channel.
@@ -583,7 +603,7 @@ func (m *Manager) patchGroups(sc *opScratch, members task.Set, add bool) (*touch
 			continue
 		}
 		if err := m.patchLocked(sc, tc, lo, add); err != nil {
-			sc.undo(0)
+			m.undo(sc, 0)
 			return tc, err
 		}
 	}
@@ -598,15 +618,18 @@ func (m *Manager) patchGroups(sc *opScratch, members task.Set, add bool) (*touch
 // stream, owner counts and demand row exactly (AddTasks and DropTasks
 // of the same tasks are inverses; a task re-added to an EDF profile
 // joins its task list at the end), and the channel's candidate minimum
-// and patch count go back with it. Caller holds the channel locks.
-func (sc *opScratch) undo(n int) {
+// and patch count go back with it. An inverse patch that falls back is
+// reported like any other. Caller holds the channel locks.
+func (m *Manager) undo(sc *opScratch, n int) {
 	for i := len(sc.log) - 1; i >= n; i-- {
 		p := &sc.log[i]
+		fallbacks := p.tc.st.prof.Fallbacks()
 		if ts := sc.logged[p.lo:]; p.added {
 			_ = p.tc.st.prof.DropTasks(ts) // cannot fail: the tasks were added
 		} else {
 			_ = p.tc.st.prof.AddTasks(ts) // cannot fail: the tasks were held
 		}
+		m.noteFallback(p.tc, fallbacks)
 		p.tc.minq = p.minq
 		p.tc.patches--
 		sc.logged = sc.logged[:p.lo]
@@ -711,7 +734,7 @@ func (m *Manager) admitBatch(batch []task.Task) error {
 		return patchRejection(norm, tc, err)
 	}
 	if err := m.commit(sc, delta{join: norm}); err != nil {
-		sc.undo(0)
+		m.undo(sc, 0)
 		m.unreserveAdmit(norm)
 		return err
 	}
@@ -779,7 +802,7 @@ func (m *Manager) removeBatch(names []string) error {
 		return fmt.Errorf("%w: %v", ErrRejected, err) // cannot happen: victims came from the registry
 	}
 	if err := m.commit(sc, delta{leave: live, unpark: parked}); err != nil {
-		sc.undo(0)
+		m.undo(sc, 0)
 		m.unreserveRemove(live, parked)
 		return err // cannot happen: shrinking always fits; defensive
 	}
@@ -933,22 +956,16 @@ type touchedChannel struct {
 	st      *channelState
 	minq    float64
 	patches int
-	// patched reports the profile was mutated; fallback0 is its
-	// fallback count before the first mutation, for the
-	// EnvelopeFallback event detection in installProfiles.
-	patched   bool
-	fallback0 uint64
+	// patched reports the profile was mutated.
+	patched bool
 }
 
 // thaw prepares the shard's profile for in-place patching: makes it
 // exclusive on first touch (the profiles installed at construction are
-// shared with the CompiledProblem and must not be mutated) and records
-// the pre-patch fallback baseline. Idempotent; caller holds st.mu.
+// shared with the CompiledProblem and must not be mutated). Idempotent;
+// caller holds st.mu.
 func (tc *touchedChannel) thaw() {
-	if !tc.patched {
-		tc.patched = true
-		tc.fallback0 = tc.st.prof.Fallbacks()
-	}
+	tc.patched = true
 	if !tc.st.prof.Exclusive() {
 		tc.st.prof = tc.st.prof.Thawed()
 	}
@@ -1238,25 +1255,15 @@ func (m *Manager) slotOverflows(next core.Config, reshaped [task.NumModes]bool, 
 
 // installProfiles commits each touched shard's candidate minimum and
 // folds the accumulated patch counters (the profiles themselves were
-// already patched in place under the channel locks). A channel whose
-// incremental lineage bailed to a full recompile during this
-// reconfiguration (a hyperperiod change, or a violated stream
-// invariant) is reported to the event sink as a trace.EnvelopeFallback
-// — detected against the fallback count thaw recorded before the first
-// patch. Each patched channel's memory ratio is written to the
-// EnvelopeMemRatio gauge. The caller holds the channel locks (and, on
-// batch paths, commitMu).
+// already patched in place under the channel locks, and each patch
+// that fell back was reported then, by noteFallback). Each patched
+// channel's memory ratio is written to the EnvelopeMemRatio gauge. The
+// caller holds the channel locks (and, on batch paths, commitMu).
 func (m *Manager) installProfiles(touched []touchedChannel) {
 	mt := m.met.Load()
 	for _, tc := range touched {
 		if tc.patched && mt != nil {
 			mt.EnvelopeMemRatio.Set(tc.st.prof.MemStats().Ratio())
-		}
-		if tc.patched && tc.st.prof.Fallbacks() > tc.fallback0 {
-			if mt != nil {
-				mt.EnvelopeFallbacks.Inc()
-			}
-			m.emit(Event{Kind: trace.EnvelopeFallback, Mode: tc.st.mode, Channel: tc.st.ch, Revoked: m.cur.Load().revoked})
 		}
 		tc.st.minq = tc.minq
 		tc.st.patches += tc.patches

@@ -203,7 +203,7 @@ func (m *Manager) commitPartial(sc *opScratch, reserved task.Set, pol Policy) (a
 			// Cannot happen: every member was patched in above, and with
 			// all of them shed the candidate is the committed state, which
 			// fits.
-			sc.undo(0)
+			m.undo(sc, 0)
 			return nil, append(shed, admitted...), overflows
 		}
 		var back task.Set
@@ -216,7 +216,7 @@ func (m *Manager) commitPartial(sc *opScratch, reserved task.Set, pol Policy) (a
 	}
 	if err := next.Validate(); err != nil {
 		// Cannot happen: the candidate passed the fit check.
-		sc.undo(0)
+		m.undo(sc, 0)
 		return nil, append(shed, admitted...), overflows
 	}
 	// admitted is in profile-append order: batch order for the
@@ -289,7 +289,7 @@ func (m *Manager) readmitLocked(sc *opScratch, cands task.Set, pol Policy, revok
 			back = append(back, t)
 			continue
 		}
-		sc.undo(n)
+		m.undo(sc, n)
 		rest = append(rest, t)
 	}
 	return back, rest

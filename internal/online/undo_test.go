@@ -92,7 +92,7 @@ func TestUndoRestoresEveryPrefix(t *testing.T) {
 				if want := []int{0, 3, 4, 5, 6}[k]; len(sc.log) != want { // the admit patches three channels
 					t.Fatalf("after %v the log holds %d patches, want %d", done, len(sc.log), want)
 				}
-				sc.undo(0)
+				m.undo(sc, 0)
 				if len(sc.log) != 0 || len(sc.logged) != 0 {
 					t.Fatalf("undo after %v left %d patches and %d tasks logged", done, len(sc.log), len(sc.logged))
 				}

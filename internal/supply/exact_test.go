@@ -133,11 +133,58 @@ func TestFeasibleExactTighterThanLinear(t *testing.T) {
 	if err != nil || !okExact {
 		t.Fatalf("exact test should accept (got %v, %v)", okExact, err)
 	}
-	okLin, err := analysis.FeasibleEDF(s, z.BoundedDelay())
+	okLin, err := analysis.FeasibleEDF(s, analysis.Supply{Alpha: z.Q / z.P, Delta: z.P - z.Q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if okLin {
 		t.Error("linear bound should reject Q=0.5 (it needs ≈0.732)")
+	}
+}
+
+// minQSplit is the minimum total quantum when a quantum is delivered as
+// k evenly spaced sub-slots per period p: the same pattern as one slot
+// per period p/k, so k·MinQExact(p/k).
+func minQSplit(t *testing.T, s task.Set, p float64, k int) float64 {
+	t.Helper()
+	q, ok, err := MinQExact(s, analysis.EDF, p/float64(k))
+	if err != nil || !ok {
+		t.Fatal(err, ok)
+	}
+	return float64(k) * q
+}
+
+func TestSplittingNeverWorseThanSingleSlot(t *testing.T) {
+	// k evenly spaced sub-slots supply at least as much as one slot in
+	// every window, so the required quantum can only shrink relative to
+	// k = 1. (Between adjacent k > 1 the relation is NOT monotone —
+	// alignment with the deadlines matters — so only k vs 1 is law.)
+	for _, s := range []task.Set{
+		task.PaperTaskSet().ByMode(task.FT),
+		task.PaperTaskSet().ByChannel(task.FS, 1),
+	} {
+		for _, p := range []float64{1.3, 1.7, 2.0} {
+			q1 := minQSplit(t, s, p, 1)
+			for k := 2; k <= 4; k++ {
+				if qk := minQSplit(t, s, p, k); qk > q1+1e-6 {
+					t.Errorf("%v P=%g k=%d: quantum %g exceeds single-slot %g", s.Names(), p, k, qk, q1)
+				}
+			}
+		}
+	}
+}
+
+func TestSplittingStrictBenefitAtMisalignedPeriod(t *testing.T) {
+	// At P = 1.7 (deadlines not multiples of the period) splitting τ9's
+	// channel into 3 sub-slots genuinely reduces the required quantum;
+	// at P = 2.0 every paper deadline is a period multiple and the
+	// benefit provably vanishes (supply over whole periods is k·q/k
+	// regardless of the split).
+	fs1 := task.PaperTaskSet().ByChannel(task.FS, 1)
+	if q1, q3 := minQSplit(t, fs1, 1.7, 1), minQSplit(t, fs1, 1.7, 3); q3 >= q1-1e-4 {
+		t.Errorf("P=1.7: expected strict benefit from 3 sub-slots, got %g vs %g", q3, q1)
+	}
+	if a1, a4 := minQSplit(t, fs1, 2.0, 1), minQSplit(t, fs1, 2.0, 4); math.Abs(a1-a4) > 1e-6 {
+		t.Errorf("P=2.0: aligned deadlines should nullify the benefit: %g vs %g", a1, a4)
 	}
 }

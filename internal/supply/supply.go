@@ -1,19 +1,17 @@
 // Package supply implements the supply functions of Section 3.1:
 // Definition 1 (minimum time provided in any window of length t), the
-// exact form of Lemma 1 for a mode slot, the linear lower bound of
-// Eq. (3), and general periodic slot patterns, an extension the paper
-// points at ("the same fault-tolerance service during more than one
-// time quantum per period", Section 5). The comparison with the
-// Shin–Lee periodic resource model the paper cites lives in this
-// package's tests.
+// exact form of Lemma 1 for a mode slot, and general periodic slot
+// patterns, an extension the paper points at ("the same fault-tolerance
+// service during more than one time quantum per period", Section 5),
+// which internal/layout builds. The linear lower bound of Eq. (3) is
+// analysis.Supply. The comparison with the Shin–Lee periodic resource
+// model the paper cites lives in this package's tests.
 package supply
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/analysis"
 )
 
 // Function is a supply function Z(t): the minimum amount of execution
@@ -22,22 +20,7 @@ type Function interface {
 	// Value returns Z(t). It is 0 for t ≤ 0, non-decreasing, and never
 	// exceeds t.
 	Value(t float64) float64
-	// BoundedDelay returns the (α, Δ) linear abstraction of the supply:
-	// the tightest pair such that Z(t) ≥ max{0, α(t−Δ)} for all t.
-	BoundedDelay() analysis.Supply
 }
-
-// BoundedDelay is the linear supply lower bound Z'(t) = max{0, α(t−Δ)}
-// of Eq. (3). It is its own bounded-delay abstraction.
-type BoundedDelay analysis.Supply
-
-// Value returns max{0, α(t−Δ)}.
-func (b BoundedDelay) Value(t float64) float64 {
-	return math.Max(0, b.Alpha*(t-b.Delta))
-}
-
-// BoundedDelay returns the (α, Δ) pair itself.
-func (b BoundedDelay) BoundedDelay() analysis.Supply { return analysis.Supply(b) }
 
 // Slot is the supply delivered by one statically-positioned slot of
 // usable length Q per period P (the paper's mode slot, Lemma 1).
@@ -46,12 +29,12 @@ type Slot struct {
 	Q float64 // usable slot length Q̃ = Q_k − O_k, with 0 ≤ Q ≤ P
 }
 
-// Validate checks 0 ≤ Q ≤ P and P > 0.
+// Validate checks that P is positive and finite and Q lies in [0, P].
 func (s Slot) Validate() error {
-	if s.P <= 0 {
-		return fmt.Errorf("supply: slot period %g must be positive", s.P)
+	if !(s.P > 0) || math.IsInf(s.P, 0) {
+		return fmt.Errorf("supply: slot period %g must be positive and finite", s.P)
 	}
-	if s.Q < 0 || s.Q > s.P {
+	if !(s.Q >= 0 && s.Q <= s.P) {
 		return fmt.Errorf("supply: usable slot length %g outside [0, %g]", s.Q, s.P)
 	}
 	return nil
@@ -72,11 +55,6 @@ func (s Slot) Value(t float64) float64 {
 	return t - (j+1)*(s.P-s.Q)
 }
 
-// BoundedDelay returns α = Q̃/P, Δ = P − Q̃ (Eq. 2).
-func (s Slot) BoundedDelay() analysis.Supply {
-	return analysis.Supply{Alpha: s.Q / s.P, Delta: s.P - s.Q}
-}
-
 // Interval is a half-open slice [Start, End) of a pattern period during
 // which the mode executes.
 type Interval struct {
@@ -95,15 +73,16 @@ type Pattern struct {
 	Intervals []Interval
 }
 
-// NewPattern validates and normalises (sorts) the intervals.
+// NewPattern validates and normalises (sorts) the intervals: P must be
+// positive and finite, and 0 ≤ start < end ≤ P for each interval.
 func NewPattern(p float64, ivs []Interval) (Pattern, error) {
-	if p <= 0 {
-		return Pattern{}, fmt.Errorf("supply: pattern period %g must be positive", p)
+	if !(p > 0) || math.IsInf(p, 0) {
+		return Pattern{}, fmt.Errorf("supply: pattern period %g must be positive and finite", p)
 	}
 	sorted := append([]Interval(nil), ivs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
 	for i, iv := range sorted {
-		if iv.Start < 0 || iv.End > p || iv.Start >= iv.End {
+		if !(iv.Start >= 0 && iv.Start < iv.End && iv.End <= p) {
 			return Pattern{}, fmt.Errorf("supply: interval [%g, %g) invalid for period %g", iv.Start, iv.End, p)
 		}
 		if i > 0 && iv.Start < sorted[i-1].End {
@@ -164,35 +143,4 @@ func (pt Pattern) Value(t float64) float64 {
 		}
 	}
 	return min
-}
-
-// BoundedDelay returns the tightest (α, Δ) abstraction of the pattern:
-// α is the long-run rate Total()/P and Δ = max_t (t − Z(t)/α), computed
-// exactly over the pattern's breakpoints.
-func (pt Pattern) BoundedDelay() analysis.Supply {
-	total := pt.Total()
-	if total == 0 {
-		return analysis.Supply{Alpha: 0, Delta: 0}
-	}
-	alpha := total / pt.P
-	// t − Z(t)/α is piecewise linear with maxima where a starvation gap
-	// ends, i.e. where the window [t0, t0+t] ends exactly at the start
-	// of a service interval. Two periods of start points suffice.
-	delta := 0.0
-	for _, t0iv := range pt.Intervals {
-		t0 := t0iv.End
-		for period := 0.0; period <= 2*pt.P; period += pt.P {
-			for _, iv := range pt.Intervals {
-				start := iv.Start + period
-				if start <= t0 {
-					continue
-				}
-				x := start - t0
-				if v := x - pt.supplied(t0, start)/alpha; v > delta {
-					delta = v
-				}
-			}
-		}
-	}
-	return analysis.Supply{Alpha: alpha, Delta: delta}
 }

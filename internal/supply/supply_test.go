@@ -44,24 +44,17 @@ func TestSlotValueLemma1(t *testing.T) {
 	}
 }
 
-func TestSlotBoundedDelay(t *testing.T) {
-	s := Slot{P: 4, Q: 1}
-	bd := s.BoundedDelay()
-	if bd.Alpha != 0.25 || bd.Delta != 3 {
-		t.Errorf("BoundedDelay = %+v, want α=0.25 Δ=3", bd)
-	}
-}
-
 func TestSlotProperties(t *testing.T) {
 	// Z monotone, 0 ≤ Z(t) ≤ t, periodic increment Z(t+P) = Z(t) + Q,
-	// and the linear bound never exceeds the exact supply.
+	// and the linear bound of Eq. (3) with α = Q/P, Δ = P − Q (Eq. 2)
+	// never exceeds the exact supply.
 	f := func(rawP, rawQ, rawT uint16) bool {
 		p := 0.5 + float64(rawP%64)/8
 		q := float64(rawQ%64) / 64 * p
 		tt := float64(rawT%2048) / 64
 		s := Slot{P: p, Q: q}
 		z := s.Value(tt)
-		lin := BoundedDelay(s.BoundedDelay()).Value(tt)
+		lin := analysis.Supply{Alpha: q / p, Delta: p - q}.Value(tt)
 		const eps = 1e-9
 		return z >= -eps && z <= tt+eps &&
 			s.Value(tt+0.01) >= z-eps &&
@@ -155,7 +148,7 @@ func TestStaticSlotBeatsPeriodicResource(t *testing.T) {
 				s.Value(tt), r.Value(tt), tt)
 		}
 	}
-	if s.BoundedDelay().Delta >= r.BoundedDelay().Delta {
+	if s.P-s.Q >= r.BoundedDelay().Delta { // the slot's Δ = P − Q (Eq. 2)
 		t.Error("static slot should have strictly smaller delay")
 	}
 }
@@ -202,28 +195,6 @@ func TestPatternMatchesSlot(t *testing.T) {
 					offset, tt, pat.Value(tt), slot.Value(tt))
 			}
 		}
-		bd, sb := pat.BoundedDelay(), slot.BoundedDelay()
-		if math.Abs(bd.Alpha-sb.Alpha) > 1e-9 || math.Abs(bd.Delta-sb.Delta) > 1e-9 {
-			t.Errorf("offset %g: pattern (α,Δ) = %+v, slot = %+v", offset, bd, sb)
-		}
-	}
-}
-
-func TestMultiSlotPatternReducesDelay(t *testing.T) {
-	// Splitting one quantum of 1 into two quanta of 0.5 per period keeps
-	// the rate but halves (roughly) the starvation gap — the benefit of
-	// the paper's "more quanta per period" future-work extension.
-	single, _ := NewPattern(4, []Interval{{Start: 0, End: 1}})
-	double, err := NewPattern(4, []Interval{{Start: 0, End: 0.5}, {Start: 2, End: 2.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbd, dbd := single.BoundedDelay(), double.BoundedDelay()
-	if math.Abs(sbd.Alpha-dbd.Alpha) > 1e-12 {
-		t.Errorf("rates differ: %g vs %g", sbd.Alpha, dbd.Alpha)
-	}
-	if dbd.Delta >= sbd.Delta {
-		t.Errorf("split pattern delay %g should beat single-slot delay %g", dbd.Delta, sbd.Delta)
 	}
 }
 
@@ -250,8 +221,9 @@ func TestPatternValueProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd := pat.BoundedDelay()
-		lin := BoundedDelay(bd)
+		// A pattern serving Q per period never starves longer than
+		// P − Q, so the linear bound α = Q/P, Δ = P − Q lies below it.
+		lin := analysis.Supply{Alpha: pat.Total() / p, Delta: p - pat.Total()}
 		prev := 0.0
 		for tt := 0.0; tt <= 3*p; tt += p / 64 {
 			z := pat.Value(tt)
@@ -263,7 +235,7 @@ func TestPatternValueProperties(t *testing.T) {
 			}
 			if lv := lin.Value(tt); lv > z+1e-7 {
 				t.Fatalf("trial %d: linear bound %g above exact %g at t=%g (α=%g Δ=%g)",
-					trial, lv, z, tt, bd.Alpha, bd.Delta)
+					trial, lv, z, tt, lin.Alpha, lin.Delta)
 			}
 			prev = z
 		}
@@ -275,19 +247,8 @@ func TestEmptyPattern(t *testing.T) {
 	if pat.Value(10) != 0 {
 		t.Error("empty pattern supplies nothing")
 	}
-	bd := pat.BoundedDelay()
-	if bd.Alpha != 0 {
+	if pat.Total() != 0 {
 		t.Error("empty pattern has zero rate")
-	}
-}
-
-func TestBoundedDelayFunction(t *testing.T) {
-	b := BoundedDelay(analysis.Supply{Alpha: 0.5, Delta: 2})
-	if b.Value(1) != 0 || b.Value(4) != 1 {
-		t.Error("BoundedDelay.Value mismatch")
-	}
-	if b.BoundedDelay() != (analysis.Supply{Alpha: 0.5, Delta: 2}) {
-		t.Error("BoundedDelay round trip mismatch")
 	}
 }
 

@@ -401,21 +401,6 @@ func NewOnlineMetrics(reg *MetricsRegistry) *OnlineMetrics { return online.NewMe
 // namespace of reg.
 func NewSimMetrics(reg *MetricsRegistry) *SimMetrics { return sim.NewMetrics(reg) }
 
-// SplitSolution is a design whose quanta are delivered as several
-// sub-slots per period (the paper's multi-quantum extension).
-type SplitSolution = design.SplitSolution
-
-// SolveSplit sizes the k-sub-slot design at a fixed period.
-func SolveSplit(pr Problem, p float64, k int) (SplitSolution, error) {
-	return design.SolveSplitAt(pr, p, k)
-}
-
-// BestSplit picks the sub-slot count (≤ kMax) minimising allocated
-// bandwidth at a fixed period.
-func BestSplit(pr Problem, p float64, kMax int) (SplitSolution, error) {
-	return design.BestSplit(pr, p, kMax)
-}
-
 // ExploreParallel is Explore with the samples fanned out over a worker
 // pool (0 workers = GOMAXPROCS).
 func ExploreParallel(pr Problem, opts ExploreOptions, workers int) ([]SweepPoint, error) {
@@ -429,16 +414,19 @@ func CriticalScaling(pr Problem, p float64) (float64, error) {
 }
 
 // SubSlotCounts selects how many sub-slots each mode receives per
-// period in a non-uniform layout.
+// period in a layout. Equal counts {k, k, k} give the uniform split:
+// every mode's quantum delivered as k evenly spaced sub-slots.
 type SubSlotCounts = layout.Counts
 
-// PeriodLayout is an as-built non-uniform period layout.
+// PeriodLayout is an as-built multi-quantum period layout.
 type PeriodLayout = layout.Layout
 
-// SolveLayout sizes a non-uniform multi-quantum layout at a fixed
-// period: modes with tight deadlines can recur several times per period
-// while others pay their switch overhead once — strictly more
-// expressive than any single common period.
+// SolveLayout sizes a multi-quantum layout at a fixed period (the
+// paper's Section 5 extension). Equal counts give the uniform split, k
+// sub-slots per mode, each mode paying its switch overhead k times.
+// Non-uniform counts let modes with tight deadlines recur several times
+// per period while others pay their switch overhead once — strictly
+// more expressive than any single common period.
 func SolveLayout(pr Problem, p float64, counts SubSlotCounts) (PeriodLayout, error) {
 	return layout.Solve(pr, p, counts)
 }

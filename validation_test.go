@@ -2,6 +2,7 @@ package repro
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -109,8 +110,6 @@ func TestNonFinitePeriodsRejected(t *testing.T) {
 		{"MaxFeasiblePeriod", true, func(p float64) error { _, err := MaxFeasiblePeriod(pr, search(p)); return err }},
 		{"MaxAdmissibleOverhead", true, func(p float64) error { _, _, err := MaxAdmissibleOverhead(pr, search(p)); return err }},
 		{"CriticalScaling", false, func(p float64) error { _, err := CriticalScaling(pr, p); return err }},
-		{"SolveSplit", false, func(p float64) error { _, err := SolveSplit(pr, p, 1); return err }},
-		{"BestSplit", false, func(p float64) error { _, err := BestSplit(pr, p, 2); return err }},
 		{"SolveLayout", false, func(p float64) error { _, err := SolveLayout(pr, p, SubSlotCounts{FT: 1, FS: 1, NF: 1}); return err }},
 		{"analysis.MinQ", false, func(p float64) error { _, err := analysis.MinQ(ft, analysis.EDF, p); return err }},
 		{"Problem.ConfigFor", false, func(p float64) error { _, err := pr.ConfigFor(p); return err }},
@@ -119,7 +118,6 @@ func TestNonFinitePeriodsRejected(t *testing.T) {
 			_, err := layout.Build(p, layout.Counts{}, core.PerMode{FT: 0.1, FS: 0.1, NF: 0.1}, pr.O)
 			return err
 		}},
-		{"supply.MinQSplit", false, func(p float64) error { _, _, err := supply.MinQSplit(ft, analysis.EDF, p, 2); return err }},
 		{"supply.MinQExact", false, func(p float64) error { _, _, err := supply.MinQExact(ft, analysis.EDF, p); return err }},
 	}
 	// A check runs on its own goroutine, so that one which never
@@ -150,6 +148,50 @@ func TestNonFinitePeriodsRejected(t *testing.T) {
 			case !strings.Contains(err.Error(), "must be positive and finite"):
 				t.Errorf("%s refuses P = %g with %q, not as an invalid period", e.name, p, err)
 			}
+		}
+	}
+}
+
+// TestNonFiniteSuppliesRejected checks that a supply with a NaN or
+// infinite parameter is refused as invalid rather than read as feasible
+// or infeasible: an (α, Δ) pair by FeasibleEDF and FeasibleFP, a slot
+// by Slot.Validate and a pattern by NewPattern. The first row of each
+// kind is a finite control that must pass.
+func TestNonFiniteSuppliesRejected(t *testing.T) {
+	ft := PaperProblem(EDF).Tasks.Channels(task.FT)[0]
+	nan, inf := math.NaN(), math.Inf(1)
+	type entry struct {
+		name  string
+		valid bool
+		check func() error
+	}
+	var entries []entry
+	for i, sp := range []analysis.Supply{{Alpha: 1}, {Alpha: nan}, {Alpha: 0.5, Delta: nan}, {Alpha: 0.5, Delta: inf}} {
+		entries = append(entries,
+			entry{fmt.Sprintf("FeasibleEDF(α=%g, Δ=%g)", sp.Alpha, sp.Delta), i == 0,
+				func() error { _, err := analysis.FeasibleEDF(ft, sp); return err }},
+			entry{fmt.Sprintf("FeasibleFP(α=%g, Δ=%g)", sp.Alpha, sp.Delta), i == 0,
+				func() error { _, err := analysis.FeasibleFP(ft, analysis.RM, sp); return err }})
+	}
+	for i, s := range []supply.Slot{{P: 2, Q: 0.5}, {P: nan, Q: 0.5}, {P: 2, Q: nan}, {P: inf, Q: 1}} {
+		entries = append(entries, entry{fmt.Sprintf("Slot{P: %g, Q: %g}.Validate", s.P, s.Q), i == 0, s.Validate})
+	}
+	for i, pat := range []supply.Pattern{
+		{P: 2, Intervals: []supply.Interval{{Start: 0, End: 1}}},
+		{P: nan, Intervals: []supply.Interval{{Start: 0, End: 1}}},
+		{P: inf, Intervals: []supply.Interval{{Start: 0, End: 1}}},
+		{P: 2, Intervals: []supply.Interval{{Start: nan, End: 1}}},
+		{P: 2, Intervals: []supply.Interval{{Start: 0, End: nan}}},
+	} {
+		entries = append(entries, entry{fmt.Sprintf("NewPattern(%g, %v)", pat.P, pat.Intervals), i == 0,
+			func() error { _, err := supply.NewPattern(pat.P, pat.Intervals); return err }})
+	}
+	for _, e := range entries {
+		switch err := e.check(); {
+		case e.valid && err != nil:
+			t.Errorf("%s refuses a finite supply: %v", e.name, err)
+		case !e.valid && err == nil:
+			t.Errorf("%s accepts a non-finite supply", e.name)
 		}
 	}
 }
